@@ -1,13 +1,12 @@
 """Walkthrough: uniform triangulations and the P1 Galerkin matrices.
 
 Builds meshes of the default square domain, checks the bookkeeping you
-would want to trust before running anything time-dependent, and prints a
-tiny mesh in the plain-text dump format.
+would want to trust before running anything time-dependent, and prints the
+nodes and triangles of a tiny mesh.
 """
 import numpy as np
 
 from monofem import assemble_mass, assemble_stiffness, build_uniform_mesh, spmv
-from monofem.mesh import mesh_to_text
 
 print("== mesh counts ==")
 for h in (1 / 8, 1 / 16, 1 / 32):
@@ -28,5 +27,7 @@ x = rng.standard_normal(mesh.n_nodes)
 print(f"x^T M x for random x     : {x @ spmv(M, x):.4f}  (> 0, SPD)")
 print(f"x^T A x for random x     : {x @ spmv(A, x):.4f}  (>= 0, PSD)")
 
-print("\n== text dump of the single-cell mesh ==")
-print(mesh_to_text(build_uniform_mesh((0, 0, 1, 1), 1.0)))
+print("\n== the single-cell mesh ==")
+cell = build_uniform_mesh((0, 0, 1, 1), 1.0)
+print("nodes:\n", cell.nodes)
+print("triangles:\n", cell.triangles)

@@ -13,7 +13,7 @@ from .assembly import (
     l2_norm,
 )
 from .ionic import ApParams, IonicModel, MsParams, make_model
-from .mesh import TriMesh, build_uniform_mesh, triangle_geometry
+from .mesh import TriMesh, build_uniform_mesh
 from .solver import MonodomainSolver, SolverConfig, SolverState
 from .sparse import CsrMatrix, cg_solve, from_triplets, spmv
 from .verification import (
@@ -52,7 +52,6 @@ __all__ = [
     "make_model",
     "ode_reference",
     "spmv",
-    "triangle_geometry",
 ]
 
 __version__ = "0.1.0"

@@ -41,10 +41,6 @@ class DiffusionTensor:
         mat = np.diag([float(dxx), float(dyy)])
         return cls(lambda x, y: mat, constant=mat)
 
-    @classmethod
-    def from_function(cls, fn) -> "DiffusionTensor":
-        return cls(fn)
-
     def __call__(self, x: float, y: float) -> np.ndarray:
         return np.asarray(self._fn(x, y), dtype=float)
 
@@ -102,18 +98,15 @@ def _scatter(mesh: TriMesh, local: np.ndarray) -> CsrMatrix:
 def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:
     """Vector of f evaluated at the mesh nodes, in node order.
 
-    ``f`` may be a scalar constant, a vectorized callable of (x, y) arrays,
-    or a plain scalar callable.
+    ``f`` may be a scalar constant or a vectorized callable of (x, y)
+    arrays that returns one value per node or a single scalar.
+
+    Raises:
+        ValueError: f returns any other shape.
+        NonFiniteValue: f is not finite at some node.
     """
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    if np.isscalar(f):
-        vals = np.full(mesh.n_nodes, float(f))
-    else:
-        vals = np.asarray(f(x, y), dtype=float)
-        if vals.shape == ():
-            vals = np.full(mesh.n_nodes, float(vals))
-        elif vals.shape != (mesh.n_nodes,):
-            vals = np.array([float(f(xi, yi)) for xi, yi in mesh.nodes])
+    vals = f(mesh.nodes[:, 0], mesh.nodes[:, 1]) if callable(f) else f
+    vals = np.broadcast_to(np.asarray(vals, dtype=float), (mesh.n_nodes,)).copy()
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("interpolated function is not finite at some node")
     return vals

@@ -1,21 +1,23 @@
 """Command-line entry point and table emission.
 
 ``monofem study`` runs a convergence study and writes the resulting table
-as CSV or markdown.  Exit codes: 0 success, 2 usage error, 3 solver
-non-convergence.
+as CSV or markdown.  Exit codes: 0 success; 2 usage error (bad flags or
+values, a spacing or time step that does not divide the domain or the
+final time, an unwritable ``--out``); 3 the solver failed (CG did not
+converge, or the state became non-finite).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .assembly import DiffusionTensor
-from .ionic import MODEL_NAMES, make_model
+from .assembly import DiffusionTensor, NonFiniteValue
+from .ionic import SingularDenominator, make_model
+from .mesh import NonDivisibleSpacing
+from .solver import InvalidConfig, NonFiniteState
 from .sparse import DEFAULT_CG_TOL, NoConvergence
-from .verification import ConvergenceRecord, StudyConfig, convergence_study
+from .verification import ConvergenceRecord, InvalidWavenumber, StudyConfig, convergence_study
 
 CSV_COLUMNS = "level,h,dt,steps,l2_error,sroc,troc"
 
@@ -24,53 +26,9 @@ class UsageError(ValueError):
     pass
 
 
-class IoError(OSError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # raise instead of sys.exit
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    model: str = "fhn"
-    mode: str = "homogeneous"
-    levels: list = field(default_factory=lambda: [Fraction(1, 8), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)])
-    t_final: float = 0.25
-    dt: object = "h2"  # "h2" or a Fraction/float time step
-    diffusion: tuple = (1.0, 1.0)  # diagonal entries
-    params: dict = field(default_factory=dict)
-    cg_tol: float = DEFAULT_CG_TOL
-    out: str | None = None
-    fmt: str = "csv"
-    sweep: str = "mesh"
-    fixed_h: Fraction = Fraction(1, 64)
-    reference: str = "ode"
-    wavenumber: int = 1
-
-    def to_argv(self) -> list[str]:
-        argv = [
-            "study",
-            "--model", self.model,
-            "--mode", self.mode,
-            "--levels", ",".join(str(h) for h in self.levels),
-            "--t-final", repr(self.t_final),
-            "--dt", str(self.dt),
-            "--diffusion", f"{self.diffusion[0]!r},{self.diffusion[1]!r}",
-            "--cg-tol", repr(self.cg_tol),
-            "--format", self.fmt,
-            "--sweep", self.sweep,
-            "--fixed-h", str(self.fixed_h),
-            "--reference", self.reference,
-            "--wavenumber", str(self.wavenumber),
-        ]
-        for key, val in self.params.items():
-            argv += ["--param", f"{key}={val!r}"]
-        if self.out is not None:
-            argv += ["--out", self.out]
-        return argv
 
 
 def _fraction(text: str) -> Fraction:
@@ -93,27 +51,22 @@ def _build_parser() -> _Parser:
     study.add_argument("--diffusion", default="1.0", help="scalar sigma or diagonal 'a,b'")
     study.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="ionic model parameter override (repeatable)")
-    study.add_argument("--cg-tol", default=None)
+    study.add_argument("--cg-tol", default=str(DEFAULT_CG_TOL))
     study.add_argument("--out", default=None)
     study.add_argument("--format", default="csv", choices=["csv", "md"])
     study.add_argument("--sweep", default="mesh", choices=["mesh", "timestep"])
     study.add_argument("--fixed-h", default="1/64")
-    study.add_argument("--reference", default="ode", choices=["ode", "fine"])
-    study.add_argument("--wavenumber", default="1")
+    study.add_argument("--wavenumber", type=int, default=1)
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    """Resolve command-line arguments into a fully-defaulted RunConfig.
+def parse_config(argv) -> tuple[StudyConfig, str | None, str]:
+    """Resolve command-line arguments into (study config, output path, format).
 
     Raises:
         UsageError: unknown flags, bad values, or inconsistent settings.
     """
     ns = _build_parser().parse_args(list(argv))
-
-    model = ns.model.lower()
-    if model not in MODEL_NAMES:
-        raise UsageError(f"unknown model {ns.model!r}; valid models: {', '.join(MODEL_NAMES)}")
 
     params = {}
     for item in ns.param:
@@ -121,20 +74,11 @@ def parse_config(argv) -> RunConfig:
             raise UsageError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
         params[key.strip()] = float(_fraction(val.strip()))
-    try:
-        make_model(model, **params)  # validate the overrides now
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
-    levels = [_fraction(tok) for tok in ns.levels.split(",") if tok.strip()]
-    if not levels:
-        raise UsageError("--levels must list at least one value")
-    if any(b >= a for a, b in zip(levels, levels[1:])):
-        raise UsageError("--levels must be strictly decreasing")
-    if min(levels) <= 0:
+    levels = [float(_fraction(tok)) for tok in ns.levels.split(",") if tok.strip()]
+    if any(h <= 0 for h in levels):
         raise UsageError("--levels must be positive")
 
-    dt = ns.dt if ns.dt == "h2" else _fraction(ns.dt)
     parts = [p for p in ns.diffusion.split(",") if p.strip()]
     if len(parts) == 1:
         diffusion = (float(_fraction(parts[0])),) * 2
@@ -145,51 +89,25 @@ def parse_config(argv) -> RunConfig:
     if min(diffusion) <= 0:
         raise UsageError("--diffusion entries must be positive")
 
-    cg_tol = DEFAULT_CG_TOL if ns.cg_tol is None else float(_fraction(ns.cg_tol))
-    env_tol = os.environ.get("MONOFEM_CG_TOL")
-    if env_tol is not None:
-        cg_tol = float(env_tol)
-
     if ns.sweep == "timestep" and ns.mode != "manufactured":
         raise UsageError("--sweep timestep is only meaningful with --mode manufactured")
 
     try:
-        wavenumber = int(ns.wavenumber)
+        cfg = StudyConfig(
+            model=make_model(ns.model, **params),
+            mode=ns.mode,
+            levels=levels,
+            t_final=float(_fraction(ns.t_final)),
+            dt_rule=ns.dt if ns.dt == "h2" else float(_fraction(ns.dt)),
+            diffusion=DiffusionTensor.diagonal(*diffusion),
+            sweep=ns.sweep,
+            fixed_h=float(_fraction(ns.fixed_h)),
+            cg_rel_tol=float(_fraction(ns.cg_tol)),
+            wavenumber_index=ns.wavenumber,
+        )
     except ValueError as exc:
-        raise UsageError(f"--wavenumber must be an integer, got {ns.wavenumber!r}") from exc
-
-    return RunConfig(
-        model=model,
-        mode=ns.mode,
-        levels=levels,
-        t_final=float(_fraction(ns.t_final)),
-        dt=dt,
-        diffusion=diffusion,
-        params=params,
-        cg_tol=cg_tol,
-        out=ns.out,
-        fmt=ns.format,
-        sweep=ns.sweep,
-        fixed_h=_fraction(ns.fixed_h),
-        reference=ns.reference,
-        wavenumber=wavenumber,
-    )
-
-
-def to_study_config(cfg: RunConfig) -> StudyConfig:
-    return StudyConfig(
-        model=make_model(cfg.model, **cfg.params),
-        mode=cfg.mode,
-        levels=[float(h) for h in cfg.levels],
-        t_final=cfg.t_final,
-        dt_rule=cfg.dt if cfg.dt == "h2" else float(cfg.dt),
-        diffusion=DiffusionTensor.diagonal(*cfg.diffusion),
-        sweep=cfg.sweep,
-        fixed_h=float(cfg.fixed_h),
-        cg_rel_tol=cfg.cg_tol,
-        reference=cfg.reference,
-        wavenumber_index=cfg.wavenumber,
-    )
+        raise UsageError(str(exc)) from exc
+    return cfg, ns.out, ns.format
 
 
 def _fmt(value, pattern="%.12g") -> str:
@@ -230,24 +148,24 @@ def emit_table(records: list[ConvergenceRecord], fmt: str = "csv") -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = parse_config(argv)
-    except UsageError as exc:
+        cfg, out, fmt = parse_config(argv)
+        records = convergence_study(cfg)
+    except (UsageError, NonDivisibleSpacing, InvalidConfig, InvalidWavenumber) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        records = convergence_study(to_study_config(cfg))
-    except NoConvergence as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
+    except (NoConvergence, NonFiniteState, NonFiniteValue, SingularDenominator) as exc:
+        print(f"solver did not converge or went non-finite: {exc}", file=sys.stderr)
         return 3
-    text = emit_table(records, cfg.fmt)
-    if cfg.out is None:
+    text = emit_table(records, fmt)
+    if out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(cfg.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise IoError(str(exc)) from exc
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -95,34 +95,14 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))
 
 
-def triangle_geometry(mesh: TriMesh, t: int) -> tuple[float, np.ndarray]:
-    """Area and P1 nodal basis gradients of triangle ``t``.
-
-    Returns:
-        (area, grads) where grads is a (3, 2) array; grads[i] is the
-        constant gradient of the basis function attached to vertex i.
-        The three gradients sum to the zero vector.
-    """
-    p = mesh.nodes[mesh.triangles[t]]
-    area, grads = _geometry(p[0], p[1], p[2])
-    return area, grads
-
-
-def _geometry(p0, p1, p2):
-    det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
-    area = 0.5 * det
-    b = np.array([p1[1] - p2[1], p2[1] - p0[1], p0[1] - p1[1]])
-    c = np.array([p2[0] - p1[0], p0[0] - p2[0], p1[0] - p0[0]])
-    grads = np.column_stack([b, c]) / det
-    return area, grads
-
-
 def all_triangle_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized areas and basis gradients for every triangle.
+    """Areas and P1 nodal basis gradients of every triangle.
 
     Returns:
         areas: (n_triangles,) array.
-        grads: (n_triangles, 3, 2) array, grads[t, i] as in triangle_geometry.
+        grads: (n_triangles, 3, 2) array; grads[t, i] is the constant
+            gradient of the basis function attached to vertex i of
+            triangle t.  The three gradients of a triangle sum to zero.
     """
     p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
     p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
@@ -135,9 +115,3 @@ def all_triangle_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     grads = np.stack([b, c], axis=2) / det[:, None, None]
     return areas, grads
 
-
-def mesh_to_text(mesh: TriMesh) -> str:
-    """Plain-text dump: one 'v x y' line per node, one 't i j k' line per triangle."""
-    lines = [f"v {x:.17g} {y:.17g}" for x, y in mesh.nodes]
-    lines += [f"t {a} {b} {c}" for a, b, c in mesh.triangles]
-    return "\n".join(lines) + "\n"

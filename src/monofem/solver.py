@@ -21,7 +21,7 @@ from .assembly import (
     interpolate_nodal,
 )
 from .mesh import TriMesh
-from .sparse import DEFAULT_CG_TOL, CsrMatrix, add_scaled, cg_solve, spmv
+from .sparse import DEFAULT_CG_TOL, CsrMatrix, cg_solve, spmv
 
 
 class InvalidConfig(ValueError):
@@ -58,7 +58,6 @@ class SolverConfig:
     i_app: Callable | None = None
     w_source: Callable | None = None
     cg_rel_tol: float = DEFAULT_CG_TOL
-    cg_max_iter: int | None = None
 
     def n_steps(self) -> int:
         if self.k <= 0 or self.t_final <= 0:
@@ -78,7 +77,13 @@ class MonodomainSolver:
         self.cfg = cfg
         self.mass = assemble_mass(mesh)
         self.stiffness = assemble_stiffness(mesh, cfg.diffusion)
-        self.system = add_scaled(self.mass, self.stiffness, cfg.k)  # M + k A
+        # M and A are scattered from the same triangles, so they share one
+        # sparsity pattern and S = M + k A is a sum of value arrays.
+        n = mesh.n_nodes
+        self.system = CsrMatrix(
+            n, n, self.mass.row_offsets, self.mass.col_indices,
+            self.mass.values + cfg.k * self.stiffness.values,
+        )
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)
         self.state = SolverState(v=v, w=w, t=0.0, n=0)
@@ -97,9 +102,7 @@ class MonodomainSolver:
         if cfg.w_source is not None:
             g = g + cfg.w_source(self._x, self._y, s.t)
         rhs = spmv(self.mass, s.v + k * f)
-        v_new, _ = cg_solve(
-            self.system, rhs, x0=s.v, rel_tol=cfg.cg_rel_tol, max_iter=cfg.cg_max_iter
-        )
+        v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=cfg.cg_rel_tol)
         w_new = s.w + k * g
         if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
             raise NonFiniteState(f"non-finite nodal values after step {s.n + 1} (t={s.t + k})")
@@ -114,21 +117,3 @@ class MonodomainSolver:
                 dump(state)
         return self.state
 
-
-def init(mesh: TriMesh, cfg: SolverConfig) -> tuple[SolverState, tuple[CsrMatrix, CsrMatrix]]:
-    """Initial state plus the assembled (M, M + kA) pair."""
-    solver = MonodomainSolver(mesh, cfg)
-    return solver.state, (solver.mass, solver.system)
-
-
-def run(mesh: TriMesh, cfg: SolverConfig) -> SolverState:
-    """Convenience wrapper: build a solver and integrate to t_final."""
-    return MonodomainSolver(mesh, cfg).run()
-
-
-def state_to_text(state: SolverState) -> str:
-    """Debug dump: node-ordered v values then w values, one per line."""
-    lines = [f"# t={state.t:.17g} n={state.n}"]
-    lines += [f"v {val:.17g}" for val in state.v]
-    lines += [f"w {val:.17g}" for val in state.w]
-    return "\n".join(lines) + "\n"

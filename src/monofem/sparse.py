@@ -6,6 +6,7 @@ assembly with duplicate summation, matrix-vector products, and plain
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,23 +65,9 @@ class CsrMatrix:
         out[self.row_of_nnz, self.col_indices] = self.values
         return out
 
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.row_of_nnz, self.col_indices, self.values
 
-
-def from_triplets(nrows, ncols, rows, cols=None, vals=None) -> CsrMatrix:
-    """Build a CsrMatrix from COO triplets, summing duplicate (row, col) pairs.
-
-    Accepts either three parallel arrays ``(rows, cols, vals)`` or a single
-    iterable of ``(row, col, value)`` tuples as ``rows``.
-    """
-    if cols is None:
-        entries = list(rows)
-        if entries:
-            rows, cols, vals = (np.asarray(a) for a in zip(*entries))
-        else:
-            rows = cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0)
+def from_triplets(nrows, ncols, rows, cols, vals) -> CsrMatrix:
+    """Build a CsrMatrix from parallel COO arrays, summing duplicate (row, col) pairs."""
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=float).ravel()
@@ -112,21 +99,6 @@ def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     return np.bincount(A.row_of_nnz, weights=A.values * x[A.col_indices], minlength=A.nrows)
 
 
-def add_scaled(A: CsrMatrix, B: CsrMatrix, alpha: float = 1.0) -> CsrMatrix:
-    """A + alpha * B, via triplet concatenation."""
-    if (A.nrows, A.ncols) != (B.nrows, B.ncols):
-        raise DimensionMismatch("matrix shapes differ")
-    ra, ca, va = A.triplets()
-    rb, cb, vb = B.triplets()
-    return from_triplets(
-        A.nrows,
-        A.ncols,
-        np.concatenate([ra, rb]),
-        np.concatenate([ca, cb]),
-        np.concatenate([va, alpha * vb]),
-    )
-
-
 def cg_solve(
     A: CsrMatrix,
     b: np.ndarray,
@@ -142,8 +114,11 @@ def cg_solve(
         (x, iterations)
 
     Raises:
+        ValueError: rel_tol is not finite and positive.
         NoConvergence: tolerance not met within max_iter iterations.
     """
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"CG tolerance must be finite and positive, got {rel_tol!r}")
     b = np.asarray(b, dtype=float)
     if A.nrows != A.ncols or b.shape != (A.nrows,):
         raise DimensionMismatch("cg_solve needs a square matrix and matching rhs")

@@ -224,8 +224,6 @@ class StudyConfig:
     sweep: str = "mesh"  # mesh | timestep
     fixed_h: float = 1 / 64
     cg_rel_tol: float = DEFAULT_CG_TOL
-    cg_max_iter: int | None = None
-    reference: str = "ode"  # homogeneous reference: ode (RK4) | fine (fine-step recursion)
 
     def __post_init__(self):
         if self.mode not in ("homogeneous", "manufactured"):
@@ -236,6 +234,8 @@ class StudyConfig:
             raise ValueError("need at least one refinement level")
         if any(b >= a for a, b in zip(self.levels, list(self.levels)[1:])):
             raise ValueError("levels must be strictly decreasing")
+        if not 0 < self.cg_rel_tol < math.inf:
+            raise ValueError(f"CG tolerance must be finite and positive, got {self.cg_rel_tol!r}")
 
     def resolutions(self) -> tuple[list[float], list[float]]:
         """(h, dt) per level."""
@@ -279,7 +279,6 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             i_app=i_app,
             w_source=w_source,
             cg_rel_tol=cfg.cg_rel_tol,
-            cg_max_iter=cfg.cg_max_iter,
         )
         solver = MonodomainSolver(mesh, scfg)
         final = solver.run()
@@ -303,11 +302,6 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
 def _homogeneous_reference(cfg: StudyConfig, k_finest: float) -> float:
     """Exact solution value at t_final for the uniform-initial-data runs."""
-    if cfg.reference == "fine":
-        k = k_finest / 256
-        n = math.ceil(cfg.t_final / k)
-        v, _ = discrete_cell_trajectory(cfg.model, cfg.v0, cfg.w0, cfg.t_final / n, n)
-        return float(v[-1])
     # RK4 error O(dt_ref^4) sits far below the O(k) error being measured;
     # the discontinuous MS gate is only located to dt_ref, so shrink it.
     divisor = 1000 if cfg.model.kind == "ms" else 100

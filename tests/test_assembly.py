@@ -120,7 +120,7 @@ def test_variable_diffusion_centroid_rule_exact_for_constant():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
     const = assemble_stiffness(mesh, DiffusionTensor.diagonal(3.0, 1.0)).to_dense()
     fn = assemble_stiffness(
-        mesh, DiffusionTensor.from_function(lambda x, y: np.diag([3.0, 1.0]))
+        mesh, DiffusionTensor(lambda x, y: np.diag([3.0, 1.0]))
     ).to_dense()
     np.testing.assert_allclose(fn, const, atol=1e-13)
 
@@ -128,9 +128,7 @@ def test_variable_diffusion_centroid_rule_exact_for_constant():
 def test_diffusion_tensor_ellipticity():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
     assert DiffusionTensor.diagonal(3.0, 0.5).min_eigenvalue_on(mesh) == pytest.approx(0.5)
-    varying = DiffusionTensor.from_function(
-        lambda x, y: np.diag([2.0 + x, 2.0 + y])
-    )
+    varying = DiffusionTensor(lambda x, y: np.diag([2.0 + x, 2.0 + y]))
     lo = varying.min_eigenvalue_on(mesh)
     assert 0.75 < lo <= 2.0  # centroids stay inside the domain
 
@@ -158,6 +156,12 @@ def test_interpolate_constant_and_coordinates():
     xs = interpolate_nodal(mesh, lambda x, y: x)
     assert xs[0] == -1.25
     assert xs[-1] == 1.25
+
+
+def test_interpolate_rejects_wrong_shape():
+    mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
+    with pytest.raises(ValueError):
+        interpolate_nodal(mesh, lambda x, y: np.ones(3))
 
 
 def test_interpolate_non_finite():

@@ -1,32 +1,24 @@
-from fractions import Fraction
-
+import numpy as np
 import pytest
 
-from monofem.cli import (
-    RunConfig,
-    UsageError,
-    emit_table,
-    main,
-    parse_config,
-    to_study_config,
-)
+from monofem.cli import UsageError, emit_table, main, parse_config
 from monofem.verification import ConvergenceRecord
 
 
 def test_parse_basic_study():
-    cfg = parse_config(["study", "--model", "fhn", "--levels", "1/8,1/16", "--t-final", "0.25"])
-    assert cfg.model == "fhn"
+    cfg, out, fmt = parse_config(["study", "--model", "fhn", "--levels", "1/8,1/16", "--t-final", "0.25"])
+    assert cfg.model.kind == "fhn"
     assert cfg.mode == "homogeneous"
-    assert cfg.levels == [Fraction(1, 8), Fraction(1, 16)]
+    assert cfg.levels == [1 / 8, 1 / 16]
     assert cfg.t_final == 0.25
-    assert cfg.dt == "h2"
+    assert cfg.dt_rule == "h2"
+    assert cfg.cg_rel_tol == 1e-10
+    assert (out, fmt) == (None, "csv")
 
 
 def test_parse_param_override():
-    cfg = parse_config(["study", "--model", "ap", "--param", "mu2=0.3"])
-    assert cfg.params == {"mu2": 0.3}
-    study = to_study_config(cfg)
-    assert study.model.params.mu2 == 0.3
+    cfg, _, _ = parse_config(["study", "--model", "ap", "--param", "mu2=0.3"])
+    assert cfg.model.params.mu2 == 0.3
 
 
 def test_parse_rejects_unknown_model():
@@ -41,6 +33,8 @@ def test_parse_rejects_unknown_flag_and_bad_values():
     with pytest.raises(UsageError):
         parse_config(["study", "--levels", "1/16,1/8"])
     with pytest.raises(UsageError):
+        parse_config(["study", "--levels", ","])
+    with pytest.raises(UsageError):
         parse_config(["study", "--param", "nonsense"])
     with pytest.raises(UsageError):
         parse_config(["study", "--model", "fhn", "--param", "a=1"])
@@ -48,30 +42,14 @@ def test_parse_rejects_unknown_flag_and_bad_values():
         parse_config(["study", "--diffusion", "1,2,3"])
     with pytest.raises(UsageError):
         parse_config(["study", "--sweep", "timestep"])  # needs manufactured mode
+    with pytest.raises(UsageError):
+        parse_config(["study", "--wavenumber", "x"])
 
 
 def test_parse_fractional_levels_and_dt():
-    cfg = parse_config(["study", "--levels", "1/128", "--dt", "1/40"])
-    assert cfg.levels == [Fraction(1, 128)]
-    assert cfg.dt == Fraction(1, 40)
-
-
-def test_env_overrides_cg_tol(monkeypatch):
-    monkeypatch.setenv("MONOFEM_CG_TOL", "1e-8")
-    cfg = parse_config(["study", "--cg-tol", "1e-12"])
-    assert cfg.cg_tol == 1e-8
-
-
-def test_roundtrip_equivalence():
-    argvs = [
-        ["study", "--model", "ap", "--param", "mu2=0.4", "--levels", "1/8,1/16"],
-        ["study", "--mode", "manufactured", "--dt", "1/40", "--diffusion", "2,0.5"],
-        ["study", "--model", "ms", "--format", "md", "--t-final", "0.5"],
-    ]
-    for argv in argvs:
-        once = parse_config(argv)
-        twice = parse_config(once.to_argv())
-        assert once == twice
+    cfg, _, _ = parse_config(["study", "--levels", "1/128", "--dt", "1/40"])
+    assert cfg.levels == [1 / 128]
+    assert cfg.dt_rule == 1 / 40
 
 
 RECORDS = [
@@ -129,6 +107,32 @@ def test_main_no_convergence_exit_code(capsys, monkeypatch):
     assert "did not converge" in capsys.readouterr().err
 
 
+EXIT_PATHS = {
+    "non-divisible-h": (["--levels", "1/3"], 2),
+    "t-final-not-multiple-of-dt": (["--t-final", "0.1", "--dt", "0.03", "--levels", "1/8"], 2),
+    "cg-tol-zero": (["--cg-tol", "0", "--levels", "1/8", "--t-final", "1/64"], 2),
+    "cg-tol-nan": (["--cg-tol", "nan", "--levels", "1/8", "--t-final", "1/64"], 2),
+    "singular-denominator": (
+        ["--model", "ap", "--param", "mu2=-0.2", "--levels", "1/8", "--t-final", "1/64"], 3
+    ),
+    "non-finite-state": (["--model", "ap", "--dt", "1", "--t-final", "16", "--levels", "1/4"], 3),
+}
+
+
+@pytest.mark.parametrize("args,code", EXIT_PATHS.values(), ids=EXIT_PATHS.keys())
+def test_main_exit_codes(capsys, args, code):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["study", *args]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one-line message, no traceback
+
+
+def test_main_unwritable_out_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "table.csv"
+    assert main(["study", "--levels", "1/4", "--t-final", "1/16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: cannot write --out")
+
+
 def test_main_writes_csv(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code = main(
@@ -154,3 +158,33 @@ def test_csv_deterministic_across_runs(tmp_path):
         assert main(args + ["--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+# Byte-exact tables: any change to the arithmetic of assembly, the system
+# matrix or CG, or to the formatting, shows up here.
+GOLDEN = [
+    (
+        ["--model", "ap", "--levels", "1/8,1/16,1/32", "--t-final", "1/16"],
+        "0,0.125,0.015625,4,6.64012411431e-05,,\n"
+        "1,0.0625,0.00390625,16,1.67799364274e-05,1.98447,0.992236\n"
+        "2,0.03125,0.0009765625,64,4.20639456627e-06,1.99608,0.998041\n",
+    ),
+    (
+        ["--mode", "manufactured", "--dt", "1e-4", "--levels", "1/8,1/16", "--t-final", "0.01"],
+        "0,0.125,0.0001,100,0.000633774281386,,\n"
+        "1,0.0625,0.0001,100,0.000158782187802,1.99692,\n",
+    ),
+    (
+        ["--mode", "manufactured", "--sweep", "timestep", "--fixed-h", "1/16",
+         "--levels", "1/20,1/40", "--t-final", "0.25", "--model", "rm"],
+        "0,0.0625,0.05,5,0.0205808896015,,\n"
+        "1,0.0625,0.025,10,0.01010143946,,1.02674\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,rows", GOLDEN, ids=["ap-ladder", "manufactured-mesh", "manufactured-dt"])
+def test_golden_csv(tmp_path, args, rows):
+    path = tmp_path / "table.csv"
+    assert main(["study", *args, "--out", str(path)]) == 0
+    assert path.read_bytes() == ("level,h,dt,steps,l2_error,sroc,troc\n" + rows).encode()

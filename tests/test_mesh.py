@@ -9,8 +9,6 @@ from monofem.mesh import (
     TriMesh,
     all_triangle_geometry,
     build_uniform_mesh,
-    mesh_to_text,
-    triangle_geometry,
 )
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
@@ -96,8 +94,8 @@ def test_refinement_nesting():
 def test_unit_right_triangle_geometry():
     mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
     # lower triangle of the unit square is (0,0),(1,0),(1,1)
-    area, grads = triangle_geometry(mesh, 0)
-    assert area == pytest.approx(0.5)
+    areas, _ = all_triangle_geometry(mesh)
+    assert areas[0] == pytest.approx(0.5)
     # hand-computed barycentric gradients for (0,0),(1,0),(0,1)
     tri = TriMesh(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -105,9 +103,9 @@ def test_unit_right_triangle_geometry():
         h=1.0,
         bounds=(0, 0, 1, 1),
     )
-    area, grads = triangle_geometry(tri, 0)
-    assert area == pytest.approx(0.5)
-    np.testing.assert_allclose(grads, [[-1, -1], [1, 0], [0, 1]], atol=1e-14)
+    areas, grads = all_triangle_geometry(tri)
+    assert areas[0] == pytest.approx(0.5)
+    np.testing.assert_allclose(grads[0], [[-1, -1], [1, 0], [0, 1]], atol=1e-14)
 
 
 def test_equilateral_area():
@@ -117,8 +115,8 @@ def test_equilateral_area():
         h=1.0,
         bounds=(0, 0, 1, 1),
     )
-    area, _ = triangle_geometry(tri, 0)
-    assert area == pytest.approx(math.sqrt(3) / 4)
+    areas, _ = all_triangle_geometry(tri)
+    assert areas[0] == pytest.approx(math.sqrt(3) / 4)
 
 
 def test_gradients_sum_to_zero():
@@ -128,22 +126,13 @@ def test_gradients_sum_to_zero():
 
 
 def test_vectorized_matches_single():
+    # Per-triangle oracle: basis function i is a + b x + c y with (a, b, c)
+    # column i of inv([[1, x_j, y_j]]), so its gradient is (b, c).
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
     areas, grads = all_triangle_geometry(mesh)
     for t in (0, 1, mesh.n_triangles - 1):
-        a, g = triangle_geometry(mesh, t)
-        assert a == pytest.approx(areas[t])
-        np.testing.assert_allclose(g, grads[t])
+        p = mesh.nodes[mesh.triangles[t]]
+        assert signed_area(*p) == pytest.approx(areas[t])
+        inv = np.linalg.inv(np.column_stack([np.ones(3), p]))
+        np.testing.assert_allclose(inv[1:].T, grads[t])
 
-
-def test_text_dump():
-    mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
-    lines = mesh_to_text(mesh).strip().splitlines()
-    assert len(lines) == mesh.n_nodes + mesh.n_triangles
-    assert lines[0].split() == ["v", "0", "0"]
-    kinds = [ln.split()[0] for ln in lines]
-    assert kinds == ["v"] * 4 + ["t"] * 2
-    # triangle lines carry valid 0-based indices
-    for ln in lines[4:]:
-        idx = [int(tok) for tok in ln.split()[1:]]
-        assert all(0 <= i < 4 for i in idx)

@@ -9,9 +9,6 @@ from monofem.solver import (
     MonodomainSolver,
     NonFiniteState,
     SolverConfig,
-    init,
-    run,
-    state_to_text,
 )
 from monofem.sparse import spmv
 from monofem.verification import discrete_cell_trajectory
@@ -35,7 +32,8 @@ def paper_config(model=None, h=1 / 8, **kw):
 
 def test_init_uniform_initial_data():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    state, (M, S) = init(mesh, paper_config())
+    solver = MonodomainSolver(mesh, paper_config())
+    state, M, S = solver.state, solver.mass, solver.system
     np.testing.assert_array_equal(state.v, 0.2)
     np.testing.assert_array_equal(state.w, 0.1)
     assert state.t == 0.0 and state.n == 0
@@ -44,8 +42,22 @@ def test_init_uniform_initial_data():
 
 def test_init_coordinate_initial_data():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    state, _ = init(mesh, paper_config(v0=lambda x, y: x))
+    state = MonodomainSolver(mesh, paper_config(v0=lambda x, y: x)).state
     np.testing.assert_array_equal(state.v, mesh.nodes[:, 0])
+
+
+def test_system_shares_mass_pattern():
+    # S = M + k A is built on M's sparsity pattern; pin that the values are
+    # exactly the sum and that the pattern is M's (and A's).
+    mesh = build_uniform_mesh(BOUNDS, 1 / 8)
+    varying = DiffusionTensor(lambda x, y: np.diag([2.0 + x, 2.0 + y]))
+    solver = MonodomainSolver(mesh, paper_config(diffusion=varying))
+    M, A, S, k = solver.mass, solver.stiffness, solver.system, solver.cfg.k
+    for mat in (A, S):
+        np.testing.assert_array_equal(mat.row_offsets, M.row_offsets)
+        np.testing.assert_array_equal(mat.col_indices, M.col_indices)
+    assert np.array_equal(S.values, M.values + k * A.values)
+    assert np.array_equal(S.to_dense(), M.to_dense() + k * A.to_dense())
 
 
 def test_non_integer_step_count_rejected():
@@ -145,8 +157,8 @@ def test_unconditional_stability_probe(factor):
 
 def test_diffusion_independent_in_uniform_case():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    a = run(mesh, paper_config()).v
-    b = run(mesh, paper_config(diffusion=DiffusionTensor.isotropic(5.0))).v
+    a = MonodomainSolver(mesh, paper_config()).run().v
+    b = MonodomainSolver(mesh, paper_config(diffusion=DiffusionTensor.isotropic(5.0))).run().v
     assert np.abs(a - b).max() <= 10 * 1e-10
 
 
@@ -163,15 +175,6 @@ def test_non_finite_state_detected():
     solver.step()
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
         solver.step()
-
-
-def test_state_dump_format():
-    mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
-    solver = MonodomainSolver(mesh, paper_config(k=1 / 64, t_final=1 / 64))
-    text = state_to_text(solver.step())
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("# t=")
-    assert [ln.split()[0] for ln in lines[1:]] == ["v"] * 4 + ["w"] * 4
 
 
 def test_manufactured_source_hooks():

@@ -6,7 +6,6 @@ from monofem.sparse import (
     DimensionMismatch,
     IndexOutOfRange,
     NoConvergence,
-    add_scaled,
     cg_solve,
     from_triplets,
     spmv,
@@ -36,14 +35,14 @@ def check_csr_invariants(A):
 
 
 def test_duplicate_summation():
-    A = from_triplets(1, 1, [(0, 0, 1.0), (0, 0, 2.0)])
+    A = from_triplets(1, 1, [0, 0], [0, 0], [1.0, 2.0])
     assert A.nnz == 1
     assert A.values[0] == 3.0
     check_csr_invariants(A)
 
 
 def test_empty():
-    A = from_triplets(2, 2, [])
+    A = from_triplets(2, 2, [], [], [])
     assert A.nnz == 0
     check_csr_invariants(A)
     np.testing.assert_array_equal(spmv(A, np.ones(2)), [0.0, 0.0])
@@ -51,9 +50,9 @@ def test_empty():
 
 def test_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
-        from_triplets(2, 2, [(2, 0, 1.0)])
+        from_triplets(2, 2, [2], [0], [1.0])
     with pytest.raises(IndexOutOfRange):
-        from_triplets(2, 2, [(0, -1, 1.0)])
+        from_triplets(2, 2, [0], [-1], [1.0])
 
 
 def test_unit_square_stiffness_row_sums():
@@ -75,7 +74,7 @@ def test_spmv_identity_and_diagonal():
 
 
 def test_spmv_dimension_mismatch():
-    A = from_triplets(2, 3, [(0, 0, 1.0)])
+    A = from_triplets(2, 3, [0], [0], [1.0])
     with pytest.raises(DimensionMismatch):
         spmv(A, np.ones(2))
 
@@ -90,14 +89,6 @@ def test_spmv_dense_oracle():
         expect = dense @ x
         got = spmv(A, x)
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
-
-
-def test_add_scaled():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4))
-    C = add_scaled(to_csr(a), to_csr(b), 2.5)
-    np.testing.assert_allclose(C.to_dense(), a + 2.5 * b, atol=1e-14)
 
 
 def test_cg_diagonal():
@@ -131,6 +122,13 @@ def test_cg_residual_contract():
         b = rng.standard_normal(n)
         x, _ = cg_solve(A, b, rel_tol=1e-10)
         assert np.linalg.norm(b - dense @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_cg_rejects_bad_tolerance(tol):
+    A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
+    with pytest.raises(ValueError):
+        cg_solve(A, np.array([2.0, 1.0]), rel_tol=tol)
 
 
 def test_cg_no_convergence():
