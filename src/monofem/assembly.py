@@ -20,21 +20,27 @@ class NonFiniteValue(ValueError):
     pass
 
 
+def _check_spd(d: np.ndarray) -> None:
+    """Raise ValueError unless every 2x2 matrix in ``d`` (..., 2, 2) is finite and SPD."""
+    a, b, c = d[..., 0, 0], d[..., 0, 1], d[..., 1, 1]
+    symmetric = np.isclose(b, d[..., 1, 0], atol=1e-14)
+    if not (np.isfinite(d).all() and np.all(symmetric & (a > 0) & (a * c - b * b > 0))):
+        raise ValueError("diffusion tensor is not symmetric positive definite")
+
+
 class DiffusionTensor:
     """Symmetric positive definite conductivity field D(x, y).
 
     Wraps a callable (x, y) -> 2x2 symmetric matrix.  Constant tensors keep
     their value in ``constant`` so assembly can skip per-triangle evaluation.
+    A constant is checked here, a variable tensor in ``assemble_stiffness``.
     """
 
     def __init__(self, fn, constant: np.ndarray | None = None):
         self._fn = fn
         self.constant = None if constant is None else np.asarray(constant, dtype=float)
-
-    @classmethod
-    def isotropic(cls, sigma: float = 1.0) -> "DiffusionTensor":
-        mat = sigma * np.eye(2)
-        return cls(lambda x, y: mat, constant=mat)
+        if self.constant is not None:
+            _check_spd(self.constant)
 
     @classmethod
     def diagonal(cls, dxx: float, dyy: float) -> "DiffusionTensor":
@@ -44,24 +50,8 @@ class DiffusionTensor:
     def __call__(self, x: float, y: float) -> np.ndarray:
         return np.asarray(self._fn(x, y), dtype=float)
 
-    def min_eigenvalue_on(self, mesh: TriMesh) -> float:
-        """Smallest eigenvalue over all centroid quadrature points of the mesh.
 
-        A positive return value certifies uniform ellipticity on this mesh
-        (for the quadrature actually used by assemble_stiffness).
-        """
-        if self.constant is not None:
-            return float(np.linalg.eigvalsh(self.constant).min())
-        lo = np.inf
-        for cx, cy in mesh.centroids:
-            d = self(cx, cy)
-            if not np.allclose(d, d.T, atol=1e-14):
-                raise ValueError(f"diffusion tensor not symmetric at ({cx}, {cy})")
-            lo = min(lo, np.linalg.eigvalsh(d).min())
-        return float(lo)
-
-
-IDENTITY_DIFFUSION = DiffusionTensor.isotropic(1.0)
+IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 
 def assemble_mass(mesh: TriMesh) -> CsrMatrix:
@@ -77,12 +67,17 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
     D is evaluated at each triangle centroid (one-point rule, exact for
     constant D).  Row sums vanish: the kernel contains the constants, which
     is the pure-Neumann setting.
+
+    Raises:
+        ValueError: D is not symmetric positive definite at some centroid.
     """
     areas, grads = all_triangle_geometry(mesh)
     if D.constant is not None:
         Dc = np.broadcast_to(D.constant, (mesh.n_triangles, 2, 2))
     else:
-        Dc = np.stack([D(cx, cy) for cx, cy in mesh.centroids])
+        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+        Dc = np.stack([D(cx, cy) for cx, cy in centroids])
+        _check_spd(Dc)
     # K[t, i, j] = area_t * grad_i . D_t grad_j
     local = areas[:, None, None] * np.einsum("tia,tab,tjb->tij", grads, Dc, grads)
     return _scatter(mesh, local)

@@ -4,7 +4,8 @@
 as CSV or markdown.  Exit codes: 0 success; 2 usage error (bad flags or
 values, a spacing or time step that does not divide the domain or the
 final time, an unwritable ``--out``); 3 the solver failed (CG did not
-converge, or the state became non-finite).
+converge, or the state became non-finite).  Every usage error except an
+unwritable ``--out`` is reported before any computation starts.
 """
 from __future__ import annotations
 
@@ -12,12 +13,13 @@ import argparse
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .assembly import DiffusionTensor, NonFiniteValue
 from .ionic import SingularDenominator, make_model
-from .mesh import NonDivisibleSpacing
-from .solver import InvalidConfig, NonFiniteState
+from .solver import NonFiniteState
 from .sparse import DEFAULT_CG_TOL, NoConvergence
-from .verification import ConvergenceRecord, InvalidWavenumber, StudyConfig, convergence_study
+from .verification import ConvergenceRecord, StudyConfig, convergence_study
 
 CSV_COLUMNS = "level,h,dt,steps,l2_error,sroc,troc"
 
@@ -31,11 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fraction(text: str) -> Fraction:
+def _number(text: str) -> float:
+    """A decimal or a fraction like 1/128, as the nearest float."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {text!r} as a number") from exc
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"cannot parse {text!r} as a finite number") from exc
 
 
 def _build_parser() -> _Parser:
@@ -63,6 +66,8 @@ def _build_parser() -> _Parser:
 def parse_config(argv) -> tuple[StudyConfig, str | None, str]:
     """Resolve command-line arguments into (study config, output path, format).
 
+    Only turns text into values; ``StudyConfig`` checks them before any compute.
+
     Raises:
         UsageError: unknown flags, bad values, or inconsistent settings.
     """
@@ -73,36 +78,23 @@ def parse_config(argv) -> tuple[StudyConfig, str | None, str]:
         if "=" not in item:
             raise UsageError(f"--param expects KEY=VALUE, got {item!r}")
         key, _, val = item.partition("=")
-        params[key.strip()] = float(_fraction(val.strip()))
+        params[key.strip()] = _number(val.strip())
 
-    levels = [float(_fraction(tok)) for tok in ns.levels.split(",") if tok.strip()]
-    if any(h <= 0 for h in levels):
-        raise UsageError("--levels must be positive")
-
-    parts = [p for p in ns.diffusion.split(",") if p.strip()]
-    if len(parts) == 1:
-        diffusion = (float(_fraction(parts[0])),) * 2
-    elif len(parts) == 2:
-        diffusion = (float(_fraction(parts[0])), float(_fraction(parts[1])))
-    else:
+    diffusion = [_number(p) for p in ns.diffusion.split(",") if p.strip()]
+    if len(diffusion) not in (1, 2):
         raise UsageError(f"--diffusion expects 'sigma' or 'a,b', got {ns.diffusion!r}")
-    if min(diffusion) <= 0:
-        raise UsageError("--diffusion entries must be positive")
-
-    if ns.sweep == "timestep" and ns.mode != "manufactured":
-        raise UsageError("--sweep timestep is only meaningful with --mode manufactured")
 
     try:
         cfg = StudyConfig(
             model=make_model(ns.model, **params),
             mode=ns.mode,
-            levels=levels,
-            t_final=float(_fraction(ns.t_final)),
-            dt_rule=ns.dt if ns.dt == "h2" else float(_fraction(ns.dt)),
-            diffusion=DiffusionTensor.diagonal(*diffusion),
+            levels=[_number(tok) for tok in ns.levels.split(",") if tok.strip()],
+            t_final=_number(ns.t_final),
+            dt_rule=ns.dt if ns.dt == "h2" else _number(ns.dt),
+            diffusion=DiffusionTensor.diagonal(diffusion[0], diffusion[-1]),  # 'sigma' sets both
             sweep=ns.sweep,
-            fixed_h=float(_fraction(ns.fixed_h)),
-            cg_rel_tol=float(_fraction(ns.cg_tol)),
+            fixed_h=_number(ns.fixed_h),
+            cg_rel_tol=_number(ns.cg_tol),
             wavenumber_index=ns.wavenumber,
         )
     except ValueError as exc:
@@ -149,8 +141,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg, out, fmt = parse_config(argv)
-        records = convergence_study(cfg)
-    except (UsageError, NonDivisibleSpacing, InvalidConfig, InvalidWavenumber) as exc:
+        # Overflow ends in NonFiniteState or NoConvergence; its warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = convergence_study(cfg)
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergence, NonFiniteState, NonFiniteValue, SingularDenominator) as exc:

@@ -35,6 +35,10 @@ class MsParams:
     tau_close: float = 150.0
     u_gate: float = 0.13
 
+    def __post_init__(self):
+        if not all(t > 0 for t in (self.tau_in, self.tau_out, self.tau_open, self.tau_close)):
+            raise ValueError(f"ms time constants must be positive, got {self}")
+
 
 def eval_fhn(v, w):
     """i_ion = v(v-0.1)(1-v) - w,  g = v - 2w."""

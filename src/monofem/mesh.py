@@ -6,7 +6,7 @@ row-major by (y, x) so that matrix sparsity patterns are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class TriMesh:
     triangles: np.ndarray
     h: float
     bounds: tuple[float, float, float, float]
-    _centroids: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -48,33 +47,27 @@ class TriMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
-    def centroids(self) -> np.ndarray:
-        """(n_triangles, 2) array of triangle centroids."""
-        if self._centroids is None:
-            c = self.nodes[self.triangles].mean(axis=1)
-            c.setflags(write=False)
-            object.__setattr__(self, "_centroids", c)
-        return self._centroids
+
+def grid_cells(bounds, h: float) -> tuple[int, int]:
+    """Cells of side ``h`` along x and y of ``bounds``; NonDivisibleSpacing
+    unless h is finite, positive and divides both sides (to 1e-9 cells)."""
+    xmin, ymin, xmax, ymax = map(float, bounds)
+    if not 0 < h < np.inf:
+        raise NonDivisibleSpacing(f"grid spacing must be finite and positive, got {h}")
+    nx = (xmax - xmin) / h
+    ny = (ymax - ymin) / h
+    if min(nx, ny) < 0.5 or abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
+        raise NonDivisibleSpacing(
+            f"side lengths {xmax - xmin} x {ymax - ymin} are not positive integer multiples of h={h}"
+        )
+    return int(round(nx)), int(round(ny))
 
 
 def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
-    """Triangulate the rectangle ``bounds`` with square cells of side ``h``.
-
-    Raises:
-        NonDivisibleSpacing: if either side length is not an integer
-            multiple of ``h`` (to relative 1e-9).
-    """
+    """Triangulate the rectangle ``bounds`` with square cells of side ``h``
+    (NonDivisibleSpacing as in ``grid_cells``)."""
+    nx, ny = grid_cells(bounds, h)
     xmin, ymin, xmax, ymax = map(float, bounds)
-    if h <= 0:
-        raise NonDivisibleSpacing(f"grid spacing must be positive, got {h}")
-    nx = (xmax - xmin) / h
-    ny = (ymax - ymin) / h
-    if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
-        raise NonDivisibleSpacing(
-            f"side lengths {xmax - xmin} x {ymax - ymin} are not integer multiples of h={h}"
-        )
-    nx, ny = int(round(nx)), int(round(ny))
 
     xs = np.linspace(xmin, xmax, nx + 1)
     ys = np.linspace(ymin, ymax, ny + 1)

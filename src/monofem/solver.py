@@ -60,12 +60,14 @@ class SolverConfig:
     cg_rel_tol: float = DEFAULT_CG_TOL
 
     def n_steps(self) -> int:
-        if self.k <= 0 or self.t_final <= 0:
+        """t_final / k; raises InvalidConfig unless it is a positive whole number."""
+        if not (self.k > 0 and self.t_final > 0):
             raise InvalidConfig(f"need k > 0 and t_final > 0, got k={self.k}, T={self.t_final}")
         ratio = self.t_final / self.k
-        if abs(ratio - round(ratio)) > 1e-9:
+        n = round(ratio) if ratio < np.inf else 0
+        if n < 1 or abs(ratio - n) > 1e-9:
             raise InvalidConfig(f"t_final={self.t_final} is not an integer multiple of k={self.k}")
-        return int(round(ratio))
+        return n
 
 
 class MonodomainSolver:
@@ -109,11 +111,9 @@ class MonodomainSolver:
         self.state = SolverState(v=v_new, w=w_new, t=(s.n + 1) * k, n=s.n + 1)
         return self.state
 
-    def run(self, dump: Callable[[SolverState], None] | None = None) -> SolverState:
-        """Apply exactly t_final / k steps; optional per-step state callback."""
+    def run(self) -> SolverState:
+        """Apply exactly t_final / k steps."""
         for _ in range(self.cfg.n_steps()):
-            state = self.step()
-            if dump is not None:
-                dump(state)
+            self.step()
         return self.state
 

@@ -115,7 +115,7 @@ def cg_solve(
 
     Raises:
         ValueError: rel_tol is not finite and positive.
-        NoConvergence: tolerance not met within max_iter iterations.
+        NoConvergence: tolerance not met within max_iter iterations, or ||b|| not finite.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"CG tolerance must be finite and positive, got {rel_tol!r}")
@@ -125,6 +125,8 @@ def cg_solve(
     if max_iter is None:
         max_iter = 10 * A.nrows
     bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise NoConvergence(f"right-hand side norm is {bnorm}", residual=float(bnorm), iterations=0)
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)

@@ -13,8 +13,9 @@ Two verification routes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,9 +27,13 @@ from .assembly import (
     l2_norm,
 )
 from .ionic import IonicModel
-from .mesh import DEFAULT_BOUNDS, build_uniform_mesh
+from .mesh import DEFAULT_BOUNDS, build_uniform_mesh, grid_cells
 from .sparse import DEFAULT_CG_TOL
 from .solver import MonodomainSolver, SolverConfig
+
+# Uniform initial data (v0, w0) of the homogeneous mode.
+HOMOGENEOUS_V0 = 0.2
+HOMOGENEOUS_W0 = 0.1
 
 
 class NonPositiveError(ValueError):
@@ -57,34 +62,24 @@ class ConvergenceRecord:
 
 
 def ode_reference(
-    model: IonicModel,
-    v0: float,
-    w0: float,
-    t_final: float,
-    dt_ref: float,
-    i_app: Callable[[float], float] | None = None,
+    model: IonicModel, v0: float, w0: float, t_final: float, dt_ref: float
 ) -> tuple[float, float]:
-    """Cell ODE v' = i_ion + i_app(t), w' = g solved by classical RK4.
+    """Cell ODE v' = i_ion, w' = g solved by classical RK4.
 
-    With spatially uniform initial data and spatially constant i_app this
-    is the exact monodomain solution at every point of the domain.
+    With spatially uniform initial data this is the exact monodomain
+    solution at every point of the domain.
     """
     if dt_ref <= 0 or t_final < 0:
         raise ValueError("need dt_ref > 0 and t_final >= 0")
     n = max(1, round(t_final / dt_ref))
     dt = t_final / n
-    src = (lambda t: 0.0) if i_app is None else i_app
-
-    def rhs(t, v, w):
-        i_ion, g = model(v, w)
-        return i_ion + src(t), g
 
     v, w, t = float(v0), float(w0), 0.0
     for _ in range(n):
-        k1v, k1w = rhs(t, v, w)
-        k2v, k2w = rhs(t + dt / 2, v + dt / 2 * k1v, w + dt / 2 * k1w)
-        k3v, k3w = rhs(t + dt / 2, v + dt / 2 * k2v, w + dt / 2 * k2w)
-        k4v, k4w = rhs(t + dt, v + dt * k3v, w + dt * k3w)
+        k1v, k1w = model(v, w)
+        k2v, k2w = model(v + dt / 2 * k1v, w + dt / 2 * k1w)
+        k3v, k3w = model(v + dt / 2 * k2v, w + dt / 2 * k2w)
+        k4v, k4w = model(v + dt * k3v, w + dt * k3w)
         v += dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         w += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
         t += dt
@@ -116,35 +111,29 @@ def discrete_cell_trajectory(
 class ManufacturedProblem:
     """Analytic solution with matching source terms for order measurement.
 
-    v(x, y, t) = exp(-t) cos(omega (x - xmin)) cos(omega (y - ymin)),
-    w = 0.5 v.  The wavenumber must satisfy omega * side_length = m pi so
-    that the conormal flux vanishes on the rectangle boundary; the
-    diffusion tensor must be constant diagonal for the same reason.
+    ``ManufacturedProblem(m, model, diffusion)``: v(x, y, t) = exp(-t)
+    cos(omega (x - xmin)) cos(omega (y - ymin)), w = 0.5 v, on the square
+    ``DEFAULT_BOUNDS`` of side L with omega = m pi / L.  An integer m >= 0
+    makes the conormal flux vanish on the boundary; the diffusion tensor
+    must be constant diagonal for the same reason (else InvalidWavenumber).
     """
 
     def __init__(
         self,
-        omega: float,
+        m: int,
         model: IonicModel = IonicModel("fhn"),
         diffusion: DiffusionTensor = IDENTITY_DIFFUSION,
-        bounds=DEFAULT_BOUNDS,
     ):
-        xmin, ymin, xmax, ymax = bounds
-        for side in (xmax - xmin, ymax - ymin):
-            m = omega * side / math.pi
-            if abs(m - round(m)) > 1e-9 or omega < 0:
-                raise InvalidWavenumber(
-                    f"omega={omega} does not give zero Neumann flux on a side of length {side}"
-                )
+        if not isinstance(m, numbers.Integral) or m < 0:
+            raise InvalidWavenumber(f"wavenumber index must be a non-negative integer, got {m!r}")
         if diffusion.constant is None or abs(diffusion.constant[0, 1]) > 1e-14:
             raise InvalidWavenumber("manufactured mode needs a constant diagonal diffusion tensor")
-        self.omega = float(omega)
+        self.omega = m * math.pi / (DEFAULT_BOUNDS[2] - DEFAULT_BOUNDS[0])
         self.model = model
         self.diffusion = diffusion
-        self.bounds = bounds
 
     def v_exact(self, x, y, t):
-        xmin, ymin = self.bounds[0], self.bounds[1]
+        xmin, ymin = DEFAULT_BOUNDS[0], DEFAULT_BOUNDS[1]
         om = self.omega
         return np.exp(-t) * np.cos(om * (x - xmin)) * np.cos(om * (y - ymin))
 
@@ -208,7 +197,8 @@ class StudyConfig:
 
     ``sweep`` selects how ``levels`` is read: "mesh" treats them as grid
     spacings (with dt from ``dt_rule``), "timestep" treats them as time
-    steps on the fixed mesh ``fixed_h`` (manufactured mode only).
+    steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
+    inputs, every level included, are checked here before any compute.
     """
 
     model: IonicModel
@@ -217,9 +207,6 @@ class StudyConfig:
     t_final: float = 0.25
     dt_rule: object = "h2"  # "h2" or a fixed time step
     diffusion: DiffusionTensor = IDENTITY_DIFFUSION
-    bounds: tuple = DEFAULT_BOUNDS
-    v0: float = 0.2
-    w0: float = 0.1
     wavenumber_index: int = 1  # manufactured: omega = m pi / side
     sweep: str = "mesh"  # mesh | timestep
     fixed_h: float = 1 / 64
@@ -230,12 +217,19 @@ class StudyConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.sweep not in ("mesh", "timestep"):
             raise ValueError(f"unknown sweep {self.sweep!r}")
+        if self.sweep == "timestep" and self.mode != "manufactured":
+            raise ValueError("a timestep sweep needs manufactured mode")
         if len(self.levels) == 0:
             raise ValueError("need at least one refinement level")
         if any(b >= a for a, b in zip(self.levels, list(self.levels)[1:])):
             raise ValueError("levels must be strictly decreasing")
         if not 0 < self.cg_rel_tol < math.inf:
             raise ValueError(f"CG tolerance must be finite and positive, got {self.cg_rel_tol!r}")
+        if self.mode == "manufactured":
+            ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)  # checks m, D
+        for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
+            grid_cells(DEFAULT_BOUNDS, h)
+            SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
 
     def resolutions(self) -> tuple[list[float], list[float]]:
         """(h, dt) per level."""
@@ -250,60 +244,31 @@ class StudyConfig:
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Run every refinement level and attach observed rates."""
     hs, dts = cfg.resolutions()
-    manufactured = cfg.mode == "manufactured"
-
-    if manufactured:
-        side = cfg.bounds[2] - cfg.bounds[0]
-        problem = ManufacturedProblem(
-            cfg.wavenumber_index * math.pi / side, cfg.model, cfg.diffusion, cfg.bounds
-        )
+    # Initial data and sources of every level, and the exact v at t_final.
+    if cfg.mode == "manufactured":
+        p = ManufacturedProblem(cfg.wavenumber_index, cfg.model, cfg.diffusion)
+        data = dict(v0=lambda x, y: p.v_exact(x, y, 0.0), w0=lambda x, y: p.w_exact(x, y, 0.0),
+                    i_app=p.i_app, w_source=p.w_source)
+        v_final = lambda x, y: p.v_exact(x, y, cfg.t_final)
     else:
-        v_ref = _homogeneous_reference(cfg, min(dts))
+        data = dict(v0=HOMOGENEOUS_V0, w0=HOMOGENEOUS_W0)
+        # RK4 error O(dt_ref^4) sits far below the O(k) error being measured;
+        # the discontinuous MS gate is only located to dt_ref, so shrink it.
+        dt_ref = min(dts) / (1000 if cfg.model.kind == "ms" else 100)
+        v_final, _ = ode_reference(cfg.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, cfg.t_final, dt_ref)
 
-    rows = []
-    for level, (h, dt) in enumerate(zip(hs, dts)):
-        mesh = build_uniform_mesh(cfg.bounds, h)
-        if manufactured:
-            v0 = lambda x, y: problem.v_exact(x, y, 0.0)
-            w0 = lambda x, y: problem.w_exact(x, y, 0.0)
-            i_app, w_source = problem.i_app, problem.w_source
-        else:
-            v0, w0, i_app, w_source = cfg.v0, cfg.w0, None, None
-        scfg = SolverConfig(
-            k=dt,
-            t_final=cfg.t_final,
-            ionic=cfg.model,
-            diffusion=cfg.diffusion,
-            v0=v0,
-            w0=w0,
-            i_app=i_app,
-            w_source=w_source,
-            cg_rel_tol=cfg.cg_rel_tol,
-        )
+    steps, errors = [], []
+    for h, dt in zip(hs, dts):
+        mesh = build_uniform_mesh(DEFAULT_BOUNDS, h)
+        scfg = SolverConfig(k=dt, t_final=cfg.t_final, ionic=cfg.model, diffusion=cfg.diffusion,
+                            cg_rel_tol=cfg.cg_rel_tol, **data)
         solver = MonodomainSolver(mesh, scfg)
         final = solver.run()
-        if manufactured:
-            target = interpolate_nodal(mesh, lambda x, y: problem.v_exact(x, y, cfg.t_final))
-        else:
-            target = np.full(mesh.n_nodes, v_ref)
-        err = l2_norm(solver.mass, final.v - target)
-        rows.append((level, h, dt, scfg.n_steps(), err))
+        steps.append(scfg.n_steps())
+        errors.append(l2_norm(solver.mass, final.v - interpolate_nodal(mesh, v_final)))
 
-    errors = [r[4] for r in rows]
-    if len(rows) >= 2:
-        sroc, troc = compute_rates(errors, hs, dts)
-    else:
-        sroc = troc = [None]
+    sroc, troc = compute_rates(errors, hs, dts) if len(errors) >= 2 else ([None], [None])
     return [
-        ConvergenceRecord(level, h, dt, steps, err, sroc[i], troc[i])
-        for i, (level, h, dt, steps, err) in enumerate(rows)
+        ConvergenceRecord(level, *row, sroc[level], troc[level])
+        for level, row in enumerate(zip(hs, dts, steps, errors))
     ]
-
-
-def _homogeneous_reference(cfg: StudyConfig, k_finest: float) -> float:
-    """Exact solution value at t_final for the uniform-initial-data runs."""
-    # RK4 error O(dt_ref^4) sits far below the O(k) error being measured;
-    # the discontinuous MS gate is only located to dt_ref, so shrink it.
-    divisor = 1000 if cfg.model.kind == "ms" else 100
-    v, _ = ode_reference(cfg.model, cfg.v0, cfg.w0, cfg.t_final, k_finest / divisor)
-    return v

@@ -100,7 +100,7 @@ def test_mass_spd_probe():
 
 def test_stiffness_kernel_is_constants():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    for D in (DiffusionTensor.isotropic(1.0), DiffusionTensor.diagonal(2.0, 0.5)):
+    for D in (DiffusionTensor.diagonal(1.0, 1.0), DiffusionTensor.diagonal(2.0, 0.5)):
         A = assemble_stiffness(mesh, D)
         np.testing.assert_allclose(spmv(A, np.ones(mesh.n_nodes)), 0.0, atol=1e-12)
         rng = np.random.default_rng(1)
@@ -111,8 +111,8 @@ def test_stiffness_kernel_is_constants():
 
 def test_stiffness_linear_in_diffusion():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    A1 = assemble_stiffness(mesh, DiffusionTensor.isotropic(1.0)).to_dense()
-    A2 = assemble_stiffness(mesh, DiffusionTensor.isotropic(2.0)).to_dense()
+    A1 = assemble_stiffness(mesh, DiffusionTensor.diagonal(1.0, 1.0)).to_dense()
+    A2 = assemble_stiffness(mesh, DiffusionTensor.diagonal(2.0, 2.0)).to_dense()
     np.testing.assert_allclose(A2, 2.0 * A1, rtol=1e-14)
 
 
@@ -126,11 +126,23 @@ def test_variable_diffusion_centroid_rule_exact_for_constant():
 
 
 def test_diffusion_tensor_ellipticity():
+    # Constants are checked on construction, variable tensors at the
+    # centroids where assemble_stiffness evaluates them.
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    assert DiffusionTensor.diagonal(3.0, 0.5).min_eigenvalue_on(mesh) == pytest.approx(0.5)
+    for entries in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            DiffusionTensor.diagonal(*entries)
+    with pytest.raises(ValueError):
+        DiffusionTensor(lambda x, y: np.eye(2), constant=[[1.0, 2.0], [2.0, 1.0]])
     varying = DiffusionTensor(lambda x, y: np.diag([2.0 + x, 2.0 + y]))
-    lo = varying.min_eigenvalue_on(mesh)
-    assert 0.75 < lo <= 2.0  # centroids stay inside the domain
+    assemble_stiffness(mesh, varying)  # 0.75 <= 2 + x at every centroid
+    # indefinite only where x + y > 2, i.e. at the top-right centroids
+    indefinite = DiffusionTensor(lambda x, y: np.array([[1.0, 0.0], [0.0, 2.0 - x - y]]))
+    with pytest.raises(ValueError):
+        assemble_stiffness(mesh, indefinite)
+    asymmetric = DiffusionTensor(lambda x, y: np.array([[2.0, 0.5], [-0.5, 2.0]]))
+    with pytest.raises(ValueError):
+        assemble_stiffness(mesh, asymmetric)
 
 
 def test_interior_rows_annihilate_linear_functions():

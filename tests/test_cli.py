@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from monofem.cli import UsageError, emit_table, main, parse_config
@@ -44,6 +43,24 @@ def test_parse_rejects_unknown_flag_and_bad_values():
         parse_config(["study", "--sweep", "timestep"])  # needs manufactured mode
     with pytest.raises(UsageError):
         parse_config(["study", "--wavenumber", "x"])
+
+
+def test_parse_rejects_bad_levels_before_any_compute(monkeypatch):
+    # parse_config runs no study, so these are found at parse time.
+    import monofem.cli as cli
+
+    def no_compute(cfg):
+        raise AssertionError("study ran")
+
+    monkeypatch.setattr(cli, "convergence_study", no_compute)
+    for args in (
+        ["--model", "ms", "--levels", "1/8,1/16,1/32,1/64,1/129"],
+        ["--model", "ms", "--t-final", "0.3"],
+        ["--diffusion", "1,0"],
+    ):
+        with pytest.raises(UsageError):
+            parse_config(["study", *args])
+        assert main(["study", *args]) == 2
 
 
 def test_parse_fractional_levels_and_dt():
@@ -116,13 +133,18 @@ EXIT_PATHS = {
         ["--model", "ap", "--param", "mu2=-0.2", "--levels", "1/8", "--t-final", "1/64"], 3
     ),
     "non-finite-state": (["--model", "ap", "--dt", "1", "--t-final", "16", "--levels", "1/4"], 3),
+    "ms-tau-zero": (["--model", "ms", "--param", "tau_in=0"], 2),
+    "t-final-overflow": (["--t-final", "1e400"], 2),
+    "rhs-overflow": (["--model", "fhn", "--dt", "10", "--t-final", "100", "--levels", "1/4"], 3),
 }
 
 
+# pytest would capture a numpy RuntimeWarning instead of letting it reach
+# stderr, so turn it into a failure.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("args,code", EXIT_PATHS.values(), ids=EXIT_PATHS.keys())
 def test_main_exit_codes(capsys, args, code):
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["study", *args]) == code
+    assert main(["study", *args]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1  # one-line message, no traceback
 

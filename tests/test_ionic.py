@@ -105,6 +105,10 @@ def test_make_model_validation():
         make_model("fhn", a=1.0)
     with pytest.raises(ValueError):
         make_model("ms", mu2=0.3)
+    for name in ("tau_in", "tau_out", "tau_open", "tau_close"):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                make_model("ms", **{name: bad})
 
 
 def test_models_vectorized_matches_scalar():

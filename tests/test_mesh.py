@@ -72,6 +72,9 @@ def test_non_divisible_spacing():
         build_uniform_mesh(BOUNDS, 0.3)
     with pytest.raises(NonDivisibleSpacing):
         build_uniform_mesh(BOUNDS, -0.5)
+    for h in (float("inf"), float("nan"), 1e10):  # 1e10: 2.5e-10 cells per side
+        with pytest.raises(NonDivisibleSpacing):
+            build_uniform_mesh(BOUNDS, h)
 
 
 @pytest.mark.parametrize("n_cells", [4, 10])

@@ -65,6 +65,10 @@ def test_non_integer_step_count_rejected():
         SolverConfig(k=0.3, t_final=1.0, ionic=make_model("fhn")).n_steps()
     with pytest.raises(InvalidConfig):
         SolverConfig(k=-0.1, t_final=1.0, ionic=make_model("fhn")).n_steps()
+    inf, nan = float("inf"), float("nan")
+    for k, t_final in ((nan, 1.0), (0.1, nan), (inf, 1.0), (0.1, inf), (1e-300, 1e300), (0.5, 0.25)):
+        with pytest.raises(InvalidConfig):
+            SolverConfig(k=k, t_final=t_final, ionic=make_model("fhn")).n_steps()
 
 
 def test_single_step_uniform_fhn():
@@ -158,7 +162,7 @@ def test_unconditional_stability_probe(factor):
 def test_diffusion_independent_in_uniform_case():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
     a = MonodomainSolver(mesh, paper_config()).run().v
-    b = MonodomainSolver(mesh, paper_config(diffusion=DiffusionTensor.isotropic(5.0))).run().v
+    b = MonodomainSolver(mesh, paper_config(diffusion=DiffusionTensor.diagonal(5.0, 5.0))).run().v
     assert np.abs(a - b).max() <= 10 * 1e-10
 
 

@@ -141,6 +141,16 @@ def test_cg_no_convergence():
     assert info.value.iterations == 2
 
 
+@pytest.mark.parametrize("entry", [np.nan, 1e200])
+def test_cg_non_finite_rhs_norm(entry):
+    # NaN once spun 10 n iterations; 1e200 overflowed ||b|| to inf, so the
+    # tolerance was inf and x0 came back as converged.
+    A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence) as info:
+        cg_solve(A, np.array([entry, 1.0]), x0=np.zeros(2))
+    assert info.value.iterations == 0
+
+
 def test_assembled_matrices_exactly_symmetric():
     mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 8)
     from monofem.assembly import assemble_mass

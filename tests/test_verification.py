@@ -71,16 +71,17 @@ def test_discrete_cell_trajectory_hand_step():
 
 
 def test_manufactured_wavenumber_validation():
-    ManufacturedProblem(0.0)
-    ManufacturedProblem(2 * OMEGA)
+    assert ManufacturedProblem(0).omega == 0.0
+    assert ManufacturedProblem(2).omega == 2 * OMEGA
+    for m in (1.5, -1):
+        with pytest.raises(InvalidWavenumber):
+            ManufacturedProblem(m)
     with pytest.raises(InvalidWavenumber):
-        ManufacturedProblem(1.0)  # not a multiple of pi/2.5
-    with pytest.raises(InvalidWavenumber):
-        ManufacturedProblem(OMEGA, diffusion=DiffusionTensor(lambda x, y: np.eye(2)))
+        ManufacturedProblem(1, diffusion=DiffusionTensor(lambda x, y: np.eye(2)))
 
 
 def test_manufactured_zero_wavenumber_is_spatially_constant():
-    prob = ManufacturedProblem(0.0)
+    prob = ManufacturedProblem(0)
     x = np.array([-1.25, 0.0, 1.0])
     y = np.array([0.5, -1.0, 1.25])
     v = prob.v_exact(x, y, 0.3)
@@ -91,14 +92,14 @@ def test_manufactured_zero_wavenumber_is_spatially_constant():
 
 
 def test_manufactured_corner_value():
-    prob = ManufacturedProblem(OMEGA)
+    prob = ManufacturedProblem(1)
     assert prob.v_exact(-1.25, -1.25, 0.0) == pytest.approx(1.0)
 
 
 def test_manufactured_divergence_term():
     # -div(grad v) at (0,0), t=0 equals 2 omega^2 cos^2(1.25 omega);
     # i_app isolates it after removing v_t and i_ion.
-    prob = ManufacturedProblem(OMEGA)
+    prob = ManufacturedProblem(1)
     v = prob.v_exact(0.0, 0.0, 0.0)
     i_ion, _ = prob.model(v, 0.5 * v)
     div_term = prob.i_app(0.0, 0.0, 0.0) + v + i_ion
@@ -108,7 +109,7 @@ def test_manufactured_divergence_term():
 def test_manufactured_source_consistency_finite_differences():
     # Independent check of both sources: substitute v_exact into the PDE
     # with FD approximations of the derivatives.
-    prob = ManufacturedProblem(2 * OMEGA)
+    prob = ManufacturedProblem(2)
     x, y, t, d = 0.3, -0.7, 0.2, 1e-5
     v = prob.v_exact(x, y, t)
     w = 0.5 * v
@@ -178,13 +179,32 @@ def test_study_config_validation():
     for tol in (0.0, -1e-10, math.nan, math.inf):
         with pytest.raises(ValueError):
             StudyConfig(model=model, cg_rel_tol=tol)
+    # Every level is checked on construction, before any compute.
+    bad = [
+        dict(levels=[1 / 8, 1 / 16, 1 / 129]),  # h does not divide the side 2.5
+        dict(levels=[1 / 8, 0.0]),
+        dict(levels=[1 / 8, -1 / 16]),
+        dict(t_final=0.3),  # not a whole number of dt = 1/64
+        dict(t_final=0.0),
+        dict(levels=[1 / 8], dt_rule=0.03, t_final=0.1),
+        dict(sweep="timestep", levels=[1 / 20]),  # needs manufactured mode
+        dict(mode="manufactured", sweep="timestep", levels=[1 / 20], fixed_h=0.3),
+        dict(mode="manufactured", sweep="timestep", levels=[1 / 20, 1 / 30], t_final=0.25),
+        dict(mode="manufactured", wavenumber_index=-1),
+        dict(mode="manufactured", diffusion=DiffusionTensor(lambda x, y: np.eye(2))),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            StudyConfig(model=model, **kwargs)
+    cfg = StudyConfig(model=model, mode="manufactured", sweep="timestep", levels=[1 / 20, 1 / 40])
+    assert cfg.resolutions() == ([1 / 64] * 2, [1 / 20, 1 / 40])
 
 
 def test_homogeneous_errors_independent_of_diffusion():
     model = make_model("fhn")
     base = dict(model=model, levels=[1 / 8, 1 / 16], t_final=0.25)
     a = convergence_study(StudyConfig(**base))
-    b = convergence_study(StudyConfig(diffusion=DiffusionTensor.isotropic(5.0), **base))
+    b = convergence_study(StudyConfig(diffusion=DiffusionTensor.diagonal(5.0, 5.0), **base))
     for ra, rb in zip(a, b):
         assert abs(ra.l2_error - rb.l2_error) <= 10 * 1e-10
 
