@@ -3,9 +3,11 @@
 ``monofem study`` runs a convergence study and writes the resulting table
 as CSV or markdown.  Exit codes: 0 success; 2 usage error (bad flags or
 values, a spacing or time step that does not divide the domain or the
-final time, an unwritable ``--out``); 3 the solver failed (CG did not
-converge, or the state became non-finite).  Every usage error except an
-unwritable ``--out`` is reported before any computation starts.
+final time, a time step too large for the explicit reaction step at the
+initial data, an unwritable ``--out``); 3 the solver failed (CG did not
+converge or broke down, or the state became non-finite).  Every usage
+error except an unwritable ``--out`` is reported before any computation
+starts.
 """
 from __future__ import annotations
 

@@ -6,6 +6,7 @@ elementwise on scalars or numpy arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -97,6 +98,29 @@ class IonicModel:
         if self.kind == "ap":
             return eval_ap(v, w, self.params)
         return eval_ms(v, w, self.params)
+
+
+def spectral_radius(model: IonicModel, v, w) -> float:
+    """Largest |eigenvalue| of the Jacobian of (i_ion, g) over the states (v, w).
+
+    The 2x2 Jacobian [[a, b], [c, d]] is taken by central differences, so
+    no model needs derivative code.  Its eigenvalues are m +- sqrt(m^2 - det)
+    with m = (a + d) / 2.  Returns inf if the Jacobian is not finite.
+    """
+    v, w = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
+    dv = 1e-6 * np.maximum(1.0, np.abs(v))
+    dw = 1e-6 * np.maximum(1.0, np.abs(w))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as inf below
+        (fvp, gvp), (fvm, gvm) = model(v + dv, w), model(v - dv, w)
+        (fwp, gwp), (fwm, gwm) = model(v, w + dw), model(v, w - dw)
+        a, b = (fvp - fvm) / (2 * dv), (fwp - fwm) / (2 * dw)
+        c, d = (gvp - gvm) / (2 * dv), (gwp - gwm) / (2 * dw)
+        m = (a + d) / 2
+        det = a * d - b * c
+        disc = m * m - det
+        # Real pair: |m| + sqrt(disc); complex pair: both of modulus sqrt(det).
+        rho = np.where(disc >= 0, np.abs(m) + np.sqrt(np.abs(disc)), np.sqrt(np.abs(det)))
+    return float(rho.max()) if np.all(np.isfinite(rho)) else math.inf
 
 
 def make_model(name: str, **overrides) -> IonicModel:

@@ -78,13 +78,13 @@ class MonodomainSolver:
         self.mesh = mesh
         self.cfg = cfg
         self.mass = assemble_mass(mesh)
-        self.stiffness = assemble_stiffness(mesh, cfg.diffusion)
         # M and A are scattered from the same triangles, so they share one
-        # sparsity pattern and S = M + k A is a sum of value arrays.
+        # sparsity pattern and S = M + k A is a sum of value arrays.  A is
+        # needed for nothing else, so it is not kept.
+        A = assemble_stiffness(mesh, cfg.diffusion)
         n = mesh.n_nodes
         self.system = CsrMatrix(
-            n, n, self.mass.row_offsets, self.mass.col_indices,
-            self.mass.values + cfg.k * self.stiffness.values,
+            n, n, self.mass.row_offsets, self.mass.col_indices, self.mass.values + cfg.k * A.values
         )
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)

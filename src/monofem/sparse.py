@@ -1,8 +1,10 @@
-"""Minimal CSR sparse matrix and conjugate-gradient kernel.
+"""Minimal sparse matrices and conjugate-gradient kernel.
 
-Just enough linear algebra for the implicit diffusion step: triplet
-assembly with duplicate summation, matrix-vector products, and plain
-(unpreconditioned) CG for symmetric positive definite systems.
+Just enough linear algebra for the implicit diffusion step.  Matrices are
+assembled in CSR form (triplet assembly with duplicate summation) and
+multiplied in diagonal (DIA) form: the P1 operators on the uniform mesh
+have seven diagonals, so a product is seven shifted-slice multiply-adds.
+CG is plain (unpreconditioned), for symmetric positive definite systems.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ class DimensionMismatch(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """CG failed to meet the residual tolerance within max_iter."""
+    """CG failed to meet the residual tolerance within max_iter, or broke down."""
 
     def __init__(self, message, residual, iterations):
         super().__init__(message)
@@ -33,12 +35,21 @@ class NoConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class CsrMatrix:
+    """Sparse matrix in CSR form, with a diagonal form for products.
+
+    The first ``spmv`` builds ``diagonals``: every distinct diagonal
+    (column - row) that holds a stored entry, as a zero-padded row of
+    length nrows.  That costs distinct diagonals x nrows floats: 7 n for
+    every matrix monofem assembles, but (nrows + ncols - 1) x nrows for a
+    dense one.
+    """
+
     nrows: int
     ncols: int
     row_offsets: np.ndarray  # (nrows+1,) int64, non-decreasing
     col_indices: np.ndarray  # (nnz,) int64, strictly increasing within a row
     values: np.ndarray  # (nnz,) float64
-    _row_of_nnz: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _diagonals: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
@@ -51,18 +62,36 @@ class CsrMatrix:
     def nnz(self) -> int:
         return len(self.values)
 
+    def _row_of_nnz(self) -> np.ndarray:
+        return np.repeat(np.arange(self.nrows), np.diff(self.row_offsets))
+
     @property
-    def row_of_nnz(self) -> np.ndarray:
-        """Row index of each stored entry (cached, for bincount-based spmv)."""
-        if self._row_of_nnz is None:
-            r = np.repeat(np.arange(self.nrows), np.diff(self.row_offsets))
-            r.setflags(write=False)
-            object.__setattr__(self, "_row_of_nnz", r)
-        return self._row_of_nnz
+    def diagonals(self) -> tuple:
+        """``(offset, lo, hi, d)`` per distinct diagonal, offsets ascending.
+
+        Row i in [lo, hi) holds ``d[i - lo]`` in column i + offset; entries
+        that are not stored are 0.  Built once, on first use.
+        """
+        if self._diagonals is None:
+            n = self.nrows
+            rows = self._row_of_nnz()
+            key = self.col_indices - rows + (n - 1)  # offset + nrows - 1 >= 0
+            present = np.flatnonzero(np.bincount(key, minlength=n + self.ncols))
+            slot = np.empty(n + self.ncols, dtype=np.int64)
+            slot[present] = np.arange(len(present))
+            data = np.zeros((len(present), n))
+            data[slot[key], rows] = self.values
+            data.setflags(write=False)
+            diagonals = []
+            for d, offset in zip(data, (present - (n - 1)).tolist()):
+                lo, hi = max(0, -offset), min(n, self.ncols - offset)
+                diagonals.append((offset, lo, hi, d[lo:hi]))
+            object.__setattr__(self, "_diagonals", tuple(diagonals))
+        return self._diagonals
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols))
-        out[self.row_of_nnz, self.col_indices] = self.values
+        out[self._row_of_nnz(), self.col_indices] = self.values
         return out
 
 
@@ -90,13 +119,20 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> CsrMatrix:
 
 
 def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A @ x."""
+    """y = A @ x.
+
+    Diagonals are added in ascending offset order, i.e. each row's products
+    in ascending column order starting from 0.0, so for finite x the result
+    is bit-identical to summing the CSR row in order.  A zero-padded entry
+    adds 0 * x = +-0, which leaves every sum unchanged.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (A.ncols,):
         raise DimensionMismatch(f"expected vector of length {A.ncols}, got shape {x.shape}")
-    if A.nnz == 0:
-        return np.zeros(A.nrows)
-    return np.bincount(A.row_of_nnz, weights=A.values * x[A.col_indices], minlength=A.nrows)
+    y = np.zeros(A.nrows)
+    for offset, lo, hi, d in A.diagonals:
+        y[lo:hi] += d * x[lo + offset : hi + offset]
+    return y
 
 
 def cg_solve(
@@ -115,7 +151,9 @@ def cg_solve(
 
     Raises:
         ValueError: rel_tol is not finite and positive.
-        NoConvergence: tolerance not met within max_iter iterations, or ||b|| not finite.
+        NoConvergence: tolerance not met within max_iter iterations, ||b|| not
+            finite, or breakdown (p.Ap not finite and positive, so A is not
+            SPD); ``iterations`` is then the iteration that broke down.
     """
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"CG tolerance must be finite and positive, got {rel_tol!r}")
@@ -138,7 +176,11 @@ def cg_solve(
         return x, 0
     for it in range(1, max_iter + 1):
         Ap = spmv(A, p)
-        alpha = rr / (p @ Ap)
+        pAp = p @ Ap
+        if not 0 < pAp < math.inf:
+            raise NoConvergence(f"CG breakdown in iteration {it}: p.Ap = {pAp}",
+                                residual=float(np.sqrt(rr)), iterations=it)
+        alpha = rr / pAp
         x += alpha * p
         r -= alpha * Ap
         rr_new = r @ r

@@ -26,7 +26,7 @@ from .assembly import (
     interpolate_nodal,
     l2_norm,
 )
-from .ionic import IonicModel
+from .ionic import IonicModel, spectral_radius
 from .mesh import DEFAULT_BOUNDS, build_uniform_mesh, grid_cells
 from .sparse import DEFAULT_CG_TOL
 from .solver import MonodomainSolver, SolverConfig
@@ -198,7 +198,8 @@ class StudyConfig:
     ``sweep`` selects how ``levels`` is read: "mesh" treats them as grid
     spacings (with dt from ``dt_rule``), "timestep" treats them as time
     steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
-    inputs, every level included, are checked here before any compute.
+    inputs, every level included, are checked here before any compute,
+    down to the stability of the explicit reaction step at the initial data.
     """
 
     model: IonicModel
@@ -225,11 +226,23 @@ class StudyConfig:
             raise ValueError("levels must be strictly decreasing")
         if not 0 < self.cg_rel_tol < math.inf:
             raise ValueError(f"CG tolerance must be finite and positive, got {self.cg_rel_tol!r}")
-        if self.mode == "manufactured":
-            ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)  # checks m, D
+        problem = None
+        if self.mode == "manufactured":  # checks m, D
+            problem = ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)
+        largest_dt = {}
         for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
             grid_cells(DEFAULT_BOUNDS, h)
             SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
+            largest_dt[h] = max(dt, largest_dt.get(h, 0.0))
+        # The reaction step is forward Euler, stable at the initial data
+        # only if dt * rho(J) <= 2.
+        for h, dt in largest_dt.items():
+            rho = spectral_radius(self.model, *_initial_states(problem, h))
+            if dt * rho > 2:
+                raise ValueError(
+                    f"dt={dt:g} makes the explicit reaction step unstable at the initial data "
+                    f"(h={h:g}): dt * rho(J) = {dt * rho:.3g} > 2"
+                )
 
     def resolutions(self) -> tuple[list[float], list[float]]:
         """(h, dt) per level."""
@@ -239,6 +252,18 @@ class StudyConfig:
         if self.dt_rule == "h2":
             return hs, [h * h for h in hs]
         return hs, [float(self.dt_rule)] * len(hs)
+
+
+def _initial_states(problem: ManufacturedProblem | None, h: float):
+    """Nodal (v0, w0) of a study level: the uniform homogeneous data, or the
+    manufactured solution at t = 0 on the nodes of the mesh of spacing h."""
+    if problem is None:
+        return HOMOGENEOUS_V0, HOMOGENEOUS_W0
+    xmin, ymin, xmax, ymax = DEFAULT_BOUNDS
+    nx, ny = grid_cells(DEFAULT_BOUNDS, h)
+    x = np.linspace(xmin, xmax, nx + 1)[None, :]
+    y = np.linspace(ymin, ymax, ny + 1)[:, None]
+    return problem.v_exact(x, y, 0.0), problem.w_exact(x, y, 0.0)
 
 
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
@@ -266,6 +291,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         final = solver.run()
         steps.append(scfg.n_steps())
         errors.append(l2_norm(solver.mass, final.v - interpolate_nodal(mesh, v_final)))
+        del mesh, solver, final  # free this level before the next one is assembled
 
     sroc, troc = compute_rates(errors, hs, dts) if len(errors) >= 2 else ([None], [None])
     return [

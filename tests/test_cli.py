@@ -135,7 +135,14 @@ EXIT_PATHS = {
     "non-finite-state": (["--model", "ap", "--dt", "1", "--t-final", "16", "--levels", "1/4"], 3),
     "ms-tau-zero": (["--model", "ms", "--param", "tau_in=0"], 2),
     "t-final-overflow": (["--t-final", "1e400"], 2),
-    "rhs-overflow": (["--model", "fhn", "--dt", "10", "--t-final", "100", "--levels", "1/4"], 3),
+    # k rho(J) = 1.47 at the initial data, but the state leaves that region
+    # and the cubic reaction overflows in the 10th step.
+    "rhs-overflow": (["--model", "ms", "--dt", "20", "--t-final", "200", "--levels", "1/4"], 3),
+    # k rho(J) = 13.7 > 2: once a table with l2_error 15.3 and exit 0.
+    "unstable-reaction-step": (["--dt", "10", "--t-final", "20", "--levels", "1/4"], 2),
+    "reaction-jacobian-overflow": (
+        ["--model", "ap", "--param", "k=1e300", "--levels", "1/8", "--t-final", "1/64"], 2
+    ),
 }
 
 

@@ -10,6 +10,7 @@ from monofem.ionic import (
     eval_ms,
     eval_rm,
     make_model,
+    spectral_radius,
 )
 
 
@@ -122,3 +123,36 @@ def test_models_vectorized_matches_scalar():
             i_s, g_s = model(v[j], w[j])
             assert i_vec[j] == pytest.approx(i_s)
             assert g_vec[j] == pytest.approx(g_s)
+
+
+class Linear:
+    """i_ion = a v + b w, g = c v + d w: the Jacobian is [[a, b], [c, d]]."""
+
+    kind = "linear"
+
+    def __init__(self, a, b, c, d):
+        self.J = np.array([[a, b], [c, d]], dtype=float)
+
+    def __call__(self, v, w):
+        return self.J[0, 0] * v + self.J[0, 1] * w, self.J[1, 0] * v + self.J[1, 1] * w
+
+
+@pytest.mark.parametrize("J", [(-3.0, 1.0, 0.0, -0.5), (0.0, -2.0, 2.0, 0.0), (0.22, -1.0, 1.0, -2.0)])
+def test_spectral_radius_of_linear_reaction(J):
+    model = Linear(*J)
+    expect = np.abs(np.linalg.eigvals(model.J)).max()
+    got = spectral_radius(model, np.linspace(-1, 1, 5), 0.3)
+    assert got == pytest.approx(expect, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectral_radius_of_models():
+    # fhn at (0.2, 0.1): J = [[0.22, -1], [1, -2]] by hand.
+    expect = np.abs(np.linalg.eigvals([[0.22, -1.0], [1.0, -2.0]])).max()
+    assert spectral_radius(make_model("fhn"), 0.2, 0.1) == pytest.approx(expect, rel=1e-8)
+    # The largest radius over several states wins.
+    fhn = make_model("fhn")
+    both = spectral_radius(fhn, np.array([0.2, -1.0]), np.array([0.1, -0.5]))
+    assert both == spectral_radius(fhn, -1.0, -0.5) > spectral_radius(fhn, 0.2, 0.1)
+    # A Jacobian that is not finite counts as unbounded.
+    assert spectral_radius(fhn, 1e200, 0.0) == np.inf

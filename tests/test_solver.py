@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from monofem.assembly import DiffusionTensor, assemble_mass, interpolate_nodal, l2_norm
+from monofem.assembly import (
+    DiffusionTensor,
+    assemble_mass,
+    assemble_stiffness,
+    interpolate_nodal,
+    l2_norm,
+)
 from monofem.ionic import make_model
 from monofem.mesh import build_uniform_mesh
 from monofem.solver import (
@@ -10,8 +16,8 @@ from monofem.solver import (
     NonFiniteState,
     SolverConfig,
 )
-from monofem.sparse import spmv
-from monofem.verification import discrete_cell_trajectory
+from monofem.sparse import cg_solve, spmv
+from monofem.verification import ManufacturedProblem, discrete_cell_trajectory
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
@@ -52,12 +58,44 @@ def test_system_shares_mass_pattern():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
     varying = DiffusionTensor(lambda x, y: np.diag([2.0 + x, 2.0 + y]))
     solver = MonodomainSolver(mesh, paper_config(diffusion=varying))
-    M, A, S, k = solver.mass, solver.stiffness, solver.system, solver.cfg.k
+    M, S, k = solver.mass, solver.system, solver.cfg.k
+    A = assemble_stiffness(mesh, varying)
     for mat in (A, S):
         np.testing.assert_array_equal(mat.row_offsets, M.row_offsets)
         np.testing.assert_array_equal(mat.col_indices, M.col_indices)
     assert np.array_equal(S.values, M.values + k * A.values)
     assert np.array_equal(S.to_dense(), M.to_dense() + k * A.to_dense())
+
+
+def first_step_cg_iterations(monkeypatch, mesh, cfg):
+    import monofem.solver
+
+    counts = []
+
+    def counted(*args, **kwargs):
+        x, iterations = cg_solve(*args, **kwargs)
+        counts.append(iterations)
+        return x, iterations
+
+    monkeypatch.setattr(monofem.solver, "cg_solve", counted)
+    MonodomainSolver(mesh, cfg).step()
+    return counts
+
+
+def test_cg_iteration_counts_pinned(monkeypatch):
+    # Exact counts, so that a change of CG's stopping point (tolerance,
+    # preconditioner, a wrong product) fails here and not in a long study.
+    # Round-off-level changes leave them alone; test_sparse pins spmv's bits.
+    h = 1 / 64
+    mesh = build_uniform_mesh(BOUNDS, h)
+    homogeneous = paper_config(make_model("ap"), h=h, t_final=h * h)
+    assert first_step_cg_iterations(monkeypatch, mesh, homogeneous) == [20]
+    p = ManufacturedProblem(1, make_model("fhn"))
+    manufactured = SolverConfig(
+        k=1 / 40, t_final=1 / 40, ionic=p.model, i_app=p.i_app, w_source=p.w_source,
+        v0=lambda x, y: p.v_exact(x, y, 0.0), w0=lambda x, y: p.w_exact(x, y, 0.0),
+    )
+    assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [230]
 
 
 def test_non_integer_step_count_rejected():

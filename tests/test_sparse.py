@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from monofem.mesh import build_uniform_mesh
 from monofem.sparse import (
+    CsrMatrix,
     DimensionMismatch,
     IndexOutOfRange,
     NoConvergence,
@@ -10,7 +13,7 @@ from monofem.sparse import (
     from_triplets,
     spmv,
 )
-from monofem.assembly import assemble_stiffness
+from monofem.assembly import assemble_mass, assemble_stiffness
 
 
 def random_spd(rng, n):
@@ -91,6 +94,66 @@ def test_spmv_dense_oracle():
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
 
 
+def bincount_spmv(A, x):
+    """The CSR kernel spmv replaced: each row's products summed in column
+    order, starting from 0.0."""
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
+    return np.bincount(rows, weights=A.values * x[A.col_indices], minlength=A.nrows)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def coo_and_vector(draw):
+    """Random COO triplets (possibly none, possibly repeated, rows possibly
+    empty) of a square or rectangular matrix, and a vector to multiply."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, 12))
+    triplets = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), finite),
+                             max_size=40))
+    repeats = draw(st.lists(st.sampled_from(triplets), max_size=10)) if triplets else []
+    rows, cols, vals = (list(t) for t in zip(*triplets + repeats)) if triplets else ([], [], [])
+    x = np.array(draw(st.lists(finite, min_size=ncols, max_size=ncols)))
+    return from_triplets(nrows, ncols, rows, cols, vals), x
+
+
+@given(coo_and_vector())
+@example((from_triplets(3, 2, [], [], []), np.array([1.0, -2.0])))  # nnz = 0
+@example((from_triplets(2, 3, [1, 1, 1], [2, 0, 2], [0.5, 1.0, -0.25]), np.array([1.0, 3.0, -2.0])))
+def test_spmv_property_random_coo(case):
+    A, x = case
+    got = spmv(A, x)
+    assert got.tobytes() == bincount_spmv(A, x).tobytes()  # bit for bit
+    dense = A.to_dense()
+    bound = 4 * np.finfo(float).eps * A.ncols * (np.abs(dense) @ np.abs(x))
+    assert np.all(np.abs(got - dense @ x) <= bound)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 32, 1 / 64])
+def test_spmv_bit_identical_on_assembled_operators(h):
+    mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), h)
+    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
+    rng = np.random.default_rng(3)
+    for k in (h * h, 1 / 160):
+        S = CsrMatrix(M.nrows, M.ncols, M.row_offsets, M.col_indices, M.values + k * A.values)
+        for mat in (M, A, S):
+            for _ in range(5):
+                x = rng.standard_normal(mat.ncols)
+                assert spmv(mat, x).tobytes() == bincount_spmv(mat, x).tobytes()
+
+
+def test_diagonal_storage_of_assembled_operators():
+    # Seven diagonals, 0, +-1, +-(N+1), +-(N+2) for N cells per side, so the
+    # diagonal form holds 7 n values.
+    mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 8)
+    n_side = 20
+    for mat in (assemble_mass(mesh), assemble_stiffness(mesh)):
+        offsets = [offset for offset, *_ in mat.diagonals]
+        assert offsets == [-(n_side + 2), -(n_side + 1), -1, 0, 1, n_side + 1, n_side + 2]
+        assert mat.diagonals is mat.diagonals  # built once
+
+
 def test_cg_diagonal():
     A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
     x, iters = cg_solve(A, np.array([2.0, 1.0]))
@@ -149,6 +212,22 @@ def test_cg_non_finite_rhs_norm(entry):
     with np.errstate(over="ignore"), pytest.raises(NoConvergence) as info:
         cg_solve(A, np.array([entry, 1.0]), x0=np.zeros(2))
     assert info.value.iterations == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cg_breakdown_raises():
+    # p.Ap = 0 in the first iteration; dividing by it once ran 10 n
+    # iterations on NaN.
+    indefinite = from_triplets(2, 2, [0, 1], [0, 1], [1.0, -1.0])
+    with pytest.raises(NoConvergence, match="breakdown") as info:
+        cg_solve(indefinite, np.array([1.0, 1.0]))
+    assert info.value.iterations == 1
+    negative = from_triplets(2, 2, [0, 1], [0, 1], [-2.0, -1.0])
+    with pytest.raises(NoConvergence, match="breakdown"):
+        cg_solve(negative, np.array([1.0, 1.0]))
+    poisoned = from_triplets(2, 2, [0, 1], [0, 1], [np.nan, 1.0])
+    with pytest.raises(NoConvergence, match="breakdown"):
+        cg_solve(poisoned, np.array([1.0, 1.0]))
 
 
 def test_assembled_matrices_exactly_symmetric():

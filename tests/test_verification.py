@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monofem.assembly import DiffusionTensor
-from monofem.ionic import make_model
+from monofem.ionic import SingularDenominator, make_model
 from monofem.verification import (
     InvalidWavenumber,
     ManufacturedProblem,
@@ -198,6 +198,28 @@ def test_study_config_validation():
             StudyConfig(model=model, **kwargs)
     cfg = StudyConfig(model=model, mode="manufactured", sweep="timestep", levels=[1 / 20, 1 / 40])
     assert cfg.resolutions() == ([1 / 64] * 2, [1 / 20, 1 / 40])
+
+
+def test_study_config_rejects_unstable_reaction_step():
+    # fhn at the homogeneous data (0.2, 0.1): rho(J) = 1.3718, so the
+    # forward-Euler reaction step is stable up to dt = 2 / rho = 1.458.
+    fhn = make_model("fhn")
+    StudyConfig(model=fhn, levels=[1 / 4], dt_rule=1.45, t_final=2.9)
+    for dt in (1.5, 10.0):
+        with pytest.raises(ValueError, match="unstable"):
+            StudyConfig(model=fhn, levels=[1 / 4], dt_rule=dt, t_final=2 * dt)
+    # Manufactured data is checked at every node: v0 spans [-1, 1] with
+    # w0 = v0 / 2, and rho(J) = 4.96 at v0 = -1, so dt must be <= 0.403.
+    manufactured = dict(model=fhn, mode="manufactured", levels=[1 / 4], t_final=2.0)
+    StudyConfig(dt_rule=0.4, **manufactured)
+    with pytest.raises(ValueError, match="unstable"):
+        StudyConfig(dt_rule=0.5, **manufactured)
+    with pytest.raises(ValueError, match="unstable"):  # only the coarsest step is unstable
+        StudyConfig(model=fhn, mode="manufactured", sweep="timestep", fixed_h=1 / 4,
+                    levels=[0.5, 0.25, 0.125], t_final=1.0)
+    # A model that cannot be evaluated at the initial data fails here too.
+    with pytest.raises(SingularDenominator):
+        StudyConfig(model=make_model("ap", mu2=-0.2), levels=[1 / 8], t_final=1 / 64)
 
 
 def test_homogeneous_errors_independent_of_diffusion():
