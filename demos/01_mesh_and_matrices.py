@@ -20,7 +20,7 @@ mesh = build_uniform_mesh(h=1 / 16)
 M = assemble_mass(mesh)
 A = assemble_stiffness(mesh)
 ones = np.ones(mesh.n_nodes)
-print(f"sum of mass entries      : {M.values.sum():.12f}  (domain area 6.25)")
+print(f"sum of mass entries      : {M.data.sum():.12f}  (domain area 6.25)")
 print(f"max |A @ 1|              : {np.abs(spmv(A, ones)).max():.2e}  (Neumann kernel)")
 rng = np.random.default_rng(0)
 x = rng.standard_normal(mesh.n_nodes)

@@ -15,7 +15,7 @@ from .assembly import (
 from .ionic import ApParams, IonicModel, MsParams, make_model
 from .mesh import TriMesh, build_uniform_mesh
 from .solver import MonodomainSolver, SolverConfig, SolverState
-from .sparse import CsrMatrix, cg_solve, from_triplets, spmv
+from .sparse import DiaMatrix, cg_solve, from_triplets, spmv
 from .verification import (
     ConvergenceRecord,
     ManufacturedProblem,
@@ -29,7 +29,7 @@ from .verification import (
 __all__ = [
     "ApParams",
     "ConvergenceRecord",
-    "CsrMatrix",
+    "DiaMatrix",
     "DiffusionTensor",
     "IonicModel",
     "ManufacturedProblem",

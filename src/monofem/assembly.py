@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import TriMesh, all_triangle_geometry
-from .sparse import CsrMatrix, DimensionMismatch, from_triplets, spmv
+from .sparse import DiaMatrix, DimensionMismatch, from_triplets, spmv
 
 # Reference-triangle integrals of products of the three P1 basis functions,
 # scaled by 1/area: int phi_i phi_j = area/12 * (1 + delta_ij).
@@ -54,14 +54,14 @@ class DiffusionTensor:
 IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 
-def assemble_mass(mesh: TriMesh) -> CsrMatrix:
+def assemble_mass(mesh: TriMesh) -> DiaMatrix:
     """Consistent P1 mass matrix M_ij = int phi_i phi_j."""
     areas, _ = all_triangle_geometry(mesh)
     local = areas[:, None, None] * _LOCAL_MASS  # (T, 3, 3)
     return _scatter(mesh, local)
 
 
-def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -> CsrMatrix:
+def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -> DiaMatrix:
     """Stiffness matrix A_ij = int (D grad phi_j) . grad phi_i.
 
     D is evaluated at each triangle centroid (one-point rule, exact for
@@ -83,7 +83,7 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
     return _scatter(mesh, local)
 
 
-def _scatter(mesh: TriMesh, local: np.ndarray) -> CsrMatrix:
+def _scatter(mesh: TriMesh, local: np.ndarray) -> DiaMatrix:
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()  # i index varies slower
     cols = np.tile(tri, (1, 3)).ravel()
@@ -107,7 +107,7 @@ def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:
     return vals
 
 
-def l2_norm(M: CsrMatrix, e: np.ndarray) -> float:
+def l2_norm(M: DiaMatrix, e: np.ndarray) -> float:
     """sqrt(e^T M e), the L2 norm of the P1 function with nodal values e."""
     e = np.asarray(e, dtype=float)
     if e.shape != (M.ncols,):

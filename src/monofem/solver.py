@@ -21,7 +21,7 @@ from .assembly import (
     interpolate_nodal,
 )
 from .mesh import TriMesh
-from .sparse import DEFAULT_CG_TOL, CsrMatrix, cg_solve, spmv
+from .sparse import DEFAULT_CG_TOL, DiaMatrix, cg_solve, spmv
 
 
 class InvalidConfig(ValueError):
@@ -78,14 +78,12 @@ class MonodomainSolver:
         self.mesh = mesh
         self.cfg = cfg
         self.mass = assemble_mass(mesh)
-        # M and A are scattered from the same triangles, so they share one
-        # sparsity pattern and S = M + k A is a sum of value arrays.  A is
-        # needed for nothing else, so it is not kept.
+        # M and A are scattered from the same triangles, so they share their
+        # diagonals and S = M + k A is a sum of data arrays.  A is needed
+        # for nothing else, so it is not kept.
         A = assemble_stiffness(mesh, cfg.diffusion)
-        n = mesh.n_nodes
-        self.system = CsrMatrix(
-            n, n, self.mass.row_offsets, self.mass.col_indices, self.mass.values + cfg.k * A.values
-        )
+        M = self.mass
+        self.system = DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + cfg.k * A.data, M.nnz)
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)
         self.state = SolverState(v=v, w=w, t=0.0, n=0)

@@ -1,10 +1,10 @@
 """Minimal sparse matrices and conjugate-gradient kernel.
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
-assembled in CSR form (triplet assembly with duplicate summation) and
-multiplied in diagonal (DIA) form: the P1 operators on the uniform mesh
-have seven diagonals, so a product is seven shifted-slice multiply-adds.
-CG is plain (unpreconditioned), for symmetric positive definite systems.
+stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
+diagonals, so assembly is one keyed sum and a product is seven
+shifted-slice multiply-adds.  CG is plain (unpreconditioned), for
+symmetric positive definite systems.
 """
 from __future__ import annotations
 
@@ -34,69 +34,55 @@ class NoConvergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CsrMatrix:
-    """Sparse matrix in CSR form, with a diagonal form for products.
+class DiaMatrix:
+    """Sparse matrix stored by diagonals.
 
-    The first ``spmv`` builds ``diagonals``: every distinct diagonal
-    (column - row) that holds a stored entry, as a zero-padded row of
-    length nrows.  That costs distinct diagonals x nrows floats: 7 n for
-    every matrix monofem assembles, but (nrows + ncols - 1) x nrows for a
-    dense one.
+    Row ``j`` of ``data`` holds diagonal ``offsets[j]`` (column - row),
+    indexed by row and zero-padded where it leaves the matrix; entries that
+    are not stored are 0.  ``nnz`` counts the distinct stored (row, col)
+    pairs.  Storage is distinct diagonals x nrows floats: 7 n for every
+    matrix monofem assembles, but (nrows + ncols - 1) x nrows for a dense one.
     """
 
     nrows: int
     ncols: int
-    row_offsets: np.ndarray  # (nrows+1,) int64, non-decreasing
-    col_indices: np.ndarray  # (nnz,) int64, strictly increasing within a row
-    values: np.ndarray  # (nnz,) float64
-    _diagonals: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    offsets: np.ndarray  # (n_diagonals,) int64, strictly ascending
+    data: np.ndarray  # (n_diagonals, nrows) float64
+    nnz: int
+    # (offset, lo, hi, d) per diagonal: row i in [lo, hi) holds d[i - lo]
+    # in column i + offset.
+    diagonals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", np.asarray(self.row_offsets, dtype=np.int64))
-        object.__setattr__(self, "col_indices", np.asarray(self.col_indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        for a in (self.row_offsets, self.col_indices, self.values):
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        data = np.asarray(self.data, dtype=float)
+        if data.shape != (len(offsets), self.nrows):
+            raise DimensionMismatch(f"data shape {data.shape} does not fit "
+                                    f"{len(offsets)} diagonals of {self.nrows} rows")
+        for a in (offsets, data):
             a.setflags(write=False)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    def _row_of_nnz(self) -> np.ndarray:
-        return np.repeat(np.arange(self.nrows), np.diff(self.row_offsets))
-
-    @property
-    def diagonals(self) -> tuple:
-        """``(offset, lo, hi, d)`` per distinct diagonal, offsets ascending.
-
-        Row i in [lo, hi) holds ``d[i - lo]`` in column i + offset; entries
-        that are not stored are 0.  Built once, on first use.
-        """
-        if self._diagonals is None:
-            n = self.nrows
-            rows = self._row_of_nnz()
-            key = self.col_indices - rows + (n - 1)  # offset + nrows - 1 >= 0
-            present = np.flatnonzero(np.bincount(key, minlength=n + self.ncols))
-            slot = np.empty(n + self.ncols, dtype=np.int64)
-            slot[present] = np.arange(len(present))
-            data = np.zeros((len(present), n))
-            data[slot[key], rows] = self.values
-            data.setflags(write=False)
-            diagonals = []
-            for d, offset in zip(data, (present - (n - 1)).tolist()):
-                lo, hi = max(0, -offset), min(n, self.ncols - offset)
-                diagonals.append((offset, lo, hi, d[lo:hi]))
-            object.__setattr__(self, "_diagonals", tuple(diagonals))
-        return self._diagonals
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "data", data)
+        n = self.nrows
+        diagonals = []
+        for d, offset in zip(data, offsets.tolist()):
+            lo, hi = max(0, -offset), min(n, self.ncols - offset)
+            diagonals.append((offset, lo, hi, d[lo:hi]))
+        object.__setattr__(self, "diagonals", tuple(diagonals))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols))
-        out[self._row_of_nnz(), self.col_indices] = self.values
+        for offset, lo, hi, d in self.diagonals:
+            rows = np.arange(lo, hi)
+            out[rows, rows + offset] = d
         return out
 
 
-def from_triplets(nrows, ncols, rows, cols, vals) -> CsrMatrix:
-    """Build a CsrMatrix from parallel COO arrays, summing duplicate (row, col) pairs."""
+def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
+    """Build a DiaMatrix from parallel COO arrays, summing duplicate (row, col) pairs.
+
+    Duplicates are added in input order, starting from 0.0.
+    """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=float).ravel()
@@ -107,24 +93,27 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> CsrMatrix:
     ):
         raise IndexOutOfRange(f"triplet index outside {nrows} x {ncols}")
 
-    keys = rows * ncols + cols
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    summed = np.bincount(inverse, weights=vals, minlength=len(unique_keys))
-    urows = unique_keys // ncols
-    ucols = unique_keys % ncols
-    row_offsets = np.zeros(nrows + 1, dtype=np.int64)
-    np.add.at(row_offsets, urows + 1, 1)
-    np.cumsum(row_offsets, out=row_offsets)
-    return CsrMatrix(nrows, ncols, row_offsets, ucols, summed)
+    diagonal = cols - rows
+    diagonal += nrows - 1  # offset + nrows - 1 >= 0
+    present = np.flatnonzero(np.bincount(diagonal, minlength=nrows + ncols - 1))
+    slot = np.empty(nrows + ncols - 1, dtype=np.int64)
+    slot[present] = np.arange(len(present))
+    key = slot[diagonal]  # (diagonal slot, row) -> slot * nrows + row
+    key *= nrows
+    key += rows
+    size = len(present) * nrows
+    data = np.bincount(key, weights=vals, minlength=size).reshape(len(present), nrows)
+    nnz = int(np.count_nonzero(np.bincount(key, minlength=size)))
+    return DiaMatrix(nrows, ncols, present - (nrows - 1), data, nnz)
 
 
-def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
+def spmv(A: DiaMatrix, x: np.ndarray) -> np.ndarray:
     """y = A @ x.
 
     Diagonals are added in ascending offset order, i.e. each row's products
-    in ascending column order starting from 0.0, so for finite x the result
-    is bit-identical to summing the CSR row in order.  A zero-padded entry
-    adds 0 * x = +-0, which leaves every sum unchanged.
+    in ascending column order starting from 0.0.  A zero-padded entry adds
+    0 * x = +-0, which leaves every sum unchanged for finite x, so the
+    result is bit-identical to summing only the stored entries of each row.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (A.ncols,):
@@ -136,7 +125,7 @@ def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def cg_solve(
-    A: CsrMatrix,
+    A: DiaMatrix,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     rel_tol: float = DEFAULT_CG_TOL,

@@ -199,7 +199,8 @@ class StudyConfig:
     spacings (with dt from ``dt_rule``), "timestep" treats them as time
     steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
     inputs, every level included, are checked here before any compute,
-    down to the stability of the explicit reaction step at the initial data.
+    down to the stability of the explicit reaction step: along the whole
+    trajectory in homogeneous mode, at the initial data in manufactured mode.
     """
 
     model: IonicModel
@@ -229,20 +230,30 @@ class StudyConfig:
         problem = None
         if self.mode == "manufactured":  # checks m, D
             problem = ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)
-        largest_dt = {}
+        levels = []
         for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
             grid_cells(DEFAULT_BOUNDS, h)
-            SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
-            largest_dt[h] = max(dt, largest_dt.get(h, 0.0))
-        # The reaction step is forward Euler, stable at the initial data
-        # only if dt * rho(J) <= 2.
-        for h, dt in largest_dt.items():
-            rho = spectral_radius(self.model, *_initial_states(problem, h))
-            if dt * rho > 2:
-                raise ValueError(
-                    f"dt={dt:g} makes the explicit reaction step unstable at the initial data "
-                    f"(h={h:g}): dt * rho(J) = {dt * rho:.3g} > 2"
-                )
+            steps = SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
+            levels.append((h, dt, steps))
+        # The reaction step is forward Euler, stable only while dt * rho(J) <= 2.
+        # In homogeneous mode diffusion vanishes and the scheme's solution is
+        # the cell recursion, so every state of it is checked; in manufactured
+        # mode, the initial data on the level's nodes.
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as rho = inf
+            for h, dt, steps in levels:
+                if problem is None:
+                    where = "along the homogeneous trajectory"
+                    states = discrete_cell_trajectory(
+                        self.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, dt, steps)
+                else:
+                    where = "at the initial data"
+                    states = _initial_states(problem, h)
+                rho = spectral_radius(self.model, *states)
+                if dt * rho > 2:
+                    raise ValueError(
+                        f"dt={dt:g} makes the explicit reaction step unstable {where} "
+                        f"(h={h:g}): dt * rho(J) = {dt * rho:.3g} > 2"
+                    )
 
     def resolutions(self) -> tuple[list[float], list[float]]:
         """(h, dt) per level."""
@@ -254,11 +265,8 @@ class StudyConfig:
         return hs, [float(self.dt_rule)] * len(hs)
 
 
-def _initial_states(problem: ManufacturedProblem | None, h: float):
-    """Nodal (v0, w0) of a study level: the uniform homogeneous data, or the
-    manufactured solution at t = 0 on the nodes of the mesh of spacing h."""
-    if problem is None:
-        return HOMOGENEOUS_V0, HOMOGENEOUS_W0
+def _initial_states(problem: ManufacturedProblem, h: float):
+    """Manufactured (v0, w0) on the nodes of the mesh of spacing h."""
     xmin, ymin, xmax, ymax = DEFAULT_BOUNDS
     nx, ny = grid_cells(DEFAULT_BOUNDS, h)
     x = np.linspace(xmin, xmax, nx + 1)[None, :]

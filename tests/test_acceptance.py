@@ -103,7 +103,7 @@ def test_criterion_6_structural_invariants():
             x @ spmv(M, x) > 0 for x in rng.standard_normal((20, mesh.n_nodes))
         )
         kernel_gap = np.abs(spmv(A, np.ones(mesh.n_nodes))).max()
-        sum_gap = abs(M.values.sum() - 6.25)
+        sum_gap = abs(M.data.sum() - 6.25)
         ok = ok and counts_ok and spd_ok and kernel_gap <= 1e-12 and sum_gap <= 1e-12
         details.append(f"h={h}: A1 gap {kernel_gap:.1e}, sumM gap {sum_gap:.1e}")
     report(6, ok, "; ".join(details))

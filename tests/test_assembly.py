@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from monofem.assembly import (
     DiffusionTensor,
@@ -78,7 +80,30 @@ def test_local_stiffness_matrix():
 @pytest.mark.parametrize("h", [1 / 8, 1 / 16])
 def test_mass_total_is_domain_area(h):
     M = assemble_mass(build_uniform_mesh(BOUNDS, h))
-    assert M.values.sum() == pytest.approx(6.25, abs=1e-12)
+    assert M.data.sum() == pytest.approx(6.25, abs=1e-12)
+
+
+@given(
+    cells_per_unit=st.integers(2, 8),
+    nx=st.integers(1, 12),
+    ny=st.integers(1, 12),
+    corner=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    dxx=st.floats(0.1, 10),
+    dyy=st.floats(0.1, 10),
+)
+def test_assembly_invariants_on_random_meshes(cells_per_unit, nx, ny, corner, dxx, dyy):
+    # h from 1/2 to 1/8 on a rectangle of nx x ny cells anywhere in the plane.
+    h = 1 / cells_per_unit
+    x0, y0 = corner
+    mesh = build_uniform_mesh((x0, y0, x0 + nx * h, y0 + ny * h), h)
+    xmin, ymin, xmax, ymax = mesh.bounds
+    M = assemble_mass(mesh)
+    A = assemble_stiffness(mesh, DiffusionTensor.diagonal(dxx, dyy))
+    for mat in (M, A):
+        dense = mat.to_dense()
+        assert np.array_equal(dense, dense.T)  # bit for bit
+    assert np.abs(spmv(A, np.ones(mesh.n_nodes))).max() <= 1e-12
+    assert abs(M.data.sum() - (xmax - xmin) * (ymax - ymin)) <= 1e-12
 
 
 def test_mass_quadratic_form_matches_across_refinement():

@@ -132,12 +132,21 @@ EXIT_PATHS = {
     "singular-denominator": (
         ["--model", "ap", "--param", "mu2=-0.2", "--levels", "1/8", "--t-final", "1/64"], 3
     ),
-    "non-finite-state": (["--model", "ap", "--dt", "1", "--t-final", "16", "--levels", "1/4"], 3),
+    # The homogeneous trajectory overflows in the 11th step, so dt * rho(J) = inf;
+    # the run itself once reached cg_solve as a non-finite rhs.
+    "ap-trajectory-overflow": (
+        ["--model", "ap", "--dt", "1", "--t-final", "16", "--levels", "1/4"], 2
+    ),
     "ms-tau-zero": (["--model", "ms", "--param", "tau_in=0"], 2),
     "t-final-overflow": (["--t-final", "1e400"], 2),
-    # k rho(J) = 1.47 at the initial data, but the state leaves that region
-    # and the cubic reaction overflows in the 10th step.
-    "rhs-overflow": (["--model", "ms", "--dt", "20", "--t-final", "200", "--levels", "1/4"], 3),
+    # k rho(J) = 1.47 at the initial data but 5e21 along the trajectory: once a
+    # table with l2_error 2.3e10 and exit 0.  At T = 200 the cubic reaction
+    # overflows in the 10th step, which once reached cg_solve as a non-finite rhs.
+    "ms-trajectory-unstable": (
+        ["--model", "ms", "--dt", "20", "--t-final", "100", "--levels", "1/4"], 2
+    ),
+    "rhs-overflow": (["--model", "ms", "--dt", "20", "--t-final", "200", "--levels", "1/4"], 2),
+    "cg-no-convergence": (["--cg-tol", "1e-30", "--levels", "1/4", "--t-final", "1/16"], 3),
     # k rho(J) = 13.7 > 2: once a table with l2_error 15.3 and exit 0.
     "unstable-reaction-step": (["--dt", "10", "--t-final", "20", "--levels", "1/4"], 2),
     "reaction-jacobian-overflow": (

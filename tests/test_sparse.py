@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import monofem.assembly
+from monofem.ionic import make_model
 from monofem.mesh import build_uniform_mesh
+from monofem.solver import MonodomainSolver, SolverConfig
 from monofem.sparse import (
-    CsrMatrix,
     DimensionMismatch,
     IndexOutOfRange,
     NoConvergence,
@@ -21,33 +23,38 @@ def random_spd(rng, n):
     return B.T @ B + np.eye(n)
 
 
-def to_csr(dense):
+def to_dia(dense):
     rows, cols = np.nonzero(dense)
     return from_triplets(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
 
 
-def check_csr_invariants(A):
-    assert A.row_offsets[0] == 0
-    assert A.row_offsets[-1] == A.nnz
-    assert np.all(np.diff(A.row_offsets) >= 0)
-    for i in range(A.nrows):
-        cols = A.col_indices[A.row_offsets[i] : A.row_offsets[i + 1]]
-        assert np.all(np.diff(cols) > 0)  # strictly increasing, hence no duplicates
-        if len(cols):
-            assert cols.max() < A.ncols
+def check_dia_invariants(A):
+    assert np.all(np.diff(A.offsets) > 0)  # strictly ascending, hence no repeats
+    assert np.all((-A.nrows < A.offsets) & (A.offsets < A.ncols))
+    assert A.data.shape == (len(A.offsets), A.nrows)
+    assert not A.data.flags.writeable
+    slots = 0
+    for (offset, lo, hi, d), row in zip(A.diagonals, A.data):
+        assert not row[:lo].any() and not row[hi:].any()  # padding outside the matrix
+        slots += hi - lo
+    assert type(A.nnz) is int  # a plain int, which JSON and the hooks take as is
+    assert np.count_nonzero(A.data) <= A.nnz <= slots
 
 
 def test_duplicate_summation():
-    A = from_triplets(1, 1, [0, 0], [0, 0], [1.0, 2.0])
-    assert A.nnz == 1
-    assert A.values[0] == 3.0
-    check_csr_invariants(A)
+    A = from_triplets(2, 2, [0, 1, 0, 0], [0, 0, 0, 1], [1.0, 5.0, 2.0, 4.0])
+    assert A.nnz == 3
+    assert A.offsets.tolist() == [-1, 0, 1]
+    np.testing.assert_array_equal(A.data, [[0.0, 5.0], [3.0, 0.0], [4.0, 0.0]])
+    check_dia_invariants(A)
+    # A stored zero is an entry: it counts in nnz but looks like padding.
+    assert from_triplets(2, 2, [1, 1], [1, 1], [1.0, -1.0]).nnz == 1
 
 
 def test_empty():
     A = from_triplets(2, 2, [], [], [])
     assert A.nnz == 0
-    check_csr_invariants(A)
+    check_dia_invariants(A)
     np.testing.assert_array_equal(spmv(A, np.ones(2)), [0.0, 0.0])
 
 
@@ -63,7 +70,7 @@ def test_unit_square_stiffness_row_sums():
     # stiffness rows sum to zero.
     mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
     A = assemble_stiffness(mesh)
-    check_csr_invariants(A)
+    check_dia_invariants(A)
     row_sums = spmv(A, np.ones(4))
     np.testing.assert_allclose(row_sums, 0.0, atol=1e-14)
 
@@ -87,18 +94,28 @@ def test_spmv_dense_oracle():
     for _ in range(10):
         dense = rng.standard_normal((8, 5))
         dense[rng.random((8, 5)) < 0.5] = 0.0
-        A = to_csr(dense)
+        A = to_dia(dense)
         x = rng.standard_normal(5)
         expect = dense @ x
         got = spmv(A, x)
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=1e-13)
 
 
-def bincount_spmv(A, x):
-    """The CSR kernel spmv replaced: each row's products summed in column
-    order, starting from 0.0."""
-    rows = np.repeat(np.arange(A.nrows), np.diff(A.row_offsets))
-    return np.bincount(rows, weights=A.values * x[A.col_indices], minlength=A.nrows)
+def reference_entries(ncols, rows, cols, vals):
+    """Stored entries as the former sorted (CSR) assembly found them:
+    distinct (row, col) pairs ordered by row, then column, each the sum of
+    its duplicates in input order from 0.0."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    keys, inverse = np.unique(rows * ncols + cols, return_inverse=True)
+    summed = np.bincount(inverse.ravel(), weights=np.asarray(vals, dtype=float),
+                         minlength=len(keys))
+    return keys // ncols, keys % ncols, summed
+
+
+def reference_spmv(nrows, entries, x):
+    """Each row's stored products summed in column order from 0.0."""
+    rows, cols, vals = entries
+    return np.bincount(rows, weights=vals * x[cols], minlength=nrows)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -115,32 +132,56 @@ def coo_and_vector(draw):
     repeats = draw(st.lists(st.sampled_from(triplets), max_size=10)) if triplets else []
     rows, cols, vals = (list(t) for t in zip(*triplets + repeats)) if triplets else ([], [], [])
     x = np.array(draw(st.lists(finite, min_size=ncols, max_size=ncols)))
-    return from_triplets(nrows, ncols, rows, cols, vals), x
+    return (nrows, ncols, rows, cols, vals), x
 
 
 @given(coo_and_vector())
-@example((from_triplets(3, 2, [], [], []), np.array([1.0, -2.0])))  # nnz = 0
-@example((from_triplets(2, 3, [1, 1, 1], [2, 0, 2], [0.5, 1.0, -0.25]), np.array([1.0, 3.0, -2.0])))
+@example(((3, 2, [], [], []), np.array([1.0, -2.0])))  # nnz = 0
+@example(((2, 3, [1, 1, 1], [2, 0, 2], [0.5, 1.0, -0.25]), np.array([1.0, 3.0, -2.0])))
 def test_spmv_property_random_coo(case):
-    A, x = case
+    (nrows, ncols, rows, cols, vals), x = case
+    A = from_triplets(nrows, ncols, rows, cols, vals)
+    check_dia_invariants(A)
+    entries = reference_entries(ncols, rows, cols, vals)
+    assert A.nnz == len(entries[2])
     got = spmv(A, x)
-    assert got.tobytes() == bincount_spmv(A, x).tobytes()  # bit for bit
-    dense = A.to_dense()
+    assert got.tobytes() == reference_spmv(nrows, entries, x).tobytes()  # bit for bit
+    dense = np.zeros((nrows, ncols))
+    dense[entries[0], entries[1]] = entries[2]
+    assert A.to_dense().tobytes() == dense.tobytes()
     bound = 4 * np.finfo(float).eps * A.ncols * (np.abs(dense) @ np.abs(x))
     assert np.all(np.abs(got - dense @ x) <= bound)
 
 
+def capture_triplets(monkeypatch):
+    """Record the reference entries of every matrix assembly builds."""
+    captured = []
+
+    def capturing(nrows, ncols, rows, cols, vals):
+        captured.append(reference_entries(ncols, rows, cols, vals))
+        return from_triplets(nrows, ncols, rows, cols, vals)
+
+    monkeypatch.setattr(monofem.assembly, "from_triplets", capturing)
+    return captured
+
+
 @pytest.mark.parametrize("h", [1 / 8, 1 / 32, 1 / 64])
-def test_spmv_bit_identical_on_assembled_operators(h):
+def test_spmv_bit_identical_on_assembled_operators(monkeypatch, h):
     mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), h)
-    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
+    captured = capture_triplets(monkeypatch)
+    A = assemble_stiffness(mesh)
+    (a_entries,) = captured
     rng = np.random.default_rng(3)
     for k in (h * h, 1 / 160):
-        S = CsrMatrix(M.nrows, M.ncols, M.row_offsets, M.col_indices, M.values + k * A.values)
-        for mat in (M, A, S):
+        solver = MonodomainSolver(mesh, SolverConfig(k=k, t_final=k, ionic=make_model("fhn")))
+        m_entries = rows, cols, m_vals = captured[-2]
+        assert np.array_equal(rows, a_entries[0]) and np.array_equal(cols, a_entries[1])
+        s_entries = (rows, cols, m_vals + k * a_entries[2])  # S on the shared pattern
+        for mat, entries in ((solver.mass, m_entries), (A, a_entries), (solver.system, s_entries)):
+            assert mat.nnz == len(entries[2])
             for _ in range(5):
                 x = rng.standard_normal(mat.ncols)
-                assert spmv(mat, x).tobytes() == bincount_spmv(mat, x).tobytes()
+                assert spmv(mat, x).tobytes() == reference_spmv(mat.nrows, entries, x).tobytes()
 
 
 def test_diagonal_storage_of_assembled_operators():
@@ -148,10 +189,11 @@ def test_diagonal_storage_of_assembled_operators():
     # diagonal form holds 7 n values.
     mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 8)
     n_side = 20
+    offsets = [-(n_side + 2), -(n_side + 1), -1, 0, 1, n_side + 1, n_side + 2]
     for mat in (assemble_mass(mesh), assemble_stiffness(mesh)):
-        offsets = [offset for offset, *_ in mat.diagonals]
-        assert offsets == [-(n_side + 2), -(n_side + 1), -1, 0, 1, n_side + 1, n_side + 2]
-        assert mat.diagonals is mat.diagonals  # built once
+        check_dia_invariants(mat)
+        assert mat.offsets.tolist() == offsets
+        assert mat.data.shape == (7, mesh.n_nodes)
 
 
 def test_cg_diagonal():
@@ -173,7 +215,7 @@ def test_cg_against_dense_oracle():
     dense = random_spd(rng, 20)
     b = rng.standard_normal(20)
     expect = np.linalg.solve(dense, b)
-    x, _ = cg_solve(to_csr(dense), b, rel_tol=1e-12)
+    x, _ = cg_solve(to_dia(dense), b, rel_tol=1e-12)
     np.testing.assert_allclose(x, expect, atol=1e-8)
 
 
@@ -181,10 +223,48 @@ def test_cg_residual_contract():
     rng = np.random.default_rng(5)
     for n in (5, 17, 33):
         dense = random_spd(rng, n)
-        A = to_csr(dense)
+        A = to_dia(dense)
         b = rng.standard_normal(n)
         x, _ = cg_solve(A, b, rel_tol=1e-10)
         assert np.linalg.norm(b - dense @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+@st.composite
+def sparse_spd_system(draw):
+    """B^T B + I for a random sparse m x n matrix B, assembled from the
+    triplets of its row outer products, and a right-hand side."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 30))
+    entries = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1),
+                                      st.floats(-3, 3)), max_size=3 * n))
+    B = np.zeros((m, n))
+    for i, j, value in entries:
+        B[i, j] += value
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.ones(n)]
+    for row in B:
+        (nz,) = np.nonzero(row)
+        rows.append(np.repeat(nz, len(nz)))
+        cols.append(np.tile(nz, len(nz)))
+        vals.append(np.outer(row[nz], row[nz]).ravel())
+    A = from_triplets(n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    b = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return A, b
+
+
+@given(sparse_spd_system())
+def test_cg_property_random_sparse_spd(system):
+    A, b = system
+    rel_tol = 1e-10
+    x, _ = cg_solve(A, b, rel_tol=rel_tol)
+    bnorm = np.linalg.norm(b)
+    assert np.linalg.norm(b - spmv(A, x)) <= rel_tol * bnorm
+    # Every eigenvalue of B^T B + I is >= 1, so |x - x*| <= |A (x - x*)|,
+    # which is at most the sum of the two residuals, up to the round-off
+    # of forming them.
+    dense = A.to_dense()
+    expect = np.linalg.solve(dense, b)
+    residuals = np.linalg.norm(b - dense @ x) + np.linalg.norm(b - dense @ expect)
+    assert np.linalg.norm(x - expect) <= residuals * (1 + 1e-9) + 1e-14 * bnorm
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
@@ -199,7 +279,7 @@ def test_cg_no_convergence():
     dense = random_spd(rng, 30)
     b = rng.standard_normal(30)
     with pytest.raises(NoConvergence) as info:
-        cg_solve(to_csr(dense), b, rel_tol=1e-14, max_iter=2)
+        cg_solve(to_dia(dense), b, rel_tol=1e-14, max_iter=2)
     assert info.value.residual > 0
     assert info.value.iterations == 2
 

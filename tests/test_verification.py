@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monofem.assembly import DiffusionTensor
-from monofem.ionic import SingularDenominator, make_model
+from monofem.ionic import SingularDenominator, make_model, spectral_radius
 from monofem.verification import (
     InvalidWavenumber,
     ManufacturedProblem,
@@ -208,6 +208,13 @@ def test_study_config_rejects_unstable_reaction_step():
     for dt in (1.5, 10.0):
         with pytest.raises(ValueError, match="unstable"):
             StudyConfig(model=fhn, levels=[1 / 4], dt_rule=dt, t_final=2 * dt)
+    # Homogeneous mode checks every state of the cell recursion, which is
+    # the scheme's solution: ms at dt = 20 passes at (0.2, 0.1) with
+    # dt * rho = 1.47, but the trajectory reaches 5e21.
+    ms = make_model("ms")
+    assert 20 * spectral_radius(ms, 0.2, 0.1) < 2
+    with pytest.raises(ValueError, match="unstable along the homogeneous trajectory"):
+        StudyConfig(model=ms, levels=[1 / 4], dt_rule=20, t_final=100)
     # Manufactured data is checked at every node: v0 spans [-1, 1] with
     # w0 = v0 / 2, and rho(J) = 4.96 at v0 = -1, so dt must be <= 0.403.
     manufactured = dict(model=fhn, mode="manufactured", levels=[1 / 4], t_final=2.0)
