@@ -21,6 +21,7 @@ from .verification import (
     ManufacturedProblem,
     StudyConfig,
     compute_rates,
+    converged_reference,
     convergence_study,
     discrete_cell_trajectory,
     ode_reference,
@@ -44,6 +45,7 @@ __all__ = [
     "build_uniform_mesh",
     "cg_solve",
     "compute_rates",
+    "converged_reference",
     "convergence_study",
     "discrete_cell_trajectory",
     "from_triplets",

@@ -6,7 +6,8 @@ values, a spacing or time step that does not divide the domain or the
 final time, a time step too large for the explicit reaction step along
 the homogeneous trajectory or at the manufactured initial data, an
 unwritable ``--out``); 3 the solver failed (CG did not converge or broke
-down, or the state became non-finite).  Every usage error except an
+down, the homogeneous reference did not converge, or the state became
+non-finite).  Every usage error except an
 unwritable ``--out`` is reported before any computation starts.
 """
 from __future__ import annotations

@@ -68,13 +68,17 @@ def eval_ap(v, w, p: ApParams = ApParams()):
     return i_ion, g
 
 
-def eval_ms(v, w, p: MsParams = MsParams()):
+def eval_ms(v, w, p: MsParams = MsParams(), below=None):
     """i_ion = -(w/tau_in) v^2 (v-1) - v/tau_out.
 
     g switches at the gate: (1-w)/tau_open for v <= u_gate, else -w/tau_close.
+    A bool ``below`` holds g on one branch (True: the v <= u_gate one)
+    whatever v is.
     """
     i_ion = -(w / p.tau_in) * v * v * (v - 1) - v / p.tau_out
-    g = np.where(v <= p.u_gate, (1 - w) / p.tau_open, -w / p.tau_close)
+    if below is None:
+        below = v <= p.u_gate
+    g = np.where(below, (1 - w) / p.tau_open, -w / p.tau_close)
     if np.isscalar(v) or np.ndim(v) == 0:
         g = float(g)
     return i_ion, g

@@ -3,9 +3,11 @@
 Two verification routes:
 
 * homogeneous mode: uniform initial data makes the diffusion term vanish
-  identically, so the exact PDE solution is the cell ODE solved to high
-  accuracy (classical RK4).  This is the experiment behind the published
-  rate table.
+  identically, so the exact PDE solution is the cell ODE.  It is solved by
+  classical RK4, with the step count doubled until two runs agree to a
+  relative 1e-13 and any MS gate crossing located inside its step; the
+  last gap is reported as the reference's error.  This is the experiment
+  behind the published rate table.
 * manufactured mode: an analytic space-time solution with zero Neumann
   flux; source terms are obtained by substitution.  Used to measure the
   spatial and temporal orders independently.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,14 +29,20 @@ from .assembly import (
     interpolate_nodal,
     l2_norm,
 )
-from .ionic import IonicModel, spectral_radius
+from .ionic import IonicModel, MsParams, eval_ms, spectral_radius
 from .mesh import DEFAULT_BOUNDS, build_uniform_mesh, grid_cells
-from .sparse import DEFAULT_CG_TOL
+from .sparse import DEFAULT_CG_TOL, NoConvergence
 from .solver import MonodomainSolver, SolverConfig
 
 # Uniform initial data (v0, w0) of the homogeneous mode.
 HOMOGENEOUS_V0 = 0.2
 HOMOGENEOUS_W0 = 0.1
+
+# converged_reference: two successive RK4 runs must agree to this relative
+# tolerance.  Past about a million steps the round-off RK4 accumulates
+# (about sqrt(n) * eps) reaches it, so doubling further cannot help.
+REFERENCE_RTOL = 1e-13
+REFERENCE_MAX_STEPS = 2**20
 
 
 class NonPositiveError(ValueError):
@@ -50,6 +59,10 @@ class ConvergenceRecord:
 
     ``sroc``/``troc`` are None at the first level, and also whenever the
     corresponding resolution did not change between levels.
+    ``reference_error`` is, in homogeneous mode, the L2 norm over the
+    domain of the exact solution's self-estimated error (see
+    ``converged_reference``), on the same scale as ``l2_error``; None in
+    manufactured mode, whose exact solution is analytic.
     """
 
     level: int
@@ -59,33 +72,99 @@ class ConvergenceRecord:
     l2_error: float
     sroc: float | None = None
     troc: float | None = None
+    reference_error: float | None = None
+
+
+def _rk4_step(f, v, w, dt):
+    k1v, k1w = f(v, w)
+    k2v, k2w = f(v + dt / 2 * k1v, w + dt / 2 * k1w)
+    k3v, k3w = f(v + dt / 2 * k2v, w + dt / 2 * k2w)
+    k4v, k4w = f(v + dt * k3v, w + dt * k3w)
+    return v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v), w + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+
+
+def _ms_step_across_gate(p: MsParams, v, w, dt):
+    """One RK4 step of length dt that starts on one side of the MS gate and
+    ends on the other, split where v reaches u_gate.
+
+    The first part stays on the branch of g that v starts on; its length is
+    found by bisection, down to adjacent floats, as the shortest at which v
+    has left that side.  The rest of the step is taken on the other branch.
+    """
+    below = v <= p.u_gate
+    start_branch = partial(eval_ms, p=p, below=below)
+    lo, hi = 0.0, dt
+    mid = hi / 2
+    while lo < mid < hi:
+        if (_rk4_step(start_branch, v, w, mid)[0] <= p.u_gate) == below:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2
+    v, w = _rk4_step(start_branch, v, w, hi)
+    return _rk4_step(partial(eval_ms, p=p, below=not below), v, w, dt - hi)
 
 
 def ode_reference(
     model: IonicModel, v0: float, w0: float, t_final: float, dt_ref: float
 ) -> tuple[float, float]:
-    """Cell ODE v' = i_ion, w' = g solved by classical RK4.
+    """Cell ODE v' = i_ion, w' = g solved by classical RK4 at a fixed step.
 
     With spatially uniform initial data this is the exact monodomain
-    solution at every point of the domain.
+    solution at every point of the domain.  The ms g jumps where v crosses
+    u_gate, which would cut RK4 to first order; a step that carries v
+    across the gate is split there (``_ms_step_across_gate``).  Every other
+    step is the plain RK4 step.
     """
     if dt_ref <= 0 or t_final < 0:
         raise ValueError("need dt_ref > 0 and t_final >= 0")
     n = max(1, round(t_final / dt_ref))
     dt = t_final / n
+    gate = model.params.u_gate if model.kind == "ms" else None
 
     v, w, t = float(v0), float(w0), 0.0
     for _ in range(n):
-        k1v, k1w = model(v, w)
-        k2v, k2w = model(v + dt / 2 * k1v, w + dt / 2 * k1w)
-        k3v, k3w = model(v + dt / 2 * k2v, w + dt / 2 * k2w)
-        k4v, k4w = model(v + dt * k3v, w + dt * k3w)
-        v += dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        w += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        v_next, w_next = _rk4_step(model, v, w, dt)
+        if gate is not None and (v_next <= gate) != (v <= gate):
+            v_next, w_next = _ms_step_across_gate(model.params, v, w, dt)
+        v, w = v_next, w_next
         t += dt
         if not (math.isfinite(v) and math.isfinite(w)):
             raise NonFiniteValue(f"cell ODE blew up at t={t}")
     return v, w
+
+
+def converged_reference(
+    model: IonicModel, v0: float, w0: float, t_final: float, dt: float
+) -> tuple[float, float, float]:
+    """``ode_reference`` refined until it checks its own accuracy.
+
+    Starts at ceil(t_final / dt) RK4 steps and doubles the count until v
+    and w of two successive runs agree to REFERENCE_RTOL * max(1, |value|).
+    Returns (v, w) of the finer run and the larger of the two gaps, an
+    upper estimate of its error (RK4 makes the finer run's error about
+    1/15 of the gap).
+
+    Raises:
+        NoConvergence: that would take more than REFERENCE_MAX_STEPS steps.
+    """
+    n = max(1, math.ceil(t_final / dt))
+    v, w = ode_reference(model, v0, w0, t_final, t_final / n)
+    gap = math.inf
+    while 2 * n <= REFERENCE_MAX_STEPS:
+        n *= 2
+        v_fine, w_fine = ode_reference(model, v0, w0, t_final, t_final / n)
+        gap_v, gap_w = abs(v_fine - v), abs(w_fine - w)
+        gap = max(gap_v, gap_w)
+        if (gap_v <= REFERENCE_RTOL * max(1.0, abs(v_fine))
+                and gap_w <= REFERENCE_RTOL * max(1.0, abs(w_fine))):
+            return v_fine, w_fine, gap
+        v, w = v_fine, w_fine
+    raise NoConvergence(
+        f"cell ODE reference did not converge: RK4 runs still differ by {gap:.3g} "
+        f"at {n} steps (cap {REFERENCE_MAX_STEPS})",
+        residual=gap, iterations=n,
+    )
 
 
 def discrete_cell_trajectory(
@@ -283,12 +362,13 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         data = dict(v0=lambda x, y: p.v_exact(x, y, 0.0), w0=lambda x, y: p.w_exact(x, y, 0.0),
                     i_app=p.i_app, w_source=p.w_source)
         v_final = lambda x, y: p.v_exact(x, y, cfg.t_final)
+        reference_error = None
     else:
         data = dict(v0=HOMOGENEOUS_V0, w0=HOMOGENEOUS_W0)
-        # RK4 error O(dt_ref^4) sits far below the O(k) error being measured;
-        # the discontinuous MS gate is only located to dt_ref, so shrink it.
-        dt_ref = min(dts) / (1000 if cfg.model.kind == "ms" else 100)
-        v_final, _ = ode_reference(cfg.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, cfg.t_final, dt_ref)
+        v_final, _, gap = converged_reference(
+            cfg.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, cfg.t_final, min(dts))
+        xmin, ymin, xmax, ymax = DEFAULT_BOUNDS
+        reference_error = gap * math.sqrt((xmax - xmin) * (ymax - ymin))  # same gap at every node
 
     steps, errors = [], []
     for h, dt in zip(hs, dts):
@@ -303,6 +383,6 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
 
     sroc, troc = compute_rates(errors, hs, dts) if len(errors) >= 2 else ([None], [None])
     return [
-        ConvergenceRecord(level, *row, sroc[level], troc[level])
+        ConvergenceRecord(level, *row, sroc[level], troc[level], reference_error)
         for level, row in enumerate(zip(hs, dts, steps, errors))
     ]

@@ -165,6 +165,22 @@ def test_main_exit_codes(capsys, args, code):
     assert err.count("\n") == 1  # one-line message, no traceback
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_exit_code_when_reference_does_not_converge(capsys, monkeypatch):
+    import monofem.verification as verification
+    from monofem.sparse import NoConvergence
+
+    # RK4 runs of 1 and 2 steps over T = 1/16 differ by about 2e-9, not 1e-13.
+    monkeypatch.setattr(verification, "REFERENCE_MAX_STEPS", 2)
+    args = ["--levels", "1/4", "--t-final", "1/16"]
+    cfg, _, _ = parse_config(["study", *args])
+    with pytest.raises(NoConvergence, match="cell ODE reference did not converge"):
+        verification.convergence_study(cfg)
+    assert main(["study", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "reference did not converge" in err  # no traceback
+
+
 def test_main_unwritable_out_exit_code(tmp_path, capsys):
     out = tmp_path / "missing" / "table.csv"
     assert main(["study", "--levels", "1/4", "--t-final", "1/16", "--out", str(out)]) == 2
@@ -203,9 +219,9 @@ def test_csv_deterministic_across_runs(tmp_path):
 GOLDEN = [
     (
         ["--model", "ap", "--levels", "1/8,1/16,1/32", "--t-final", "1/16"],
-        "0,0.125,0.015625,4,6.64012411431e-05,,\n"
-        "1,0.0625,0.00390625,16,1.67799364274e-05,1.98447,0.992236\n"
-        "2,0.03125,0.0009765625,64,4.20639456627e-06,1.99608,0.998041\n",
+        "0,0.125,0.015625,4,6.64012411449e-05,,\n"
+        "1,0.0625,0.00390625,16,1.67799364291e-05,1.98447,0.992236\n"
+        "2,0.03125,0.0009765625,64,4.206394568e-06,1.99608,0.998041\n",
     ),
     (
         ["--mode", "manufactured", "--dt", "1e-4", "--levels", "1/8,1/16", "--t-final", "0.01"],

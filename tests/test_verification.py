@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from monofem.assembly import DiffusionTensor
-from monofem.ionic import SingularDenominator, make_model, spectral_radius
+from monofem.ionic import MODEL_NAMES, SingularDenominator, eval_ms, make_model, spectral_radius
 from monofem.verification import (
+    REFERENCE_RTOL,
     InvalidWavenumber,
     ManufacturedProblem,
     NonPositiveError,
     StudyConfig,
     compute_rates,
     convergence_study,
+    converged_reference,
     discrete_cell_trajectory,
     ode_reference,
 )
 
 OMEGA = math.pi / 2.5
+LD = np.longdouble
 
 
 class NullModel:
@@ -62,6 +65,83 @@ def test_ode_reference_blowup():
 
     with pytest.raises(NonFiniteValue):
         ode_reference(Explode(), 1.0, 0.0, 10.0, 0.01)
+
+
+def plain_rk4(f, v, w, t_final, n):
+    """n RK4 steps of f in the precision of the arguments.  On floats this is
+    ode_reference as it was before gate location; on np.longdouble, the
+    extended-precision oracle."""
+    dt = t_final / n
+    for _ in range(n):
+        k1v, k1w = f(v, w)
+        k2v, k2w = f(v + dt / 2 * k1v, w + dt / 2 * k1w)
+        k3v, k3w = f(v + dt / 2 * k2v, w + dt / 2 * k2w)
+        k4v, k4w = f(v + dt * k3v, w + dt * k3w)
+        v += dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w += dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+    return v, w
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_ode_reference_off_the_gate_is_plain_rk4(name):
+    # Bit for bit: steps that do not carry v across the ms gate are the
+    # plain RK4 step.  ms from v0 = 0.135 stays above u_gate = 0.13 until
+    # t = 0.29, and from 0.2 never reaches it.
+    model = make_model(name)
+    for v0, t_final, n in ((0.2, 0.25, 1000), (0.135, 0.25, 64)):
+        assert ode_reference(model, v0, 0.1, t_final, t_final / n) == plain_rk4(model, v0, 0.1, t_final, n)
+
+
+def test_ms_reference_converges_across_the_gate():
+    ms = make_model("ms")
+    u_gate = ms.params.u_gate
+    # The trajectory from (0.135, 0.1) crosses the gate at t = 0.29.  With
+    # the crossing located, the gap between successive doublings shrinks
+    # like RK4's h^4 (16x); without it, about 2x, and 1e-13 is never met.
+    n, prev, last_gap = 4, ode_reference(ms, 0.135, 0.1, 0.5, 0.5 / 4), None
+    while True:
+        n *= 2
+        cur = ode_reference(ms, 0.135, 0.1, 0.5, 0.5 / n)
+        gap = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
+        if last_gap is not None:
+            assert gap <= last_gap / 10, (n, gap, last_gap)
+        if gap <= REFERENCE_RTOL:
+            break
+        assert n < 64
+        prev, last_gap = cur, gap
+    v, w, err = converged_reference(ms, 0.135, 0.1, 0.5, 1 / 8)
+    assert v < u_gate and err <= REFERENCE_RTOL
+    # Oracle: RK4 in extended precision on the branch above the gate up to
+    # the crossing time t*, found by Newton's method on v(t*) = u_gate,
+    # then on the branch below it from that state to T = 0.5.
+    above = lambda a, b: eval_ms(a, b, ms.params, below=False)
+    below = lambda a, b: eval_ms(a, b, ms.params, below=True)
+    v0, w0, t_cross = LD(0.135), LD(0.1), LD(0.3)
+    for _ in range(6):
+        v_cross, w_cross = plain_rk4(above, v0, w0, t_cross, 1024)
+        t_cross -= (v_cross - u_gate) / above(v_cross, w_cross)[0]
+    v_cross, w_cross = plain_rk4(above, v0, w0, t_cross, 1024)
+    assert abs(v_cross - u_gate) < 1e-17 and 0.28 < t_cross < 0.30
+    v_ld, w_ld = plain_rk4(below, v_cross, w_cross, 0.5 - t_cross, 1024)
+    assert abs(v - v_ld) <= 1e-12 and abs(w - w_ld) <= 1e-12
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_converged_reference_matches_longdouble_oracle(name):
+    # The oracle steps at 1/16384, where halving its step moves it by under
+    # 1e-18.  eval_ms returns g as a float, so the ms oracle's w is
+    # double-accurate only.
+    model = make_model(name)
+    for t_final in (1 / 64, 1 / 16, 0.25):
+        v_ld, w_ld = plain_rk4(model, LD(0.2), LD(0.1), LD(t_final), round(t_final * 16384))
+        # Started at the finest criterion-1 step (1/64)^2, as a study does.
+        v, w, err = converged_reference(model, 0.2, 0.1, t_final, (1 / 64) ** 2)
+        assert abs(v - v_ld) <= 1e-15 and abs(w - w_ld) <= 1e-15, (t_final, v - v_ld, w - w_ld)
+        assert err <= 1e-13
+        # Started at one step, the doubling must reach the tolerance itself,
+        # and the reported gap must bound the true error.
+        v, w, err = converged_reference(model, 0.2, 0.1, t_final, t_final)
+        assert max(abs(v - v_ld), abs(w - w_ld)) <= err <= 1e-13, (t_final, v - v_ld, w - w_ld, err)
 
 
 def test_discrete_cell_trajectory_hand_step():
@@ -244,6 +324,9 @@ def test_homogeneous_rates_and_monotone_errors():
     )
     errs = [r.l2_error for r in records]
     assert errs == sorted(errs, reverse=True)
+    # One reference for the study: its gap, as an L2 norm over the 2.5 x 2.5 square.
+    _, _, gap = converged_reference(make_model("fhn"), 0.2, 0.1, 0.25, (1 / 32) ** 2)
+    assert {r.reference_error for r in records} == {2.5 * gap}
     assert records[-1].sroc == pytest.approx(2.0, abs=0.25)
     assert records[-1].troc == pytest.approx(records[-1].sroc / 2, rel=1e-12)
 
@@ -276,3 +359,4 @@ def test_manufactured_timestep_sweep_has_no_sroc():
     )
     assert records[1].sroc is None
     assert records[1].troc == pytest.approx(1.0, abs=0.3)
+    assert {r.reference_error for r in records} == {None}  # the exact solution is analytic
