@@ -20,8 +20,8 @@ from .assembly import (
     assemble_stiffness,
     interpolate_nodal,
 )
-from .mesh import TriMesh
-from .sparse import DEFAULT_CG_TOL, DiaMatrix, cg_solve, spmv
+from .mesh import NonDivisibleSpacing, TriMesh, grid_cells
+from .sparse import DEFAULT_CG_TOL, DiaMatrix, VCycle, cg_solve, grid_offsets, spmv
 
 
 class InvalidConfig(ValueError):
@@ -71,7 +71,14 @@ class SolverConfig:
 
 
 class MonodomainSolver:
-    """Holds the assembled system and the discrete trajectory for one run."""
+    """Holds the assembled system and the discrete trajectory for one run.
+
+    ``multigrid`` is the V-cycle that preconditions CG on S, or None.  Its
+    grids are the uniform mesh halved while both cell counts are even and
+    k / H^2 >= 1 on the coarse spacing H.  A coarser S is dominated by the
+    mass matrix and plain CG needs few iterations on it, so the hierarchy
+    has more than one level only for k >= 4 h^2; at k = h^2 CG stays plain.
+    """
 
     def __init__(self, mesh: TriMesh, cfg: SolverConfig):
         cfg.n_steps()  # validate k, T
@@ -84,6 +91,7 @@ class MonodomainSolver:
         A = assemble_stiffness(mesh, cfg.diffusion)
         M = self.mass
         self.system = DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + cfg.k * A.data, M.nnz)
+        self.multigrid = _multigrid(mesh, self.system, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)
         self.state = SolverState(v=v, w=w, t=0.0, n=0)
@@ -102,7 +110,8 @@ class MonodomainSolver:
         if cfg.w_source is not None:
             g = g + cfg.w_source(self._x, self._y, s.t)
         rhs = spmv(self.mass, s.v + k * f)
-        v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=cfg.cg_rel_tol)
+        v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=cfg.cg_rel_tol,
+                            precondition=self.multigrid)
         w_new = s.w + k * g
         if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
             raise NonFiniteState(f"non-finite nodal values after step {s.n + 1} (t={s.t + k})")
@@ -115,3 +124,17 @@ class MonodomainSolver:
             self.step()
         return self.state
 
+
+def _multigrid(mesh: TriMesh, S: DiaMatrix, k: float) -> VCycle | None:
+    """V-cycle for S on the grids nested below ``mesh``, or None when the
+    hierarchy has one level (or the mesh is not a uniform grid)."""
+    try:
+        nx, ny = grid_cells(mesh.bounds, mesh.h)
+    except NonDivisibleSpacing:
+        return None
+    if S.nrows != (nx + 1) * (ny + 1) or S.offsets.tolist() != grid_offsets(nx):
+        return None
+    levels, cx, cy, H = 1, nx, ny, 2 * mesh.h
+    while cx % 2 == 0 and cy % 2 == 0 and k >= H * H:
+        levels, cx, cy, H = levels + 1, cx // 2, cy // 2, 2 * H
+    return VCycle(S, nx, ny, levels) if levels > 1 else None

@@ -231,8 +231,8 @@ GOLDEN = [
     (
         ["--mode", "manufactured", "--sweep", "timestep", "--fixed-h", "1/16",
          "--levels", "1/20,1/40", "--t-final", "0.25", "--model", "rm"],
-        "0,0.0625,0.05,5,0.0205808896015,,\n"
-        "1,0.0625,0.025,10,0.01010143946,,1.02674\n",
+        "0,0.0625,0.05,5,0.0205808896014,,\n"
+        "1,0.0625,0.025,10,0.010101439464,,1.02674\n",
     ),
 ]
 

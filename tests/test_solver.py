@@ -9,7 +9,7 @@ from monofem.assembly import (
     l2_norm,
 )
 from monofem.ionic import make_model
-from monofem.mesh import build_uniform_mesh
+from monofem.mesh import TriMesh, build_uniform_mesh
 from monofem.solver import (
     InvalidConfig,
     MonodomainSolver,
@@ -88,14 +88,36 @@ def test_cg_iteration_counts_pinned(monkeypatch):
     # Round-off-level changes leave them alone; test_sparse pins spmv's bits.
     h = 1 / 64
     mesh = build_uniform_mesh(BOUNDS, h)
-    homogeneous = paper_config(make_model("ap"), h=h, t_final=h * h)
+    homogeneous = paper_config(make_model("ap"), h=h, t_final=h * h)  # one level: plain CG
     assert first_step_cg_iterations(monkeypatch, mesh, homogeneous) == [20]
     p = ManufacturedProblem(1, make_model("fhn"))
     manufactured = SolverConfig(
         k=1 / 40, t_final=1 / 40, ionic=p.model, i_app=p.i_app, w_source=p.w_source,
         v0=lambda x, y: p.v_exact(x, y, 0.0), w0=lambda x, y: p.w_exact(x, y, 0.0),
     )
-    assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [230]
+    # Stiff (k / h^2 = 102): multigrid-preconditioned, 4 levels; plain CG took 230.
+    assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [12]
+
+
+@pytest.mark.parametrize("factor,levels", [(1, 1), (3.9, 1), (4, 2), (100, 3)])
+def test_multigrid_levels(factor, levels):
+    # The 20 x 20 grid is halved while both cell counts are even and
+    # k / H^2 >= 1; at k = 100 h^2 it stops at 5 x 5 cells, an odd count.
+    h = 1 / 8
+    k = factor * h * h
+    multigrid = MonodomainSolver(build_uniform_mesh(BOUNDS, h), paper_config(k=k, t_final=k)).multigrid
+    assert (1 if multigrid is None else len(multigrid.operators)) == levels
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3])
+def test_multigrid_only_on_the_uniform_grid(h):
+    # A hand-made mesh that is not the node grid of its bounds and h (or
+    # whose h does not divide them) gets plain CG, however stiff the step.
+    tri = TriMesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                  triangles=np.array([[0, 1, 2]]), h=h, bounds=(0, 0, 1, 1))
+    solver = MonodomainSolver(tri, SolverConfig(k=10.0, t_final=10.0, ionic=ZeroReaction(), v0=1.0))
+    assert solver.multigrid is None
+    np.testing.assert_allclose(solver.step().v, 1.0, atol=1e-9)
 
 
 def test_non_integer_step_count_rejected():

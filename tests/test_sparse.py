@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import monofem.assembly
@@ -8,14 +8,19 @@ from monofem.ionic import make_model
 from monofem.mesh import build_uniform_mesh
 from monofem.solver import MonodomainSolver, SolverConfig
 from monofem.sparse import (
+    DiaMatrix,
     DimensionMismatch,
     IndexOutOfRange,
     NoConvergence,
+    VCycle,
     cg_solve,
     from_triplets,
+    galerkin,
+    prolong,
+    restrict,
     spmv,
 )
-from monofem.assembly import assemble_mass, assemble_stiffness
+from monofem.assembly import DiffusionTensor, assemble_mass, assemble_stiffness
 
 
 def random_spd(rng, n):
@@ -317,3 +322,145 @@ def test_assembled_matrices_exactly_symmetric():
     for mat in (assemble_mass(mesh), assemble_stiffness(mesh)):
         dense = mat.to_dense()
         assert np.array_equal(dense, dense.T)  # identical arithmetic both sides
+
+
+def test_cg_failure_reports_preconditioned_residual_norm():
+    # With B != I the recurrence scalar is r.z; the reported residual must
+    # still be ||b - A x|| of the iterate CG stopped at.
+    rng = np.random.default_rng(2)
+    dense = random_spd(rng, 12)
+    b = rng.standard_normal(12)
+    scale = 1 / np.arange(1.0, 13.0)  # B = diag(scale), SPD and far from I
+    with pytest.raises(NoConvergence) as info:
+        cg_solve(to_dia(dense), b, rel_tol=1e-14, max_iter=1, precondition=lambda r: scale * r)
+    z = scale * b  # the one step from x0 = 0
+    x = (b @ z) / (z @ dense @ z) * z
+    true = np.linalg.norm(b - dense @ x)
+    assert info.value.residual == pytest.approx(true, rel=1e-12)
+    assert f"{true:.3e}" in str(info.value)
+    assert info.value.iterations == 1
+
+
+# Multigrid kernels on a fine grid of 2 cx x 2 cy cells of side H_FINE.
+H_FINE = 1 / 8
+
+
+def fine_mesh(cx, cy):
+    return build_uniform_mesh((0.0, 0.0, 2 * cx * H_FINE, 2 * cy * H_FINE), H_FINE)
+
+
+def system(mesh, k, D):
+    M = assemble_mass(mesh)
+    A = assemble_stiffness(mesh, D)
+    return DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + k * A.data, M.nnz)
+
+
+def dense_prolongation(cx, cy):
+    n = (cx + 1) * (cy + 1)
+    return np.column_stack([prolong(e, cx, cy) for e in np.eye(n)])
+
+
+coarse_cells = st.tuples(st.integers(1, 8), st.integers(1, 8))  # fine nx, ny even, <= 16
+stiff_k = st.floats(H_FINE**2, 10.0)
+
+
+@st.composite
+def diffusion(draw):
+    """A constant SPD tensor, or one varying in space."""
+    a, c = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0))
+    b = draw(st.floats(-0.9, 0.9)) * np.sqrt(a * c)
+    if draw(st.booleans()):
+        return DiffusionTensor(lambda x, y: np.array([[a, b], [b, c]]),
+                               constant=np.array([[a, b], [b, c]]))
+    return DiffusionTensor(lambda x, y: np.array([[a + x * x, b], [b, c + y]]))
+
+
+@given(coarse_cells, st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
+def test_prolong_interpolates_linear_functions(cells, a, bx, by):
+    cx, cy = cells
+    fine = fine_mesh(cx, cy)
+    coarse = build_uniform_mesh(fine.bounds, 2 * H_FINE)
+    linear = lambda x, y: a + bx * x + by * y  # noqa: E731
+    coarse_values = linear(coarse.nodes[:, 0], coarse.nodes[:, 1])
+    expect = linear(fine.nodes[:, 0], fine.nodes[:, 1])
+    np.testing.assert_allclose(prolong(coarse_values, cx, cy), expect, rtol=0, atol=1e-14)
+
+
+@given(coarse_cells, st.integers(0, 2**32 - 1))
+def test_restrict_is_transpose_of_prolong(cells, seed):
+    cx, cy = cells
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2 * cx + 1) * (2 * cy + 1))
+    y = rng.standard_normal((cx + 1) * (cy + 1))
+    Py, Rx = prolong(y, cx, cy), restrict(x, cx, cy)
+    assert abs(x @ Py - Rx @ y) <= 1e-14 * (np.abs(x) @ np.abs(Py) + np.abs(Rx) @ np.abs(y))
+
+
+@given(coarse_cells, stiff_k, diffusion())
+def test_galerkin_probing_equals_dense_triple_product(cells, k, D):
+    cx, cy = cells
+    fine = fine_mesh(cx, cy)
+    S = system(fine, k, D)
+    G = galerkin(S, cx, cy)
+    check_dia_invariants(G)
+    P = dense_prolongation(cx, cy)
+    dense = P.T @ S.to_dense() @ P
+    scale = np.abs(dense).max()
+    assert np.abs(G.to_dense() - dense).max() <= 1e-14 * scale
+    if D.constant is not None:
+        # Nested P1 spaces: the Galerkin operator is the coarse discretisation.
+        rediscretised = system(build_uniform_mesh(fine.bounds, 2 * H_FINE), k, D)
+        assert G.offsets.tolist() == rediscretised.offsets.tolist()
+        assert G.nnz == rediscretised.nnz
+        assert np.abs(G.to_dense() - rediscretised.to_dense()).max() <= 1e-15 * scale
+
+
+@st.composite
+def hierarchy(draw):
+    cx, cy = draw(coarse_cells)
+    halvings = 1
+    while cx % 2**halvings == 0 and cy % 2**halvings == 0:
+        halvings += 1
+    levels = draw(st.integers(2, halvings + 1))
+    return VCycle(system(fine_mesh(cx, cy), draw(stiff_k), draw(diffusion())),
+                  2 * cx, 2 * cy, levels)
+
+
+# D with off-diagonal entries against the mesh diagonal: lambda_max of
+# diag^-1 S is 2.7, so Jacobi weighted 0.8 diverges on some modes and
+# would give B eigenvalues < 0.
+ROTATED = np.array([[1.0, -0.99], [-0.99, 1.0]])
+ROTATED_CYCLE = VCycle(system(fine_mesh(8, 8), 10.0, DiffusionTensor(lambda x, y: ROTATED, ROTATED)),
+                       16, 16, 5)
+
+
+@given(hierarchy(), st.integers(0, 2**32 - 1))
+@example(ROTATED_CYCLE, 0)
+@settings(max_examples=25)  # each example applies B to every unit vector
+def test_vcycle_symmetric_positive_definite(B, seed):
+    rng = np.random.default_rng(seed)
+    n = B.operators[0].nrows
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    Bx, By = B(x), B(y)
+    assert abs(x @ By - y @ Bx) <= 1e-13 * (np.abs(x) @ np.abs(By) + np.abs(y) @ np.abs(Bx))
+    assert x @ Bx > 0 and y @ By > 0
+    dense = np.column_stack([B(e) for e in np.eye(n)])
+    assert np.linalg.eigvalsh(dense + dense.T)[0] > 0
+
+
+@given(hierarchy(), st.integers(0, 2**32 - 1))
+@example(ROTATED_CYCLE, 0)
+def test_multigrid_pcg_property(B, seed):
+    S = B.operators[0]
+    b = np.random.default_rng(seed).uniform(-1e3, 1e3, S.nrows)
+    rel_tol = 1e-10
+    x, _ = cg_solve(S, b, rel_tol=rel_tol, precondition=B)
+    bnorm = np.linalg.norm(b)
+    assert np.linalg.norm(b - spmv(S, x)) <= rel_tol * bnorm
+    # |x - x*| <= |S^-1| (|b - S x| + |b - S x*|), S's smallest eigenvalue
+    # bounding |S^-1|, up to the round-off of forming the residuals.
+    dense = S.to_dense()
+    expect = np.linalg.solve(dense, b)
+    residuals = np.linalg.norm(b - dense @ x) + np.linalg.norm(b - dense @ expect)
+    lam_min = np.linalg.eigvalsh(dense)[0]
+    assert np.linalg.norm(x - expect) <= residuals / lam_min * (1 + 1e-9) + 1e-14 * bnorm / lam_min
