@@ -1,8 +1,8 @@
 """Reduced ionic cell models: reaction pair (I_ion, g).
 
 Four two-variable models: FitzHugh-Nagumo (fhn), Roger-McCulloch (rm),
-Aliev-Panfilov (ap) and Mitchell-Schaeffer (ms).  All evaluators work
-elementwise on scalars or numpy arrays.
+Aliev-Panfilov (ap) and Mitchell-Schaeffer (ms), all in the one table
+``MODELS``.  The evaluators work elementwise on scalars or numpy arrays.
 """
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-
-MODEL_NAMES = ("fhn", "rm", "ap", "ms")
-
 
 class SingularDenominator(ZeroDivisionError):
     """Aliev-Panfilov epsilon' blows up when v + mu2 ~ 0."""
@@ -84,24 +81,34 @@ def eval_ms(v, w, p: MsParams = MsParams(), below=None):
     return i_ion, g
 
 
+# name -> (evaluator, default parameter record; None where the model has none).
+MODELS = {
+    "fhn": (eval_fhn, None),
+    "rm": (eval_rm, None),
+    "ap": (eval_ap, ApParams()),
+    "ms": (eval_ms, MsParams()),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
 @dataclass(frozen=True)
 class IonicModel:
     """Named reaction pair with its parameter record.
 
-    Calling the model with nodal vectors (v, w) returns (i_ion, g).
+    ``kind`` names an entry of ``MODELS`` and ``params`` has the type of its
+    default, else ValueError.  Called with nodal vectors (v, w), returns (i_ion, g).
     """
 
     kind: str
     params: ApParams | MsParams | None = None
 
+    def __post_init__(self):
+        if self.kind not in MODELS or type(self.params) is not type(MODELS[self.kind][1]):
+            raise ValueError(f"no ionic model {self.kind!r} with parameters {self.params!r} in MODELS")
+
     def __call__(self, v, w):
-        if self.kind == "fhn":
-            return eval_fhn(v, w)
-        if self.kind == "rm":
-            return eval_rm(v, w)
-        if self.kind == "ap":
-            return eval_ap(v, w, self.params)
-        return eval_ms(v, w, self.params)
+        evaluate = MODELS[self.kind][0]
+        return evaluate(v, w) if self.params is None else evaluate(v, w, self.params)
 
 
 def spectral_radius(model: IonicModel, v, w) -> float:
@@ -130,21 +137,17 @@ def spectral_radius(model: IonicModel, v, w) -> float:
 def make_model(name: str, **overrides) -> IonicModel:
     """Build an IonicModel by short name, with optional parameter overrides.
 
-    fhn and rm have no parameters; ap takes ApParams fields, ms MsParams
-    fields.  Unknown names or parameters raise ValueError.
+    Overrides are fields of the model's parameter record in ``MODELS``.
+    Unknown names or parameters raise ValueError.
     """
     name = name.lower()
-    if name not in MODEL_NAMES:
+    if name not in MODELS:
         raise ValueError(f"unknown ionic model {name!r}; valid: {', '.join(MODEL_NAMES)}")
-    if name in ("fhn", "rm"):
-        if overrides:
-            raise ValueError(f"model {name!r} has no tunable parameters")
-        return IonicModel(name)
-    params = ApParams() if name == "ap" else MsParams()
-    valid = {f.name for f in fields(params)}
+    params = MODELS[name][1]
+    valid = set() if params is None else {f.name for f in fields(params)}
     unknown = set(overrides) - valid
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for model {name!r}; valid: {sorted(valid)}"
         )
-    return IonicModel(name, replace(params, **overrides))
+    return IonicModel(name, None if params is None else replace(params, **overrides))

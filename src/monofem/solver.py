@@ -74,7 +74,8 @@ class MonodomainSolver:
     """Holds the assembled system and the discrete trajectory for one run.
 
     ``multigrid`` is the V-cycle that preconditions CG on S, or None.  Its
-    grids are the uniform mesh halved while both cell counts are even and
+    list of grids, built once by ``_multigrid``, starts at the cells of the
+    uniform mesh and halves them while both cell counts are even and
     k / H^2 >= 1 on the coarse spacing H.  A coarser S is dominated by the
     mass matrix and plain CG needs few iterations on it, so the hierarchy
     has more than one level only for k >= 4 h^2; at k = h^2 CG stays plain.
@@ -134,7 +135,8 @@ def _multigrid(mesh: TriMesh, S: DiaMatrix, k: float) -> VCycle | None:
         return None
     if S.nrows != (nx + 1) * (ny + 1) or S.offsets.tolist() != grid_offsets(nx):
         return None
-    levels, cx, cy, H = 1, nx, ny, 2 * mesh.h
-    while cx % 2 == 0 and cy % 2 == 0 and k >= H * H:
-        levels, cx, cy, H = levels + 1, cx // 2, cy // 2, 2 * H
-    return VCycle(S, nx, ny, levels) if levels > 1 else None
+    grids, H = [(nx, ny)], 2 * mesh.h
+    while nx % 2 == 0 and ny % 2 == 0 and k >= H * H:
+        nx, ny, H = nx // 2, ny // 2, 2 * H
+        grids.append((nx, ny))
+    return VCycle(S, grids) if len(grids) > 1 else None

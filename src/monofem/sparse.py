@@ -151,12 +151,16 @@ def cg_solve(
     z is r itself.  Either way the stopping test and the residual reported
     on failure are ||r||, not the recurrence scalar r.z.
 
+    CG runs on b 2^-e and x0 2^-e, e the binary exponent of max |b|, and
+    scales x and reported norms back: no norm or p.Ap under- or overflows,
+    and the iterates are exactly the unscaled ones wherever those are normal.
+
     Returns:
         (x, iterations)
 
     Raises:
         ValueError: rel_tol is not finite and positive.
-        NoConvergence: tolerance not met within max_iter iterations, ||b|| not
+        NoConvergence: tolerance not met within max_iter iterations, b not
             finite, or breakdown (p.Ap not finite and positive, so A is not
             SPD); ``iterations`` is then the iteration that broke down.
     """
@@ -167,17 +171,19 @@ def cg_solve(
         raise DimensionMismatch("cg_solve needs a square matrix and matching rhs")
     if max_iter is None:
         max_iter = 10 * A.nrows
-    bnorm = np.linalg.norm(b)
-    if not np.isfinite(bnorm):
-        raise NoConvergence(f"right-hand side norm is {bnorm}", residual=float(bnorm), iterations=0)
-    if bnorm == 0.0:
+    bmax = np.abs(b).max()
+    if not np.isfinite(bmax):
+        raise NoConvergence(f"right-hand side max |b| is {bmax}", residual=float(bmax), iterations=0)
+    if bmax == 0.0:
         return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    e = int(np.frexp(bmax)[1])
+    b = np.ldexp(b, -e)
+    x = np.zeros_like(b) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -e)
     r = b - spmv(A, x)
     rr = r @ r
-    tol = rel_tol * bnorm
+    tol = rel_tol * np.linalg.norm(b)
     if np.sqrt(rr) <= tol:
-        return x, 0
+        return np.ldexp(x, e), 0
     z, rz = _preconditioned(precondition, r, rr)
     p = z.copy()
     for it in range(1, max_iter + 1):
@@ -185,7 +191,7 @@ def cg_solve(
         pAp = p @ Ap
         if not 0 < pAp < math.inf:
             raise NoConvergence(f"CG breakdown in iteration {it}: p.Ap = {pAp}",
-                                residual=float(np.sqrt(rr)), iterations=it)
+                                residual=float(np.ldexp(np.sqrt(rr), e)), iterations=it)
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
@@ -195,17 +201,18 @@ def cg_solve(
             r = b - spmv(A, x)
             rr = r @ r
             if np.sqrt(rr) <= tol:
-                return x, it
+                return np.ldexp(x, e), it
             z, rz = _preconditioned(precondition, r, rr)
             p = z.copy()
             continue
         z, rz_new = _preconditioned(precondition, r, rr)
         p = z + (rz_new / rz) * p
         rz = rz_new
+    residual, target = np.ldexp([np.sqrt(rr), tol], e)
     raise NoConvergence(
-        f"CG did not converge in {max_iter} iterations (residual {np.sqrt(rr):.3e}, "
-        f"target {tol:.3e})",
-        residual=float(np.sqrt(rr)),
+        f"CG did not converge in {max_iter} iterations (residual {residual:.3e}, "
+        f"target {target:.3e})",
+        residual=float(residual),
         iterations=max_iter,
     )
 
@@ -293,20 +300,19 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
 class VCycle:
     """Symmetric V(1,1) multigrid cycle, z = B r with B ~ S^-1 SPD.
 
-    Levels are nested uniform grids, from nx x ny cells halved ``levels - 1``
-    times, with Galerkin operators P^T S P.  Each level smooths once before
-    and once after the coarse correction by damped Jacobi (weight
-    JACOBI_WEIGHT, lowered where needed to keep B SPD); the coarsest level
-    does COARSE_SWEEPS Jacobi sweeps.  Every matrix product goes
-    through ``spmv``.
+    ``grids`` lists the (nx, ny) cells of the nested uniform grids, finest
+    first: S lives on grids[0], and each later grid halves the one before.
+    Coarse operators are the Galerkin products P^T S P.  Each level smooths
+    once before and once after the coarse correction by damped Jacobi
+    (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
+    coarsest level does COARSE_SWEEPS Jacobi sweeps.  Every matrix product
+    goes through ``spmv``.
     """
 
-    def __init__(self, S: DiaMatrix, nx: int, ny: int, levels: int):
+    def __init__(self, S: DiaMatrix, grids: list[tuple[int, int]]):
         self.operators = [S]
-        self.cells = []  # coarse cells below each level but the last
-        for _ in range(levels - 1):
-            nx, ny = nx // 2, ny // 2
-            self.cells.append((nx, ny))
+        self.cells = grids[1:]  # coarse cells below each level but the last
+        for nx, ny in self.cells:
             self.operators.append(galerkin(self.operators[-1], nx, ny))
         self._weights = []
         for op in self.operators:

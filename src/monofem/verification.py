@@ -57,8 +57,9 @@ class InvalidWavenumber(ValueError):
 class ConvergenceRecord:
     """One refinement level of a study: mesh size, step size, error, rates.
 
-    ``sroc``/``troc`` are None at the first level, and also whenever the
-    corresponding resolution did not change between levels.
+    ``sroc``/``troc`` are None at the first level, whenever the
+    corresponding resolution did not change between levels, and at every
+    level once an error has underflowed to 0 (a rate needs two positive errors).
     ``reference_error`` is, in homogeneous mode, the L2 norm over the
     domain of the exact solution's self-estimated error (see
     ``converged_reference``), on the same scale as ``l2_error``; None in
@@ -254,20 +255,14 @@ def compute_rates(
     if min(errors) <= 0 or min(spacings) <= 0 or min(timesteps) <= 0:
         raise NonPositiveError("errors, spacings and timesteps must all be positive")
 
-    def rate(prev_e, cur_e, prev_x, cur_x):
-        if prev_x == cur_x:
-            return None
-        return math.log(prev_e / cur_e) / math.log(prev_x / cur_x)
+    def rates(xs):
+        return [None] + [
+            None if xs[n - 1] == xs[n]
+            else math.log(errors[n - 1] / errors[n]) / math.log(xs[n - 1] / xs[n])
+            for n in range(1, len(errors))
+        ]
 
-    sroc = [None] + [
-        rate(errors[n - 1], errors[n], spacings[n - 1], spacings[n])
-        for n in range(1, len(errors))
-    ]
-    troc = [None] + [
-        rate(errors[n - 1], errors[n], timesteps[n - 1], timesteps[n])
-        for n in range(1, len(errors))
-    ]
-    return sroc, troc
+    return rates(spacings), rates(timesteps)
 
 
 @dataclass(frozen=True)
@@ -326,7 +321,8 @@ class StudyConfig:
                         self.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, dt, steps)
                 else:
                     where = "at the initial data"
-                    states = _initial_states(problem, h)
+                    x, y = build_uniform_mesh(DEFAULT_BOUNDS, h).nodes.T
+                    states = problem.v_exact(x, y, 0.0), problem.w_exact(x, y, 0.0)
                 rho = spectral_radius(self.model, *states)
                 if dt * rho > 2:
                     raise ValueError(
@@ -342,15 +338,6 @@ class StudyConfig:
         if self.dt_rule == "h2":
             return hs, [h * h for h in hs]
         return hs, [float(self.dt_rule)] * len(hs)
-
-
-def _initial_states(problem: ManufacturedProblem, h: float):
-    """Manufactured (v0, w0) on the nodes of the mesh of spacing h."""
-    xmin, ymin, xmax, ymax = DEFAULT_BOUNDS
-    nx, ny = grid_cells(DEFAULT_BOUNDS, h)
-    x = np.linspace(xmin, xmax, nx + 1)[None, :]
-    y = np.linspace(ymin, ymax, ny + 1)[:, None]
-    return problem.v_exact(x, y, 0.0), problem.w_exact(x, y, 0.0)
 
 
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
@@ -381,7 +368,8 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         errors.append(l2_norm(solver.mass, final.v - interpolate_nodal(mesh, v_final)))
         del mesh, solver, final  # free this level before the next one is assembled
 
-    sroc, troc = compute_rates(errors, hs, dts) if len(errors) >= 2 else ([None], [None])
+    measurable = len(errors) >= 2 and min(errors) > 0
+    sroc, troc = compute_rates(errors, hs, dts) if measurable else ([None] * len(errors),) * 2
     return [
         ConvergenceRecord(level, *row, sroc[level], troc[level], reference_error)
         for level, row in enumerate(zip(hs, dts, steps, errors))

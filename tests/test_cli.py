@@ -152,6 +152,16 @@ EXIT_PATHS = {
     "reaction-jacobian-overflow": (
         ["--model", "ap", "--param", "k=1e300", "--levels", "1/8", "--t-final", "1/64"], 2
     ),
+    # Every node starts above the raised gate, so the check at the initial
+    # data never sees the tau_open branch.  Once v = exp(-t) falls below it
+    # (step 69), the explicit w update grows 9x per step and overflows near
+    # step 390 while v stays finite.  A check along the manufactured
+    # trajectory would make this a usage error (2).
+    "non-finite-state": (
+        ["--mode", "manufactured", "--model", "ms", "--wavenumber", "0", "--param", "u_gate=0.5",
+         "--param", "tau_open=0.001", "--param", "tau_in=1e300", "--dt", "0.01",
+         "--t-final", "5", "--levels", "1/4"], 3
+    ),
 }
 
 
@@ -163,6 +173,22 @@ def test_main_exit_codes(capsys, args, code):
     assert main(["study", *args]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1  # one-line message, no traceback
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    # A stable run whose state decays to about 1e-154 by step 507: p.Ap
+    # underflowed to 0 and CG reported a breakdown (exit 3).
+    ["--dt", "0.5", "--t-final", "300", "--levels", "1/4"],
+    # Later the computed and the exact state underflow to 0 on both levels.
+    # A zero error has no rate, so both rate columns stay blank.
+    ["--dt", "0.5", "--t-final", "600", "--levels", "1/2,1/4"],
+], ids=["tiny", "zero"])
+def test_main_state_decaying_below_the_normal_range(capsys, args):
+    assert main(["study", "--model", "fhn", *args]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1].endswith(",,")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

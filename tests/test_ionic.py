@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from monofem.ionic import (
+    MODEL_NAMES,
+    MODELS,
     ApParams,
+    IonicModel,
     MsParams,
     SingularDenominator,
     eval_ap,
@@ -110,6 +113,27 @@ def test_make_model_validation():
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
                 make_model("ms", **{name: bad})
+
+
+@pytest.mark.parametrize("kind,params", [("FHN", None), ("ap", None), ("bogus", None),
+                                         ("fhn", ApParams())])
+def test_ionic_model_rejects_what_the_table_lacks(kind, params):
+    # Each once fell through to an evaluator without its parameters and
+    # ended in an AttributeError at the first call.
+    with pytest.raises(ValueError):
+        IonicModel(kind, params)
+
+
+EVALUATORS = {"fhn": eval_fhn, "rm": eval_rm, "ap": eval_ap, "ms": eval_ms}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_model_table_drives_make_model(name):
+    assert MODEL_NAMES == tuple(MODELS) == tuple(EVALUATORS)
+    rng = np.random.default_rng(3)
+    v, w = rng.uniform(-0.2, 1.2, 50), rng.uniform(0.0, 2.0, 50)
+    for got, want in zip(make_model(name)(v, w), EVALUATORS[name](v, w)):
+        assert np.array_equal(got, want)
 
 
 def test_models_vectorized_matches_scalar():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -291,12 +293,20 @@ def test_cg_no_convergence():
 
 @pytest.mark.parametrize("entry", [np.nan, 1e200])
 def test_cg_non_finite_rhs_norm(entry):
-    # NaN once spun 10 n iterations; 1e200 overflowed ||b|| to inf, so the
-    # tolerance was inf and x0 came back as converged.
+    # NaN once spun 10 n iterations, and must raise before the first one.
+    # 1e200 once overflowed ||b|| to inf, so the tolerance was inf and x0
+    # came back as converged; then it raised.  CG on b scaled by a power of
+    # two solves it.
     A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
-    with np.errstate(over="ignore"), pytest.raises(NoConvergence) as info:
-        cg_solve(A, np.array([entry, 1.0]), x0=np.zeros(2))
-    assert info.value.iterations == 0
+    b = np.array([entry, 1.0])
+    if np.isnan(entry):
+        with pytest.raises(NoConvergence) as info:
+            cg_solve(A, b, x0=np.zeros(2))
+        assert info.value.iterations == 0
+        return
+    x, _ = cg_solve(A, b, x0=np.zeros(2))
+    assert math.hypot(*(b - spmv(A, x))) <= 1e-10 * math.hypot(*b)  # hypot: no overflow
+    assert x[0] == 5e199
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -423,7 +433,7 @@ def hierarchy(draw):
         halvings += 1
     levels = draw(st.integers(2, halvings + 1))
     return VCycle(system(fine_mesh(cx, cy), draw(stiff_k), draw(diffusion())),
-                  2 * cx, 2 * cy, levels)
+                  [(2 * cx // 2**i, 2 * cy // 2**i) for i in range(levels)])
 
 
 # D with off-diagonal entries against the mesh diagonal: lambda_max of
@@ -431,7 +441,7 @@ def hierarchy(draw):
 # would give B eigenvalues < 0.
 ROTATED = np.array([[1.0, -0.99], [-0.99, 1.0]])
 ROTATED_CYCLE = VCycle(system(fine_mesh(8, 8), 10.0, DiffusionTensor(lambda x, y: ROTATED, ROTATED)),
-                       16, 16, 5)
+                       [(16, 16), (8, 8), (4, 4), (2, 2), (1, 1)])
 
 
 @given(hierarchy(), st.integers(0, 2**32 - 1))
@@ -464,3 +474,20 @@ def test_multigrid_pcg_property(B, seed):
     residuals = np.linalg.norm(b - dense @ x) + np.linalg.norm(b - dense @ expect)
     lam_min = np.linalg.eigvalsh(dense)[0]
     assert np.linalg.norm(x - expect) <= residuals / lam_min * (1 + 1e-9) + 1e-14 * bnorm / lam_min
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [-1000, 0, 900])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cg_scale_free(e, preconditioned):
+    # At 2^-1000 the norms underflowed (x = 0 after 0 iterations) and at
+    # 2^900 they overflowed; power-of-two scaling keeps every bit.
+    A = system(fine_mesh(8, 8), 10.0, DiffusionTensor.diagonal(1.0, 1.0))
+    B = VCycle(A, [(16, 16), (8, 8), (4, 4)]) if preconditioned else None
+    rng = np.random.default_rng(5)
+    b, x0 = rng.uniform(-1, 1, A.nrows), rng.uniform(-1, 1, A.nrows)
+    x, iterations = cg_solve(A, b, x0=x0, precondition=B)
+    assert iterations > 1
+    x_scaled, iterations_scaled = cg_solve(A, np.ldexp(b, e), x0=np.ldexp(x0, e), precondition=B)
+    assert iterations_scaled == iterations
+    assert np.array_equal(x_scaled, np.ldexp(x, e))
