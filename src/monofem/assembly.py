@@ -93,8 +93,8 @@ def _scatter(mesh: TriMesh, local: np.ndarray) -> DiaMatrix:
 def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:
     """Vector of f evaluated at the mesh nodes, in node order.
 
-    ``f`` may be a scalar constant or a vectorized callable of (x, y)
-    arrays that returns one value per node or a single scalar.
+    ``f`` may be a scalar constant, an array of one value per node, or a
+    vectorized callable of (x, y) arrays that returns either of those.
 
     Raises:
         ValueError: f returns any other shape.

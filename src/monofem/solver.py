@@ -44,9 +44,10 @@ class SolverState:
 class SolverConfig:
     """Run configuration for a single monodomain solve.
 
-    ``v0`` and ``w0`` are functions of (x, y) or scalar constants.
-    ``i_app`` and ``w_source`` are space-time callables (x, y, t) -> value;
-    w_source is only nonzero in manufactured-solution runs.
+    ``v0`` and ``w0`` are functions of (x, y), arrays of nodal values or
+    scalar constants.  ``source``, used only by manufactured-solution runs,
+    maps t to the nodal sources (i_app, w_source) added to (i_ion, g) at
+    that time level.
     """
 
     k: float
@@ -55,8 +56,7 @@ class SolverConfig:
     diffusion: DiffusionTensor = IDENTITY_DIFFUSION
     v0: object = 0.0
     w0: object = 0.0
-    i_app: Callable | None = None
-    w_source: Callable | None = None
+    source: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
     cg_rel_tol: float = DEFAULT_CG_TOL
 
     def n_steps(self) -> int:
@@ -96,8 +96,6 @@ class MonodomainSolver:
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)
         self.state = SolverState(v=v, w=w, t=0.0, n=0)
-        self._x = mesh.nodes[:, 0]
-        self._y = mesh.nodes[:, 1]
 
     def step(self) -> SolverState:
         """Advance one time level; returns the new state."""
@@ -106,10 +104,9 @@ class MonodomainSolver:
         i_ion, g = cfg.ionic(s.v, s.w)
         f = np.asarray(i_ion, dtype=float)
         g = np.broadcast_to(np.asarray(g, dtype=float), s.w.shape)
-        if cfg.i_app is not None:
-            f = f + cfg.i_app(self._x, self._y, s.t)
-        if cfg.w_source is not None:
-            g = g + cfg.w_source(self._x, self._y, s.t)
+        if cfg.source is not None:
+            i_app, w_source = cfg.source(s.t)
+            f, g = f + i_app, g + w_source
         rhs = spmv(self.mass, s.v + k * f)
         v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=cfg.cg_rel_tol,
                             precondition=self.multigrid)

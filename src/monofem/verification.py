@@ -196,6 +196,7 @@ class ManufacturedProblem:
     ``DEFAULT_BOUNDS`` of side L with omega = m pi / L.  An integer m >= 0
     makes the conormal flux vanish on the boundary; the diffusion tensor
     must be constant diagonal for the same reason (else InvalidWavenumber).
+    The sources ``i_app(v)`` and ``w_source(v)`` take the exact nodal v.
     """
 
     def __init__(
@@ -213,27 +214,31 @@ class ManufacturedProblem:
         self.diffusion = diffusion
 
     def v_exact(self, x, y, t):
+        return self.v_on(x, y)(t)
+
+    def v_on(self, x, y):
+        """t -> v_exact(x, y, t), with the cosines at (x, y) computed once."""
         xmin, ymin = DEFAULT_BOUNDS[0], DEFAULT_BOUNDS[1]
         om = self.omega
-        return np.exp(-t) * np.cos(om * (x - xmin)) * np.cos(om * (y - ymin))
+        cx, cy = np.cos(om * (x - xmin)), np.cos(om * (y - ymin))
+        return lambda t: np.exp(-t) * cx * cy
 
-    def w_exact(self, x, y, t):
-        return 0.5 * self.v_exact(x, y, t)
-
-    def i_app(self, x, y, t):
-        # v_t - div(D grad v) - i_ion(v, w); each Laplacian direction
-        # contributes -omega^2 v for the separable cosine product.
-        v = self.v_exact(x, y, t)
-        w = 0.5 * v
+    def i_app(self, v):
+        # v_t - div(D grad v) - i_ion(v, w) at w = v / 2: v_t = -v, and each
+        # Laplacian direction contributes -omega^2 v for the cosine product.
         dxx, dyy = self.diffusion.constant[0, 0], self.diffusion.constant[1, 1]
-        i_ion, _ = self.model(v, w)
+        i_ion, _ = self.model(v, 0.5 * v)
         return -v + (dxx + dyy) * self.omega**2 * v - i_ion
 
-    def w_source(self, x, y, t):
-        v = self.v_exact(x, y, t)
+    def w_source(self, v):
+        # w_t - g(v, w) at w = v / 2
         w = 0.5 * v
         _, g = self.model(v, w)
         return -w - g
+
+    def sources(self, v):
+        """(i_app(v), w_source(v)), the nodal sources of ``SolverConfig.source``."""
+        return self.i_app(v), self.w_source(v)
 
 
 def compute_rates(
@@ -273,8 +278,8 @@ class StudyConfig:
     spacings (with dt from ``dt_rule``), "timestep" treats them as time
     steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
     inputs, every level included, are checked here before any compute,
-    down to the stability of the explicit reaction step: along the whole
-    trajectory in homogeneous mode, at the initial data in manufactured mode.
+    down to the stability of the explicit reaction step along the whole
+    trajectory.
     """
 
     model: IonicModel
@@ -301,33 +306,29 @@ class StudyConfig:
             raise ValueError("levels must be strictly decreasing")
         if not 0 < self.cg_rel_tol < math.inf:
             raise ValueError(f"CG tolerance must be finite and positive, got {self.cg_rel_tol!r}")
-        problem = None
         if self.mode == "manufactured":  # checks m, D
-            problem = ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)
-        levels = []
-        for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
-            grid_cells(DEFAULT_BOUNDS, h)
-            steps = SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
-            levels.append((h, dt, steps))
+            ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)
         # The reaction step is forward Euler, stable only while dt * rho(J) <= 2.
         # In homogeneous mode diffusion vanishes and the scheme's solution is
-        # the cell recursion, so every state of it is checked; in manufactured
-        # mode, the initial data on the level's nodes.
+        # the cell recursion, so every state of it is checked.  In manufactured
+        # mode the exact states up to T - dt are (u, u / 2) with u = exp(-t) C,
+        # and C fills [-1, 1] (m >= 1) or is 1 (m = 0): that interval is sampled.
         with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as rho = inf
-            for h, dt, steps in levels:
-                if problem is None:
-                    where = "along the homogeneous trajectory"
+            for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
+                grid_cells(DEFAULT_BOUNDS, h)
+                steps = SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
+                if self.mode == "homogeneous":
                     states = discrete_cell_trajectory(
                         self.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, dt, steps)
                 else:
-                    where = "at the initial data"
-                    x, y = build_uniform_mesh(DEFAULT_BOUNDS, h).nodes.T
-                    states = problem.v_exact(x, y, 0.0), problem.w_exact(x, y, 0.0)
+                    lowest = -1.0 if self.wavenumber_index else math.exp(-dt * (steps - 1))
+                    u = np.linspace(lowest, 1.0, 2**14)
+                    states = u, 0.5 * u
                 rho = spectral_radius(self.model, *states)
                 if dt * rho > 2:
                     raise ValueError(
-                        f"dt={dt:g} makes the explicit reaction step unstable {where} "
-                        f"(h={h:g}): dt * rho(J) = {dt * rho:.3g} > 2"
+                        f"dt={dt:g} makes the explicit reaction step unstable along the "
+                        f"{self.mode} trajectory (h={h:g}): dt * rho(J) = {dt * rho:.3g} > 2"
                     )
 
     def resolutions(self) -> tuple[list[float], list[float]]:
@@ -343,12 +344,9 @@ class StudyConfig:
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Run every refinement level and attach observed rates."""
     hs, dts = cfg.resolutions()
-    # Initial data and sources of every level, and the exact v at t_final.
+    # Homogeneous initial data and the exact v at t_final; manufactured ones per level.
     if cfg.mode == "manufactured":
         p = ManufacturedProblem(cfg.wavenumber_index, cfg.model, cfg.diffusion)
-        data = dict(v0=lambda x, y: p.v_exact(x, y, 0.0), w0=lambda x, y: p.w_exact(x, y, 0.0),
-                    i_app=p.i_app, w_source=p.w_source)
-        v_final = lambda x, y: p.v_exact(x, y, cfg.t_final)
         reference_error = None
     else:
         data = dict(v0=HOMOGENEOUS_V0, w0=HOMOGENEOUS_W0)
@@ -360,6 +358,10 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     steps, errors = [], []
     for h, dt in zip(hs, dts):
         mesh = build_uniform_mesh(DEFAULT_BOUNDS, h)
+        if cfg.mode == "manufactured":
+            v_at = p.v_on(*mesh.nodes.T)  # the cosines of this level, computed once
+            v0, v_final = v_at(0.0), v_at(cfg.t_final)
+            data = dict(v0=v0, w0=0.5 * v0, source=lambda t: p.sources(v_at(t)))
         scfg = SolverConfig(k=dt, t_final=cfg.t_final, ionic=cfg.model, diffusion=cfg.diffusion,
                             cg_rel_tol=cfg.cg_rel_tol, **data)
         solver = MonodomainSolver(mesh, scfg)

@@ -45,6 +45,14 @@ def test_parse_rejects_unknown_flag_and_bad_values():
         parse_config(["study", "--wavenumber", "x"])
 
 
+# Stable at the initial data, unstable further along the manufactured trajectory.
+NON_FINITE_STATE = [
+    "--mode", "manufactured", "--model", "ms", "--wavenumber", "0", "--param", "u_gate=0.5",
+    "--param", "tau_open=0.001", "--param", "tau_in=1e300", "--dt", "0.01",
+    "--t-final", "5", "--levels", "1/4",
+]
+
+
 def test_parse_rejects_bad_levels_before_any_compute(monkeypatch):
     # parse_config runs no study, so these are found at parse time.
     import monofem.cli as cli
@@ -57,6 +65,7 @@ def test_parse_rejects_bad_levels_before_any_compute(monkeypatch):
         ["--model", "ms", "--levels", "1/8,1/16,1/32,1/64,1/129"],
         ["--model", "ms", "--t-final", "0.3"],
         ["--diffusion", "1,0"],
+        NON_FINITE_STATE,  # unstable along the manufactured trajectory
     ):
         with pytest.raises(UsageError):
             parse_config(["study", *args])
@@ -152,16 +161,10 @@ EXIT_PATHS = {
     "reaction-jacobian-overflow": (
         ["--model", "ap", "--param", "k=1e300", "--levels", "1/8", "--t-final", "1/64"], 2
     ),
-    # Every node starts above the raised gate, so the check at the initial
-    # data never sees the tau_open branch.  Once v = exp(-t) falls below it
-    # (step 69), the explicit w update grows 9x per step and overflows near
-    # step 390 while v stays finite.  A check along the manufactured
-    # trajectory would make this a usage error (2).
-    "non-finite-state": (
-        ["--mode", "manufactured", "--model", "ms", "--wavenumber", "0", "--param", "u_gate=0.5",
-         "--param", "tau_open=0.001", "--param", "tau_in=1e300", "--dt", "0.01",
-         "--t-final", "5", "--levels", "1/4"], 3
-    ),
+    # Every node starts above the raised gate.  Once v = exp(-t) falls below
+    # it (step 69), dt * rho(J) = 10 on the tau_open branch: once exit 3, as
+    # the explicit w update grew 9x per step and overflowed near step 390.
+    "non-finite-state": (NON_FINITE_STATE, 2),
 }
 
 

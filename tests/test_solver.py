@@ -91,9 +91,10 @@ def test_cg_iteration_counts_pinned(monkeypatch):
     homogeneous = paper_config(make_model("ap"), h=h, t_final=h * h)  # one level: plain CG
     assert first_step_cg_iterations(monkeypatch, mesh, homogeneous) == [20]
     p = ManufacturedProblem(1, make_model("fhn"))
+    v_at = p.v_on(*mesh.nodes.T)
     manufactured = SolverConfig(
-        k=1 / 40, t_final=1 / 40, ionic=p.model, i_app=p.i_app, w_source=p.w_source,
-        v0=lambda x, y: p.v_exact(x, y, 0.0), w0=lambda x, y: p.w_exact(x, y, 0.0),
+        k=1 / 40, t_final=1 / 40, ionic=p.model, v0=v_at(0.0), w0=0.5 * v_at(0.0),
+        source=lambda t: p.sources(v_at(t)),
     )
     # Stiff (k / h^2 = 102): multigrid-preconditioned, 4 levels; plain CG took 230.
     assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [12]
@@ -242,14 +243,23 @@ def test_non_finite_state_detected():
 
 
 def test_manufactured_source_hooks():
-    # i_app and w_source enter at the previous time level
+    # Step n + 1 adds source(t_n), the sources of the previous time level.
+    # They grow with t, so a source taken at t_{n+1} would give other sums.
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    cfg = SolverConfig(
-        k=1 / 64, t_final=1 / 64, ionic=ZeroReaction(),
-        v0=0.0, w0=0.0,
-        i_app=lambda x, y, t: np.ones_like(x),
-        w_source=lambda x, y, t: 2.0 * np.ones_like(x),
-    )
-    state = MonodomainSolver(mesh, cfg).step()
-    np.testing.assert_allclose(state.v, 1 / 64, atol=1e-11)
-    np.testing.assert_allclose(state.w, 2 / 64, atol=1e-14)
+    ones = np.ones(mesh.n_nodes)
+    times = []
+
+    def source(t):
+        times.append(t)
+        return (1 + 64 * t) * ones, 2 * (1 + 64 * t) * ones
+
+    k = 1 / 64
+    cfg = SolverConfig(k=k, t_final=2 * k, ionic=ZeroReaction(), source=source)
+    solver = MonodomainSolver(mesh, cfg)
+    state = solver.step()  # uniform sources keep v uniform: A 1 = 0
+    np.testing.assert_allclose(state.v, k * 1, atol=1e-11)
+    np.testing.assert_allclose(state.w, k * 2, atol=1e-14)
+    state = solver.step()
+    np.testing.assert_allclose(state.v, k * (1 + 2), atol=1e-11)
+    np.testing.assert_allclose(state.w, k * (2 + 4), atol=1e-14)
+    assert times == [0.0, k]

@@ -168,7 +168,7 @@ def test_manufactured_zero_wavenumber_is_spatially_constant():
     np.testing.assert_allclose(v, math.exp(-0.3))
     # diffusion term drops out: i_app = -v - i_ion(v, 0.5 v)
     i_ion, _ = prob.model(v, 0.5 * v)
-    np.testing.assert_allclose(prob.i_app(x, y, 0.3), -v - i_ion, atol=1e-14)
+    np.testing.assert_allclose(prob.i_app(prob.v_exact(x, y, 0.3)), -v - i_ion, atol=1e-14)
 
 
 def test_manufactured_corner_value():
@@ -182,7 +182,7 @@ def test_manufactured_divergence_term():
     prob = ManufacturedProblem(1)
     v = prob.v_exact(0.0, 0.0, 0.0)
     i_ion, _ = prob.model(v, 0.5 * v)
-    div_term = prob.i_app(0.0, 0.0, 0.0) + v + i_ion
+    div_term = prob.i_app(prob.v_exact(0.0, 0.0, 0.0)) + v + i_ion
     assert div_term == pytest.approx(2 * OMEGA**2 * math.cos(OMEGA * 1.25) ** 2, rel=1e-12)
 
 
@@ -199,9 +199,9 @@ def test_manufactured_source_consistency_finite_differences():
         + prob.v_exact(x, y + d, t) + prob.v_exact(x, y - d, t) - 4 * v
     ) / d**2
     i_ion, g = prob.model(v, w)
-    assert prob.i_app(x, y, t) == pytest.approx(v_t - lap - i_ion, abs=1e-5)
+    assert prob.i_app(prob.v_exact(x, y, t)) == pytest.approx(v_t - lap - i_ion, abs=1e-5)
     w_t = -0.5 * v
-    assert prob.w_source(x, y, t) == pytest.approx(w_t - g, abs=1e-12)
+    assert prob.w_source(prob.v_exact(x, y, t)) == pytest.approx(w_t - g, abs=1e-12)
 
 
 def test_compute_rates_paper_first_transition():
@@ -295,8 +295,8 @@ def test_study_config_rejects_unstable_reaction_step():
     assert 20 * spectral_radius(ms, 0.2, 0.1) < 2
     with pytest.raises(ValueError, match="unstable along the homogeneous trajectory"):
         StudyConfig(model=ms, levels=[1 / 4], dt_rule=20, t_final=100)
-    # Manufactured data is checked at every node: v0 spans [-1, 1] with
-    # w0 = v0 / 2, and rho(J) = 4.96 at v0 = -1, so dt must be <= 0.403.
+    # Manufactured states are checked over the exact solution's range: v spans
+    # [-1, 1] with w = v / 2, and rho(J) = 4.96 at v = -1, so dt must be <= 0.403.
     manufactured = dict(model=fhn, mode="manufactured", levels=[1 / 4], t_final=2.0)
     StudyConfig(dt_rule=0.4, **manufactured)
     with pytest.raises(ValueError, match="unstable"):
