@@ -3,18 +3,27 @@
 Each square cell of an N x N grid is split into two triangles along the
 diagonal from its lower-left to its upper-right corner.  Nodes are ordered
 row-major by (y, x) so that matrix sparsity patterns are reproducible.
+A mesh computes its triangle geometry and the layout of its P1 element
+matrices once, on first use, and every operator assembled on it shares them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .sparse import TripletLayout
 
 DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
 
 class NonDivisibleSpacing(ValueError):
     """Rectangle side length is not an integer multiple of the grid spacing."""
+
+
+class DegenerateTriangle(ValueError):
+    """A triangle is clockwise or has zero area (signed area <= 0)."""
 
 
 @dataclass(frozen=True)
@@ -26,6 +35,11 @@ class TriMesh:
         triangles: (n_triangles, 3) array of node indices, counterclockwise.
         h: grid spacing of the underlying square cells.
         bounds: (xmin, ymin, xmax, ymax).
+
+    ``geometry`` (areas and basis gradients) and ``p1_layout`` (where each
+    element-matrix entry goes in DIA storage) are computed on first use and
+    cached on the mesh.  The geometry arrays, like ``nodes`` and
+    ``triangles``, are read-only.
     """
 
     nodes: np.ndarray
@@ -46,6 +60,19 @@ class TriMesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """(areas, grads) of every triangle; see ``all_triangle_geometry``."""
+        return _triangle_geometry(self.nodes, self.triangles)
+
+    @cached_property
+    def p1_layout(self) -> TripletLayout:
+        """DIA layout of the P1 element triplets: entry (i, j) of the 3 x 3
+        element matrix of triangle t is triplet 9 t + 3 i + j, at row
+        ``triangles[t, i]`` and column ``triangles[t, j]``."""
+        tri = self.triangles
+        return TripletLayout(self.n_nodes, self.n_nodes, tri[:, :, None], tri[:, None, :])
 
 
 def grid_cells(bounds, h: float) -> tuple[int, int]:
@@ -89,22 +116,38 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
 
 
 def all_triangle_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Areas and P1 nodal basis gradients of every triangle.
+    """Areas and P1 nodal basis gradients of every triangle, cached on the
+    mesh and read-only.
 
     Returns:
         areas: (n_triangles,) array.
         grads: (n_triangles, 3, 2) array; grads[t, i] is the constant
             gradient of the basis function attached to vertex i of
             triangle t.  The three gradients of a triangle sum to zero.
-    """
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
-        p1[:, 1] - p0[:, 1]
-    )
-    areas = 0.5 * det
-    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
-    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
-    grads = np.stack([b, c], axis=2) / det[:, None, None]
-    return areas, grads
 
+    Raises:
+        DegenerateTriangle: some triangle's signed area is not positive
+            (clockwise, collinear or non-finite vertices).
+    """
+    return mesh.geometry
+
+
+def _triangle_geometry(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    (x0, x1, x2), (y0, y1, y2) = nodes[:, 0][triangles.T], nodes[:, 1][triangles.T]
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+    bad = np.flatnonzero(~(det > 0))
+    if len(bad):
+        t = int(bad[0])
+        raise DegenerateTriangle(
+            f"triangle {t} (nodes {triangles[t].tolist()}) has signed area {0.5 * det[t]!r}; "
+            "every triangle must be counterclockwise with positive area"
+        )
+    areas = 0.5 * det
+    # Stored as [component, vertex, triangle], so each component of each
+    # vertex is contiguous over the triangles; grads is a view of it.
+    by_component = np.array([[y1 - y2, y2 - y0, y0 - y1], [x2 - x1, x0 - x2, x1 - x0]])
+    by_component /= det
+    grads = by_component.transpose(2, 1, 0)
+    for a in (areas, grads):
+        a.setflags(write=False)
+    return areas, grads

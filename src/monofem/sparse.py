@@ -2,11 +2,13 @@
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
-diagonals, so assembly is one keyed sum and a product is seven
-shifted-slice multiply-adds.  CG solves symmetric positive definite
-systems, optionally preconditioned; ``VCycle`` is the preconditioner for
-P1 operators on nested uniform grids (prolongation, restriction and
-Galerkin coarse operators act on the node grid of ``mesh.py``).
+diagonals, so a product is seven shifted-slice multiply-adds.  A
+``TripletLayout`` maps each (row, col) of a fixed COO pattern to its slot
+in DIA storage once; every matrix on that pattern is then one keyed sum
+of its values.  CG solves symmetric positive definite systems, optionally
+preconditioned; ``VCycle`` is the preconditioner for P1 operators on
+nested uniform grids (prolongation, restriction and Galerkin coarse
+operators act on the node grid of ``mesh.py``).
 """
 from __future__ import annotations
 
@@ -57,7 +59,15 @@ class DiaMatrix:
     diagonals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=np.int64)
+        offsets = np.asarray(self.offsets)
+        if offsets.ndim != 1 or offsets.size and not np.issubdtype(offsets.dtype, np.integer):
+            raise DimensionMismatch(f"offsets must be a 1-d integer array, got {offsets!r}")
+        offsets = offsets.astype(np.int64)
+        if np.any(np.diff(offsets) <= 0):
+            raise DimensionMismatch(f"offsets {offsets.tolist()} are not strictly ascending")
+        if np.any((offsets <= -self.nrows) | (offsets >= self.ncols)):
+            raise DimensionMismatch(f"offsets {offsets.tolist()} leave a "
+                                    f"{self.nrows} x {self.ncols} matrix")
         data = np.asarray(self.data, dtype=float)
         if data.shape != (len(offsets), self.nrows):
             raise DimensionMismatch(f"data shape {data.shape} does not fit "
@@ -81,33 +91,67 @@ class DiaMatrix:
         return out
 
 
+class TripletLayout:
+    """Where each triplet of a fixed COO pattern lands in DIA storage.
+
+    The triplets sit at (rows, cols) of an nrows x ncols matrix, integer
+    arrays that broadcast to one shape, in C order of that shape.
+    ``key[p]`` is slot * nrows + row of triplet p, slot being the index in
+    ``offsets`` (read-only) of its diagonal, column - row: the position of
+    its entry in the flattened ``DiaMatrix.data``.  ``key`` is left
+    writeable, because np.bincount copies a read-only input; nothing writes
+    to it.  ``nnz`` counts the distinct (row, col) pairs.
+
+    Raises:
+        IndexOutOfRange: some row or column lies outside the matrix.
+    """
+
+    def __init__(self, nrows, ncols, rows, cols):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        diagonal = cols - rows  # a fresh array of the broadcast shape, reused as the key
+        if diagonal.size and (
+            rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
+        ):
+            raise IndexOutOfRange(f"triplet index outside {nrows} x {ncols}")
+        diagonal += nrows - 1  # offset + nrows - 1 >= 0
+        present = np.flatnonzero(np.bincount(diagonal.ravel(), minlength=nrows + ncols - 1))
+        slot = np.zeros(nrows + ncols - 1, dtype=np.int64)
+        slot[present] = np.arange(len(present))
+        # Every index is in range, so mode="clip" changes nothing; unlike the
+        # default mode it writes straight into ``out`` without a buffer.
+        key = np.take(slot, diagonal, out=diagonal, mode="clip")
+        key *= nrows
+        key += rows
+        self.nrows, self.ncols = nrows, ncols
+        self.offsets = present - (nrows - 1)
+        self.offsets.setflags(write=False)
+        self.key = key.ravel()
+        self.nnz = int(np.count_nonzero(np.bincount(self.key, minlength=len(present) * nrows)))
+
+    def assemble(self, vals) -> DiaMatrix:
+        """The DiaMatrix with triplet values ``vals`` (n_triplets, any shape,
+        C order), duplicates added in triplet order, starting from 0.0."""
+        vals = np.asarray(vals, dtype=float).ravel()
+        if vals.shape != self.key.shape:
+            raise DimensionMismatch(f"{vals.size} values for {self.key.size} triplets")
+        shape = (len(self.offsets), self.nrows)
+        data = np.bincount(self.key, weights=vals, minlength=shape[0] * shape[1])
+        return DiaMatrix(self.nrows, self.ncols, self.offsets, data.reshape(shape), self.nnz)
+
+
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     """Build a DiaMatrix from parallel COO arrays, summing duplicate (row, col) pairs.
 
-    Duplicates are added in input order, starting from 0.0.
+    The layout of (rows, cols) is built, then ``TripletLayout.assemble``
+    adds duplicates in input order, starting from 0.0.
     """
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=float).ravel()
     if not (len(rows) == len(cols) == len(vals)):
         raise DimensionMismatch("triplet arrays must have equal length")
-    if len(rows) and (
-        rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
-    ):
-        raise IndexOutOfRange(f"triplet index outside {nrows} x {ncols}")
-
-    diagonal = cols - rows
-    diagonal += nrows - 1  # offset + nrows - 1 >= 0
-    present = np.flatnonzero(np.bincount(diagonal, minlength=nrows + ncols - 1))
-    slot = np.empty(nrows + ncols - 1, dtype=np.int64)
-    slot[present] = np.arange(len(present))
-    key = slot[diagonal]  # (diagonal slot, row) -> slot * nrows + row
-    key *= nrows
-    key += rows
-    size = len(present) * nrows
-    data = np.bincount(key, weights=vals, minlength=size).reshape(len(present), nrows)
-    nnz = int(np.count_nonzero(np.bincount(key, minlength=size)))
-    return DiaMatrix(nrows, ncols, present - (nrows - 1), data, nnz)
+    return TripletLayout(nrows, ncols, rows, cols).assemble(vals)
 
 
 def spmv(A: DiaMatrix, x: np.ndarray) -> np.ndarray:

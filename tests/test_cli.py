@@ -169,8 +169,7 @@ EXIT_PATHS = {
 
 
 # pytest would capture a numpy RuntimeWarning instead of letting it reach
-# stderr, so turn it into a failure.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# stderr; the filterwarnings setting in pyproject.toml turns it into a failure.
 @pytest.mark.parametrize("args,code", EXIT_PATHS.values(), ids=EXIT_PATHS.keys())
 def test_main_exit_codes(capsys, args, code):
     assert main(["study", *args]) == code
@@ -178,7 +177,6 @@ def test_main_exit_codes(capsys, args, code):
     assert err.count("\n") == 1  # one-line message, no traceback
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("args", [
     # A stable run whose state decays to about 1e-154 by step 507: p.Ap
     # underflowed to 0 and CG reported a breakdown (exit 3).
@@ -194,7 +192,6 @@ def test_main_state_decaying_below_the_normal_range(capsys, args):
     assert out.splitlines()[-1].endswith(",,")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_exit_code_when_reference_does_not_converge(capsys, monkeypatch):
     import monofem.verification as verification
     from monofem.sparse import NoConvergence

