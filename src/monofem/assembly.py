@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriMesh, all_triangle_geometry
+from .mesh import TriMesh
 from .sparse import DiaMatrix, DimensionMismatch, spmv
 from .sparse import from_triplets  # noqa: F401  (perfbench/spans.py hooks the name here)
 
@@ -26,34 +26,36 @@ class NonFiniteValue(ValueError):
 
 
 def _check_spd(d: np.ndarray) -> None:
-    """Raise ValueError unless every 2x2 matrix in ``d`` (..., 2, 2) is finite and SPD."""
-    a, b, c = d[..., 0, 0], d[..., 0, 1], d[..., 1, 1]
-    symmetric = np.isclose(b, d[..., 1, 0], atol=1e-14)
-    if not (np.isfinite(d).all() and np.all(symmetric & (a > 0) & (a * c - b * b > 0))):
+    """Raise ValueError unless every 2x2 matrix in ``d`` (..., 2, 2) is finite and SPD:
+    |b| < sqrt(a) sqrt(c), a product that, unlike a c - b^2, cannot leave the float range."""
+    if d.shape[-2:] != (2, 2) or not np.isfinite(d).all():
+        raise ValueError("diffusion tensor is not a finite 2x2 matrix")
+    a, c = np.maximum(d[..., 0, 0], 0.0), np.maximum(d[..., 1, 1], 0.0)  # a, c <= 0 fail below
+    symmetric = np.isclose(d[..., 0, 1], d[..., 1, 0], atol=1e-14)
+    if not np.all(symmetric & (np.abs(d[..., 0, 1]) < np.sqrt(a) * np.sqrt(c))):
         raise ValueError("diffusion tensor is not symmetric positive definite")
 
 
 class DiffusionTensor:
     """Symmetric positive definite conductivity field D(x, y).
 
-    Wraps a callable (x, y) -> 2x2 symmetric matrix.  Constant tensors keep
-    their value in ``constant`` so assembly can skip per-triangle evaluation.
-    A constant is checked here, a variable tensor in ``assemble_stiffness``.
+    ``DiffusionTensor(D)``: D is a 2x2 matrix, a constant tensor checked here
+    and kept in ``constant`` so assembly can skip per-triangle evaluation, or a
+    callable (x, y) -> 2x2 matrix, checked where ``assemble_stiffness`` evaluates it.
     """
 
-    def __init__(self, fn, constant: np.ndarray | None = None):
-        self._fn = fn
-        self.constant = None if constant is None else np.asarray(constant, dtype=float)
+    def __init__(self, D):
+        self._fn = D if callable(D) else None
+        self.constant = None if callable(D) else np.array(D, dtype=float)
         if self.constant is not None:
             _check_spd(self.constant)
 
     @classmethod
     def diagonal(cls, dxx: float, dyy: float) -> "DiffusionTensor":
-        mat = np.diag([float(dxx), float(dyy)])
-        return cls(lambda x, y: mat, constant=mat)
+        return cls(np.diag([float(dxx), float(dyy)]))
 
     def __call__(self, x: float, y: float) -> np.ndarray:
-        return np.asarray(self._fn(x, y), dtype=float)
+        return self.constant if self._fn is None else np.asarray(self._fn(x, y), dtype=float)
 
 
 IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
@@ -61,7 +63,7 @@ IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:
     """Consistent P1 mass matrix M_ij = int phi_i phi_j."""
-    areas, _ = all_triangle_geometry(mesh)
+    areas, _ = mesh.geometry
     local = areas[:, None, None] * _LOCAL_MASS  # (T, 3, 3)
     return mesh.p1_layout.assemble(local)
 
@@ -76,7 +78,7 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
     Raises:
         ValueError: D is not symmetric positive definite at some centroid.
     """
-    areas, grads = all_triangle_geometry(mesh)
+    areas, grads = mesh.geometry
     if D.constant is not None:
         Dc = D.constant  # (2, 2), the same for every triangle
     else:

@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import DiffusionTensor, NonFiniteValue
 from .ionic import SingularDenominator, make_model
 from .solver import NonFiniteState
-from .sparse import DEFAULT_CG_TOL, NoConvergence
+from .sparse import NoConvergence
 from .verification import ConvergenceRecord, StudyConfig, convergence_study
 
 CSV_COLUMNS = "level,h,dt,steps,l2_error,sroc,troc"
@@ -57,12 +57,10 @@ def _build_parser() -> _Parser:
     study.add_argument("--diffusion", default="1.0", help="scalar sigma or diagonal 'a,b'")
     study.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="ionic model parameter override (repeatable)")
-    study.add_argument("--cg-tol", default=str(DEFAULT_CG_TOL))
     study.add_argument("--out", default=None)
     study.add_argument("--format", default="csv", choices=["csv", "md"])
     study.add_argument("--sweep", default="mesh", choices=["mesh", "timestep"])
     study.add_argument("--fixed-h", default="1/64")
-    study.add_argument("--wavenumber", type=int, default=1)
     return parser
 
 
@@ -97,8 +95,6 @@ def parse_config(argv) -> tuple[StudyConfig, str | None, str]:
             diffusion=DiffusionTensor.diagonal(diffusion[0], diffusion[-1]),  # 'sigma' sets both
             sweep=ns.sweep,
             fixed_h=_number(ns.fixed_h),
-            cg_rel_tol=_number(ns.cg_tol),
-            wavenumber_index=ns.wavenumber,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -63,7 +63,18 @@ class TriMesh:
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """(areas, grads) of every triangle; see ``all_triangle_geometry``."""
+        """Areas and P1 nodal basis gradients of every triangle, read-only.
+
+        Returns:
+            areas: (n_triangles,) array.
+            grads: (n_triangles, 3, 2) array; grads[t, i] is the constant
+                gradient of the basis function attached to vertex i of
+                triangle t.  The three gradients of a triangle sum to zero.
+
+        Raises:
+            DegenerateTriangle: some triangle's signed area is not positive
+                (clockwise, collinear or non-finite vertices).
+        """
         return _triangle_geometry(self.nodes, self.triangles)
 
     @cached_property
@@ -113,23 +124,6 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
     return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))
-
-
-def all_triangle_geometry(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Areas and P1 nodal basis gradients of every triangle, cached on the
-    mesh and read-only.
-
-    Returns:
-        areas: (n_triangles,) array.
-        grads: (n_triangles, 3, 2) array; grads[t, i] is the constant
-            gradient of the basis function attached to vertex i of
-            triangle t.  The three gradients of a triangle sum to zero.
-
-    Raises:
-        DegenerateTriangle: some triangle's signed area is not positive
-            (clockwise, collinear or non-finite vertices).
-    """
-    return mesh.geometry
 
 
 def _triangle_geometry(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

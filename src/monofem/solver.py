@@ -47,7 +47,8 @@ class SolverConfig:
     ``v0`` and ``w0`` are functions of (x, y), arrays of nodal values or
     scalar constants.  ``source``, used only by manufactured-solution runs,
     maps t to the nodal sources (i_app, w_source) added to (i_ion, g) at
-    that time level.
+    that time level.  Every step's CG solve stops at the relative residual
+    ``DEFAULT_CG_TOL``, read from this module when the step runs.
     """
 
     k: float
@@ -57,7 +58,6 @@ class SolverConfig:
     v0: object = 0.0
     w0: object = 0.0
     source: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
-    cg_rel_tol: float = DEFAULT_CG_TOL
 
     def n_steps(self) -> int:
         """t_final / k; raises InvalidConfig unless it is a positive whole number."""
@@ -83,7 +83,6 @@ class MonodomainSolver:
 
     def __init__(self, mesh: TriMesh, cfg: SolverConfig):
         cfg.n_steps()  # validate k, T
-        self.mesh = mesh
         self.cfg = cfg
         self.mass = assemble_mass(mesh)
         # M and A are scattered from the same triangles, so they share their
@@ -108,7 +107,7 @@ class MonodomainSolver:
             i_app, w_source = cfg.source(s.t)
             f, g = f + i_app, g + w_source
         rhs = spmv(self.mass, s.v + k * f)
-        v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=cfg.cg_rel_tol,
+        v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=DEFAULT_CG_TOL,
                             precondition=self.multigrid)
         w_new = s.w + k * g
         if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):

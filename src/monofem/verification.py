@@ -15,7 +15,6 @@ Two verification routes:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -31,7 +30,7 @@ from .assembly import (
 )
 from .ionic import IonicModel, MsParams, eval_ms, spectral_radius
 from .mesh import DEFAULT_BOUNDS, build_uniform_mesh, grid_cells
-from .sparse import DEFAULT_CG_TOL, NoConvergence
+from .sparse import NoConvergence
 from .solver import MonodomainSolver, SolverConfig
 
 # Uniform initial data (v0, w0) of the homogeneous mode.
@@ -46,10 +45,6 @@ REFERENCE_MAX_STEPS = 2**20
 
 
 class NonPositiveError(ValueError):
-    pass
-
-
-class InvalidWavenumber(ValueError):
     pass
 
 
@@ -191,33 +186,27 @@ def discrete_cell_trajectory(
 class ManufacturedProblem:
     """Analytic solution with matching source terms for order measurement.
 
-    ``ManufacturedProblem(m, model, diffusion)``: v(x, y, t) = exp(-t)
+    ``ManufacturedProblem(model, diffusion)``: v(x, y, t) = exp(-t)
     cos(omega (x - xmin)) cos(omega (y - ymin)), w = 0.5 v, on the square
-    ``DEFAULT_BOUNDS`` of side L with omega = m pi / L.  An integer m >= 0
-    makes the conormal flux vanish on the boundary; the diffusion tensor
-    must be constant diagonal for the same reason (else InvalidWavenumber).
-    The sources ``i_app(v)`` and ``w_source(v)`` take the exact nodal v.
+    ``DEFAULT_BOUNDS`` of side L with omega = pi / L, so that the conormal
+    flux vanishes on the boundary.  The diffusion tensor must be constant
+    diagonal for the same reason (else ValueError).  The sources
+    ``i_app(v)`` and ``w_source(v)`` take the exact nodal v.
     """
 
     def __init__(
         self,
-        m: int,
         model: IonicModel = IonicModel("fhn"),
         diffusion: DiffusionTensor = IDENTITY_DIFFUSION,
     ):
-        if not isinstance(m, numbers.Integral) or m < 0:
-            raise InvalidWavenumber(f"wavenumber index must be a non-negative integer, got {m!r}")
         if diffusion.constant is None or abs(diffusion.constant[0, 1]) > 1e-14:
-            raise InvalidWavenumber("manufactured mode needs a constant diagonal diffusion tensor")
-        self.omega = m * math.pi / (DEFAULT_BOUNDS[2] - DEFAULT_BOUNDS[0])
+            raise ValueError("manufactured mode needs a constant diagonal diffusion tensor")
+        self.omega = math.pi / (DEFAULT_BOUNDS[2] - DEFAULT_BOUNDS[0])
         self.model = model
         self.diffusion = diffusion
 
-    def v_exact(self, x, y, t):
-        return self.v_on(x, y)(t)
-
     def v_on(self, x, y):
-        """t -> v_exact(x, y, t), with the cosines at (x, y) computed once."""
+        """t -> v(x, y, t), with the cosines at (x, y) computed once."""
         xmin, ymin = DEFAULT_BOUNDS[0], DEFAULT_BOUNDS[1]
         om = self.omega
         cx, cy = np.cos(om * (x - xmin)), np.cos(om * (y - ymin))
@@ -279,7 +268,8 @@ class StudyConfig:
     steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
     inputs, every level included, are checked here before any compute,
     down to the stability of the explicit reaction step along the whole
-    trajectory.
+    trajectory.  The manufactured solution and CG's stopping rule are
+    fixed (``ManufacturedProblem``, ``solver.DEFAULT_CG_TOL``).
     """
 
     model: IonicModel
@@ -288,10 +278,8 @@ class StudyConfig:
     t_final: float = 0.25
     dt_rule: object = "h2"  # "h2" or a fixed time step
     diffusion: DiffusionTensor = IDENTITY_DIFFUSION
-    wavenumber_index: int = 1  # manufactured: omega = m pi / side
     sweep: str = "mesh"  # mesh | timestep
     fixed_h: float = 1 / 64
-    cg_rel_tol: float = DEFAULT_CG_TOL
 
     def __post_init__(self):
         if self.mode not in ("homogeneous", "manufactured"):
@@ -304,15 +292,13 @@ class StudyConfig:
             raise ValueError("need at least one refinement level")
         if any(b >= a for a, b in zip(self.levels, list(self.levels)[1:])):
             raise ValueError("levels must be strictly decreasing")
-        if not 0 < self.cg_rel_tol < math.inf:
-            raise ValueError(f"CG tolerance must be finite and positive, got {self.cg_rel_tol!r}")
-        if self.mode == "manufactured":  # checks m, D
-            ManufacturedProblem(self.wavenumber_index, self.model, self.diffusion)
+        if self.mode == "manufactured":  # checks D
+            ManufacturedProblem(self.model, self.diffusion)
         # The reaction step is forward Euler, stable only while dt * rho(J) <= 2.
         # In homogeneous mode diffusion vanishes and the scheme's solution is
         # the cell recursion, so every state of it is checked.  In manufactured
-        # mode the exact states up to T - dt are (u, u / 2) with u = exp(-t) C,
-        # and C fills [-1, 1] (m >= 1) or is 1 (m = 0): that interval is sampled.
+        # mode the exact states are (u, u / 2) with u = exp(-t) C in [-1, 1],
+        # which C fills already at t = 0: that interval is sampled.
         with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as rho = inf
             for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
                 grid_cells(DEFAULT_BOUNDS, h)
@@ -321,8 +307,7 @@ class StudyConfig:
                     states = discrete_cell_trajectory(
                         self.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, dt, steps)
                 else:
-                    lowest = -1.0 if self.wavenumber_index else math.exp(-dt * (steps - 1))
-                    u = np.linspace(lowest, 1.0, 2**14)
+                    u = np.linspace(-1.0, 1.0, 2**14)
                     states = u, 0.5 * u
                 rho = spectral_radius(self.model, *states)
                 if dt * rho > 2:
@@ -346,7 +331,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     hs, dts = cfg.resolutions()
     # Homogeneous initial data and the exact v at t_final; manufactured ones per level.
     if cfg.mode == "manufactured":
-        p = ManufacturedProblem(cfg.wavenumber_index, cfg.model, cfg.diffusion)
+        p = ManufacturedProblem(cfg.model, cfg.diffusion)
         reference_error = None
     else:
         data = dict(v0=HOMOGENEOUS_V0, w0=HOMOGENEOUS_W0)
@@ -363,7 +348,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             v0, v_final = v_at(0.0), v_at(cfg.t_final)
             data = dict(v0=v0, w0=0.5 * v0, source=lambda t: p.sources(v_at(t)))
         scfg = SolverConfig(k=dt, t_final=cfg.t_final, ionic=cfg.model, diffusion=cfg.diffusion,
-                            cg_rel_tol=cfg.cg_rel_tol, **data)
+                            **data)
         solver = MonodomainSolver(mesh, scfg)
         final = solver.run()
         steps.append(scfg.n_steps())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from monofem.assembly import (
     interpolate_nodal,
     l2_norm,
 )
-from monofem.mesh import TriMesh, all_triangle_geometry, build_uniform_mesh
+from monofem.mesh import TriMesh, build_uniform_mesh
 from monofem.sparse import DimensionMismatch, spmv
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
@@ -23,7 +24,7 @@ BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
 
 def quadrature_p1_squared(mesh: TriMesh, e: np.ndarray) -> float:
-    areas, _ = all_triangle_geometry(mesh)
+    areas, _ = mesh.geometry
     vals = e[mesh.triangles]  # (T, 3)
     mids = 0.5 * (vals + np.roll(vals, -1, axis=1))
     return float((areas / 3 * (mids**2).sum(axis=1)).sum())
@@ -46,7 +47,7 @@ _Q7_W = np.array([0.225, 0.12593918, 0.12593918, 0.12593918, 0.13239415, 0.13239
 
 def interpolation_l2_error(mesh: TriMesh, f, nodal: np.ndarray) -> float:
     """||f - I_h f||_L2 by fine quadrature; independent of the mass matrix."""
-    areas, _ = all_triangle_geometry(mesh)
+    areas, _ = mesh.geometry
     pts = np.einsum("qb,tbx->tqx", _Q7_BARY, mesh.nodes[mesh.triangles])
     exact = f(pts[..., 0], pts[..., 1])
     interp = np.einsum("qb,tb->tq", _Q7_BARY, nodal[mesh.triangles])
@@ -157,8 +158,9 @@ def test_diffusion_tensor_ellipticity():
     for entries in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(ValueError):
             DiffusionTensor.diagonal(*entries)
-    with pytest.raises(ValueError):
-        DiffusionTensor(lambda x, y: np.eye(2), constant=[[1.0, 2.0], [2.0, 1.0]])
+    for matrix in ([[1.0, 2.0], [2.0, 1.0]], np.eye(3), 1.0):
+        with pytest.raises(ValueError):
+            DiffusionTensor(matrix)
     varying = DiffusionTensor(lambda x, y: np.diag([2.0 + x, 2.0 + y]))
     assemble_stiffness(mesh, varying)  # 0.75 <= 2 + x at every centroid
     # indefinite only where x + y > 2, i.e. at the top-right centroids
@@ -168,6 +170,29 @@ def test_diffusion_tensor_ellipticity():
     asymmetric = DiffusionTensor(lambda x, y: np.array([[2.0, 0.5], [-0.5, 2.0]]))
     with pytest.raises(ValueError):
         assemble_stiffness(mesh, asymmetric)
+
+
+def test_constant_diffusion_tensor_is_its_matrix():
+    matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+    D = DiffusionTensor(matrix)
+    np.testing.assert_array_equal(D.constant, matrix)
+    assert D(0.3, -0.7) is D.constant
+    assert DiffusionTensor(lambda x, y: matrix).constant is None
+
+
+def test_diffusion_tensor_spd_check_stays_in_float_range():
+    # a c - b^2 underflows to 0 at 1e-300 I and overflows at 1e200 I.
+    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
+    indefinite = [[1e200, 2e200], [2e200, 1e200]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e200):
+            DiffusionTensor.diagonal(scale, scale)
+            assemble_stiffness(mesh, DiffusionTensor(lambda x, y: np.diag([scale, scale])))
+        with pytest.raises(ValueError):
+            DiffusionTensor(indefinite)
+        with pytest.raises(ValueError):
+            assemble_stiffness(mesh, DiffusionTensor(lambda x, y: np.array(indefinite)))
 
 
 def test_interior_rows_annihilate_linear_functions():

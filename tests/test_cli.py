@@ -11,7 +11,6 @@ def test_parse_basic_study():
     assert cfg.levels == [1 / 8, 1 / 16]
     assert cfg.t_final == 0.25
     assert cfg.dt_rule == "h2"
-    assert cfg.cg_rel_tol == 1e-10
     assert (out, fmt) == (None, "csv")
 
 
@@ -41,13 +40,12 @@ def test_parse_rejects_unknown_flag_and_bad_values():
         parse_config(["study", "--diffusion", "1,2,3"])
     with pytest.raises(UsageError):
         parse_config(["study", "--sweep", "timestep"])  # needs manufactured mode
-    with pytest.raises(UsageError):
-        parse_config(["study", "--wavenumber", "x"])
 
 
-# Stable at the initial data, unstable further along the manufactured trajectory.
-NON_FINITE_STATE = [
-    "--mode", "manufactured", "--model", "ms", "--wavenumber", "0", "--param", "u_gate=0.5",
+# The manufactured v = exp(-t) C starts below the raised gate wherever C < 0.5,
+# and there dt * rho(J) = 10 on the tau_open branch: unstable from the first step.
+MANUFACTURED_BELOW_GATE = [
+    "--mode", "manufactured", "--model", "ms", "--param", "u_gate=0.5",
     "--param", "tau_open=0.001", "--param", "tau_in=1e300", "--dt", "0.01",
     "--t-final", "5", "--levels", "1/4",
 ]
@@ -65,7 +63,7 @@ def test_parse_rejects_bad_levels_before_any_compute(monkeypatch):
         ["--model", "ms", "--levels", "1/8,1/16,1/32,1/64,1/129"],
         ["--model", "ms", "--t-final", "0.3"],
         ["--diffusion", "1,0"],
-        NON_FINITE_STATE,  # unstable along the manufactured trajectory
+        MANUFACTURED_BELOW_GATE,  # unstable along the manufactured trajectory
     ):
         with pytest.raises(UsageError):
             parse_config(["study", *args])
@@ -136,8 +134,6 @@ def test_main_no_convergence_exit_code(capsys, monkeypatch):
 EXIT_PATHS = {
     "non-divisible-h": (["--levels", "1/3"], 2),
     "t-final-not-multiple-of-dt": (["--t-final", "0.1", "--dt", "0.03", "--levels", "1/8"], 2),
-    "cg-tol-zero": (["--cg-tol", "0", "--levels", "1/8", "--t-final", "1/64"], 2),
-    "cg-tol-nan": (["--cg-tol", "nan", "--levels", "1/8", "--t-final", "1/64"], 2),
     "singular-denominator": (
         ["--model", "ap", "--param", "mu2=-0.2", "--levels", "1/8", "--t-final", "1/64"], 3
     ),
@@ -149,22 +145,27 @@ EXIT_PATHS = {
     "ms-tau-zero": (["--model", "ms", "--param", "tau_in=0"], 2),
     "t-final-overflow": (["--t-final", "1e400"], 2),
     # k rho(J) = 1.47 at the initial data but 5e21 along the trajectory: once a
-    # table with l2_error 2.3e10 and exit 0.  At T = 200 the cubic reaction
-    # overflows in the 10th step, which once reached cg_solve as a non-finite rhs.
+    # table with l2_error 2.3e10 and exit 0.
     "ms-trajectory-unstable": (
         ["--model", "ms", "--dt", "20", "--t-final", "100", "--levels", "1/4"], 2
     ),
-    "rhs-overflow": (["--model", "ms", "--dt", "20", "--t-final", "200", "--levels", "1/4"], 2),
-    "cg-no-convergence": (["--cg-tol", "1e-30", "--levels", "1/4", "--t-final", "1/16"], 3),
+    # At T = 200 the cubic reaction overflows in the 10th step of the cell
+    # recursion, so dt * rho(J) = inf; the run itself once reached cg_solve
+    # as a non-finite rhs.
+    "ms-trajectory-overflow": (
+        ["--model", "ms", "--dt", "20", "--t-final", "200", "--levels", "1/4"], 2
+    ),
     # k rho(J) = 13.7 > 2: once a table with l2_error 15.3 and exit 0.
     "unstable-reaction-step": (["--dt", "10", "--t-final", "20", "--levels", "1/4"], 2),
     "reaction-jacobian-overflow": (
         ["--model", "ap", "--param", "k=1e300", "--levels", "1/8", "--t-final", "1/64"], 2
     ),
-    # Every node starts above the raised gate.  Once v = exp(-t) falls below
-    # it (step 69), dt * rho(J) = 10 on the tau_open branch: once exit 3, as
-    # the explicit w update grew 9x per step and overflowed near step 390.
-    "non-finite-state": (NON_FINITE_STATE, 2),
+    "manufactured-below-gate-unstable": (MANUFACTURED_BELOW_GATE, 2),
+    # 1e160 I is SPD: its check once overflowed in a * c and warned before
+    # the exit-3 message.  S = M + k A then overflows and CG breaks down.
+    "diffusion-overflow": (
+        ["--diffusion", "1e160", "--levels", "1/4,1/8", "--dt", "1/64", "--t-final", "1/64"], 3
+    ),
 }
 
 
@@ -205,6 +206,16 @@ def test_main_exit_code_when_reference_does_not_converge(capsys, monkeypatch):
     assert main(["study", *args]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "reference did not converge" in err  # no traceback
+
+
+def test_main_exit_code_when_cg_does_not_converge(capsys, monkeypatch):
+    import monofem.solver as solver
+
+    # No residual reaches 1e-30 of ||b||, so CG stops at its iteration cap.
+    monkeypatch.setattr(solver, "DEFAULT_CG_TOL", 1e-30)
+    assert main(["study", "--levels", "1/4", "--t-final", "1/16"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "CG did not converge in" in err  # no traceback
 
 
 def test_main_unwritable_out_exit_code(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from monofem.mesh import (
     NonDivisibleSpacing,
     TriMesh,
-    all_triangle_geometry,
     build_uniform_mesh,
 )
 
@@ -97,7 +96,7 @@ def test_refinement_nesting():
 def test_unit_right_triangle_geometry():
     mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
     # lower triangle of the unit square is (0,0),(1,0),(1,1)
-    areas, _ = all_triangle_geometry(mesh)
+    areas, _ = mesh.geometry
     assert areas[0] == pytest.approx(0.5)
     # hand-computed barycentric gradients for (0,0),(1,0),(0,1)
     tri = TriMesh(
@@ -106,7 +105,7 @@ def test_unit_right_triangle_geometry():
         h=1.0,
         bounds=(0, 0, 1, 1),
     )
-    areas, grads = all_triangle_geometry(tri)
+    areas, grads = tri.geometry
     assert areas[0] == pytest.approx(0.5)
     np.testing.assert_allclose(grads[0], [[-1, -1], [1, 0], [0, 1]], atol=1e-14)
 
@@ -118,13 +117,13 @@ def test_equilateral_area():
         h=1.0,
         bounds=(0, 0, 1, 1),
     )
-    areas, _ = all_triangle_geometry(tri)
+    areas, _ = tri.geometry
     assert areas[0] == pytest.approx(math.sqrt(3) / 4)
 
 
 def test_gradients_sum_to_zero():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    _, grads = all_triangle_geometry(mesh)
+    _, grads = mesh.geometry
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-13)
 
 
@@ -132,7 +131,7 @@ def test_vectorized_matches_single():
     # Per-triangle oracle: basis function i is a + b x + c y with (a, b, c)
     # column i of inv([[1, x_j, y_j]]), so its gradient is (b, c).
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    areas, grads = all_triangle_geometry(mesh)
+    areas, grads = mesh.geometry
     for t in (0, 1, mesh.n_triangles - 1):
         p = mesh.nodes[mesh.triangles[t]]
         assert signed_area(*p) == pytest.approx(areas[t])
@@ -142,8 +141,8 @@ def test_vectorized_matches_single():
 
 def test_geometry_cached_and_read_only():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    areas, grads = all_triangle_geometry(mesh)
-    again = all_triangle_geometry(mesh)
+    areas, grads = mesh.geometry
+    again = mesh.geometry
     assert again[0] is areas and again[1] is grads
     for a in (areas, grads):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from monofem.solver import (
     NonFiniteState,
     SolverConfig,
 )
-from monofem.sparse import cg_solve, spmv
+from monofem.sparse import DEFAULT_CG_TOL, cg_solve, spmv
 from monofem.verification import ManufacturedProblem, discrete_cell_trajectory
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
@@ -93,7 +93,7 @@ def test_cg_iteration_counts_pinned(monkeypatch):
     mesh = build_uniform_mesh(BOUNDS, h)
     homogeneous = paper_config(make_model("ap"), h=h, t_final=h * h)  # one level: plain CG
     assert first_step_cg_iterations(monkeypatch, mesh, homogeneous) == [20]
-    p = ManufacturedProblem(1, make_model("fhn"))
+    p = ManufacturedProblem(make_model("fhn"))
     v_at = p.v_on(*mesh.nodes.T)
     manufactured = SolverConfig(
         k=1 / 40, t_final=1 / 40, ionic=p.model, v0=v_at(0.0), w0=0.5 * v_at(0.0),
@@ -203,7 +203,7 @@ def test_mass_conservation_single_step():
     ones = np.ones(mesh.n_nodes)
     before = ones @ spmv(solver.mass, solver.state.v)
     after = ones @ spmv(solver.mass, solver.step().v)
-    assert abs(after - before) <= 10 * cfg.cg_rel_tol
+    assert abs(after - before) <= 10 * DEFAULT_CG_TOL
 
 
 def test_tiny_step_changes_little():
@@ -231,7 +231,7 @@ def test_matches_scalar_recursion_oracle(name):
     v_ref, w_ref = discrete_cell_trajectory(model, 0.2, 0.1, solver.cfg.k, 16)
     for n in range(1, 17):
         state = solver.step()
-        noise = 1e-12 + n * 10 * solver.cfg.cg_rel_tol  # accumulated CG tolerance
+        noise = 1e-12 + n * 10 * DEFAULT_CG_TOL  # accumulated CG tolerance
         assert np.abs(state.v - v_ref[n]).max() <= noise
         assert np.abs(state.w - w_ref[n]).max() <= noise
 
@@ -240,7 +240,7 @@ def test_uniformity_preserved():
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
     solver = MonodomainSolver(mesh, paper_config())
     final = solver.run()
-    tol = 10 * solver.cfg.cg_rel_tol
+    tol = 10 * DEFAULT_CG_TOL
     assert final.v.max() - final.v.min() <= tol
     assert final.w.max() - final.w.min() <= tol
 

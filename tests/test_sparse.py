@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monofem.ionic import make_model
-from monofem.mesh import TriMesh, all_triangle_geometry, build_uniform_mesh
+from monofem.mesh import TriMesh, build_uniform_mesh
 from monofem.solver import MonodomainSolver, SolverConfig
 from monofem.sparse import (
     DiaMatrix,
@@ -176,7 +176,7 @@ def element_triplets(mesh, D):
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    areas, grads = all_triangle_geometry(mesh)
+    areas, grads = mesh.geometry
     if D.constant is not None:
         Dc = np.broadcast_to(D.constant, (mesh.n_triangles, 2, 2))
     else:
@@ -190,7 +190,7 @@ ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
 ROTATED_CONSTANT = ROTATION @ np.diag([2.0, 0.5]) @ ROTATION.T
 ASSEMBLY_TENSORS = [
     DiffusionTensor.diagonal(1.0, 1.0),
-    DiffusionTensor(lambda x, y: ROTATED_CONSTANT, constant=ROTATED_CONSTANT),
+    DiffusionTensor(ROTATED_CONSTANT),
     DiffusionTensor(lambda x, y: np.array([[1 + x * x, 0.3 * np.sin(x * y)],
                                            [0.3 * np.sin(x * y), 1 + y * y]])),
 ]
@@ -432,8 +432,7 @@ def diffusion(draw):
     a, c = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 5.0))
     b = draw(st.floats(-0.9, 0.9)) * np.sqrt(a * c)
     if draw(st.booleans()):
-        return DiffusionTensor(lambda x, y: np.array([[a, b], [b, c]]),
-                               constant=np.array([[a, b], [b, c]]))
+        return DiffusionTensor([[a, b], [b, c]])
     return DiffusionTensor(lambda x, y: np.array([[a + x * x, b], [b, c + y]]))
 
 
@@ -492,7 +491,7 @@ def hierarchy(draw):
 # diag^-1 S is 2.7, so Jacobi weighted 0.8 diverges on some modes and
 # would give B eigenvalues < 0.
 ROTATED = np.array([[1.0, -0.99], [-0.99, 1.0]])
-ROTATED_CYCLE = VCycle(system(fine_mesh(8, 8), 10.0, DiffusionTensor(lambda x, y: ROTATED, ROTATED)),
+ROTATED_CYCLE = VCycle(system(fine_mesh(8, 8), 10.0, DiffusionTensor(ROTATED)),
                        [(16, 16), (8, 8), (4, 4), (2, 2), (1, 1)])
 
 
