@@ -25,13 +25,25 @@ class NonFiniteValue(ValueError):
     pass
 
 
+# An off-diagonal entry (or the gap between the two) counts as zero when it is
+# at most this fraction of the tensor's largest entry.
+NEGLIGIBLE_ENTRY = 1e-14
+
+
 def _check_spd(d: np.ndarray) -> None:
-    """Raise ValueError unless every 2x2 matrix in ``d`` (..., 2, 2) is finite and SPD:
-    |b| < sqrt(a) sqrt(c), a product that, unlike a c - b^2, cannot leave the float range."""
+    """Raise ValueError unless every 2x2 matrix in ``d`` (..., 2, 2) is finite and SPD.
+
+    Symmetric: the off-diagonal entries b, b' differ by at most
+    NEGLIGIBLE_ENTRY * max |entry|, a test that does not depend on the
+    tensor's scale.  Positive definite: |b| < sqrt(a) sqrt(c), a product
+    that, unlike a c - b^2, cannot leave the float range.
+    """
     if d.shape[-2:] != (2, 2) or not np.isfinite(d).all():
         raise ValueError("diffusion tensor is not a finite 2x2 matrix")
     a, c = np.maximum(d[..., 0, 0], 0.0), np.maximum(d[..., 1, 1], 0.0)  # a, c <= 0 fail below
-    symmetric = np.isclose(d[..., 0, 1], d[..., 1, 0], atol=1e-14)
+    with np.errstate(over="ignore"):  # b - b' = inf fails the test, as it should
+        gap = np.abs(d[..., 0, 1] - d[..., 1, 0])
+    symmetric = gap <= NEGLIGIBLE_ENTRY * np.abs(d).max(axis=(-2, -1))
     if not np.all(symmetric & (np.abs(d[..., 0, 1]) < np.sqrt(a) * np.sqrt(c))):
         raise ValueError("diffusion tensor is not symmetric positive definite")
 
@@ -40,8 +52,11 @@ class DiffusionTensor:
     """Symmetric positive definite conductivity field D(x, y).
 
     ``DiffusionTensor(D)``: D is a 2x2 matrix, a constant tensor checked here
-    and kept in ``constant`` so assembly can skip per-triangle evaluation, or a
-    callable (x, y) -> 2x2 matrix, checked where ``assemble_stiffness`` evaluates it.
+    and kept, read-only, in ``constant`` so assembly can skip per-triangle
+    evaluation, or a callable (x, y) -> 2x2 matrix, checked where
+    ``assemble_stiffness`` evaluates it, which must always return the same
+    value at the same point.  A tensor never changes, so the stiffness
+    matrix assembled for it on a mesh is cached there (``TriMesh.operators``).
     """
 
     def __init__(self, D):
@@ -49,6 +64,7 @@ class DiffusionTensor:
         self.constant = None if callable(D) else np.array(D, dtype=float)
         if self.constant is not None:
             _check_spd(self.constant)
+            self.constant.setflags(write=False)
 
     @classmethod
     def diagonal(cls, dxx: float, dyy: float) -> "DiffusionTensor":

@@ -5,6 +5,7 @@ diagonal from its lower-left to its upper-right corner.  Nodes are ordered
 row-major by (y, x) so that matrix sparsity patterns are reproducible.
 A mesh computes its triangle geometry and the layout of its P1 element
 matrices once, on first use, and every operator assembled on it shares them.
+The operators themselves are kept on the mesh too (``TriMesh.operators``).
 """
 from __future__ import annotations
 
@@ -38,8 +39,9 @@ class TriMesh:
 
     ``geometry`` (areas and basis gradients) and ``p1_layout`` (where each
     element-matrix entry goes in DIA storage) are computed on first use and
-    cached on the mesh.  The geometry arrays, like ``nodes`` and
-    ``triangles``, are read-only.
+    cached on the mesh, as are the matrices in ``operators``.  Every cache
+    lives exactly as long as the mesh.  The geometry arrays, like ``nodes``
+    and ``triangles``, are read-only.
     """
 
     nodes: np.ndarray
@@ -84,6 +86,13 @@ class TriMesh:
         ``triangles[t, i]`` and column ``triangles[t, j]``."""
         tri = self.triangles
         return TripletLayout(self.n_nodes, self.n_nodes, tri[:, :, None], tri[:, None, :])
+
+    @cached_property
+    def operators(self) -> dict:
+        """Matrices assembled on this mesh, filled by ``MonodomainSolver``:
+        ``"mass"`` -> M, and each ``DiffusionTensor`` -> its stiffness matrix A.
+        A tensor is keyed by identity; it cannot change after construction."""
+        return {}
 
 
 def grid_cells(bounds, h: float) -> tuple[int, int]:

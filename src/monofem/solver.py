@@ -73,6 +73,12 @@ class SolverConfig:
 class MonodomainSolver:
     """Holds the assembled system and the discrete trajectory for one run.
 
+    M and A come from ``mesh.operators``: each is assembled on first use
+    and kept as long as the mesh, M once per mesh and A once per
+    ``DiffusionTensor`` object (keyed by identity).  Only S = M + k A and
+    its V-cycle are built per solver, so solvers for several k on one mesh
+    share the assembly.
+
     ``multigrid`` is the V-cycle that preconditions CG on S, or None.  Its
     list of grids, built once by ``_multigrid``, starts at the cells of the
     uniform mesh and halves them while both cell counts are even and
@@ -84,12 +90,15 @@ class MonodomainSolver:
     def __init__(self, mesh: TriMesh, cfg: SolverConfig):
         cfg.n_steps()  # validate k, T
         self.cfg = cfg
-        self.mass = assemble_mass(mesh)
         # M and A are scattered from the same triangles, so they share their
-        # diagonals and S = M + k A is a sum of data arrays.  A is needed
-        # for nothing else, so it is not kept.
-        A = assemble_stiffness(mesh, cfg.diffusion)
-        M = self.mass
+        # diagonals and S = M + k A is a sum of data arrays.
+        ops = mesh.operators
+        if "mass" not in ops:
+            ops["mass"] = assemble_mass(mesh)
+        if cfg.diffusion not in ops:
+            ops[cfg.diffusion] = assemble_stiffness(mesh, cfg.diffusion)
+        self.mass = M = ops["mass"]
+        A = ops[cfg.diffusion]
         self.system = DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + cfg.k * A.data, M.nnz)
         self.multigrid = _multigrid(mesh, self.system, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)

@@ -178,6 +178,11 @@ def test_constant_diffusion_tensor_is_its_matrix():
     np.testing.assert_array_equal(D.constant, matrix)
     assert D(0.3, -0.7) is D.constant
     assert DiffusionTensor(lambda x, y: matrix).constant is None
+    # Stiffness matrices are cached per tensor object, so its value is frozen
+    # (and the caller's array is copied, not frozen).
+    with pytest.raises(ValueError):
+        D.constant[0, 0] = 3.0
+    matrix[0, 0] = 3.0
 
 
 def test_diffusion_tensor_spd_check_stays_in_float_range():
@@ -193,6 +198,28 @@ def test_diffusion_tensor_spd_check_stays_in_float_range():
             DiffusionTensor(indefinite)
         with pytest.raises(ValueError):
             assemble_stiffness(mesh, DiffusionTensor(lambda x, y: np.array(indefinite)))
+
+
+def test_diffusion_tensor_symmetry_is_relative_to_its_scale():
+    # The lower off-diagonal entry is 1e5 times the diagonal: an absolute
+    # tolerance of 1e-14 took this for symmetric.
+    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
+    asymmetric = [[1e-20, 0.0], [1e-15, 1e-20]]
+    with pytest.raises(ValueError, match="symmetric"):
+        DiffusionTensor(asymmetric)
+    with pytest.raises(ValueError, match="symmetric"):
+        assemble_stiffness(mesh, DiffusionTensor(lambda x, y: np.array(asymmetric)))
+    # R diag R^T in floats is symmetric to round-off at every scale.
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-20, 1.0, 1e200):
+            rotated = R @ np.diag([2.0 * scale, scale]) @ R.T
+            DiffusionTensor(rotated)
+            assemble_stiffness(mesh, DiffusionTensor(lambda x, y: rotated))
+        with pytest.raises(ValueError, match="symmetric"):  # b - b' overflows to inf
+            DiffusionTensor([[1e308, 1e308], [-1e308, 1e308]])
 
 
 def test_interior_rows_annihilate_linear_functions():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import monofem.mesh
+import monofem.solver
 from monofem.assembly import (
     DiffusionTensor,
     assemble_mass,
@@ -156,6 +157,25 @@ def test_set_up_computes_geometry_and_layout_once_per_mesh(monkeypatch):
     assert calls == {"_triangle_geometry": 1, "TripletLayout": 1}
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
     assert calls == {"_triangle_geometry": 2, "TripletLayout": 2}
+
+
+def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
+    calls = []
+    for name in ("assemble_mass", "assemble_stiffness"):
+        def counted(*args, _name=name, _original=getattr(monofem.solver, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(monofem.solver, name, counted)
+    mesh = build_uniform_mesh(BOUNDS, 1 / 8)
+    D = DiffusionTensor.diagonal(2.0, 1.0)
+    for k in (1 / 64, 1 / 16):
+        MonodomainSolver(mesh, paper_config(k=k, diffusion=D))
+    assert calls == ["assemble_mass", "assemble_stiffness"]
+    # An equal tensor is another key: A is cached by tensor identity.
+    MonodomainSolver(mesh, paper_config(diffusion=DiffusionTensor.diagonal(2.0, 1.0)))
+    assert calls == ["assemble_mass", "assemble_stiffness", "assemble_stiffness"]
+    assert len(mesh.operators) == 3
 
 
 def test_set_up_memory_peak():

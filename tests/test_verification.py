@@ -1,10 +1,17 @@
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from monofem.assembly import DiffusionTensor
+import monofem.mesh
+import monofem.solver
+import monofem.verification
+from monofem.assembly import DiffusionTensor, l2_norm
 from monofem.ionic import MODEL_NAMES, SingularDenominator, eval_ms, make_model, spectral_radius
+from monofem.mesh import DEFAULT_BOUNDS, build_uniform_mesh
+from monofem.solver import MonodomainSolver, SolverConfig
 from monofem.verification import (
     REFERENCE_RTOL,
     ManufacturedProblem,
@@ -154,6 +161,13 @@ def test_manufactured_wavenumber_validation():
     for D in (DiffusionTensor(lambda x, y: np.eye(2)), DiffusionTensor([[2.0, 0.5], [0.5, 2.0]])):
         with pytest.raises(ValueError, match="constant diagonal"):
             ManufacturedProblem(diffusion=D)
+
+
+def test_manufactured_diagonal_check_is_relative_to_scale():
+    # Off-diagonal entries at 10 % of the diagonal, below an absolute 1e-14.
+    with pytest.raises(ValueError, match="constant diagonal"):
+        ManufacturedProblem(diffusion=DiffusionTensor([[1e-20, 1e-21], [1e-21, 1e-20]]))
+    ManufacturedProblem(diffusion=DiffusionTensor([[1e3, 1e-13], [1e-13, 1e3]]))
 
 
 def test_manufactured_corner_value():
@@ -345,3 +359,58 @@ def test_manufactured_timestep_sweep_has_no_sroc():
     assert records[1].sroc is None
     assert records[1].troc == pytest.approx(1.0, abs=0.3)
     assert {r.reference_error for r in records} == {None}  # the exact solution is analytic
+
+
+SET_UP = [(monofem.verification, "build_uniform_mesh"), (monofem.mesh, "_triangle_geometry"),
+          (monofem.mesh, "TripletLayout"), (monofem.solver, "assemble_mass"),
+          (monofem.solver, "assemble_stiffness")]
+
+
+@pytest.mark.parametrize("sweep,levels,per_name", [
+    ("timestep", [1 / 20, 1 / 40, 1 / 80], 1),  # one mesh, h = 1/16
+    ("mesh", [1 / 4, 1 / 8, 1 / 16], 3),  # one mesh per level
+])
+def test_study_builds_and_assembles_each_mesh_once(monkeypatch, sweep, levels, per_name):
+    calls = Counter()
+    for module, name in SET_UP:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    convergence_study(StudyConfig(model=make_model("fhn"), mode="manufactured", sweep=sweep,
+                                  levels=levels, fixed_h=1 / 16, dt_rule=1 / 80, t_final=1 / 20))
+    assert calls == {name: per_name for _, name in SET_UP}
+
+
+def test_spatial_ladder_frees_each_mesh_before_the_next_solver(monkeypatch):
+    meshes, alive = [], []
+
+    def solver(mesh, cfg):
+        alive.append([ref() is not None for ref in meshes])
+        meshes.append(weakref.ref(mesh))
+        return MonodomainSolver(mesh, cfg)
+
+    monkeypatch.setattr(monofem.verification, "MonodomainSolver", solver)
+    convergence_study(StudyConfig(model=make_model("fhn"), levels=[1 / 4, 1 / 8, 1 / 16],
+                                  t_final=1 / 16))
+    assert alive == [[], [False], [False, False]]
+
+
+def test_timestep_sweep_on_one_mesh_matches_fresh_meshes():
+    # Multigrid at dt = 1/20 and 1/40 (>= 4 h^2), plain CG at 1/80.
+    model, h, t_final, dts = make_model("fhn"), 1 / 16, 0.25, [1 / 20, 1 / 40, 1 / 80]
+    records = convergence_study(StudyConfig(model=model, mode="manufactured", sweep="timestep",
+                                            levels=dts, fixed_h=h, t_final=t_final))
+    p = ManufacturedProblem(model)
+    fresh = []
+    for dt in dts:
+        mesh = build_uniform_mesh(DEFAULT_BOUNDS, h)
+        v_at = p.v_on(*mesh.nodes.T)
+        v0 = v_at(0.0)
+        solver = MonodomainSolver(mesh, SolverConfig(
+            k=dt, t_final=t_final, ionic=model, v0=v0, w0=0.5 * v0,
+            source=lambda t, v_at=v_at: p.sources(v_at(t))))
+        assert (solver.multigrid is not None) == (dt >= 4 * h * h)
+        fresh.append(l2_norm(solver.mass, solver.run().v - v_at(t_final)))
+    assert [r.l2_error for r in records] == fresh
