@@ -56,7 +56,8 @@ class DiffusionTensor:
     evaluation, or a callable (x, y) -> 2x2 matrix, checked where
     ``assemble_stiffness`` evaluates it, which must always return the same
     value at the same point.  A tensor never changes, so the stiffness
-    matrix assembled for it on a mesh is cached there (``TriMesh.operators``).
+    matrix assembled for it on a mesh is cached there while the tensor
+    lives (``TriMesh.operators``).
     """
 
     def __init__(self, D):

@@ -9,6 +9,7 @@ The operators themselves are kept on the mesh too (``TriMesh.operators``).
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,13 @@ import numpy as np
 from .sparse import TripletLayout
 
 DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
+
+
+class _MassKey:
+    """Key of M in ``TriMesh.operators``: weakly referenceable, never freed."""
+
+
+MASS = _MassKey()
 
 
 class NonDivisibleSpacing(ValueError):
@@ -40,8 +48,9 @@ class TriMesh:
     ``geometry`` (areas and basis gradients) and ``p1_layout`` (where each
     element-matrix entry goes in DIA storage) are computed on first use and
     cached on the mesh, as are the matrices in ``operators``.  Every cache
-    lives exactly as long as the mesh.  The geometry arrays, like ``nodes``
-    and ``triangles``, are read-only.
+    lives exactly as long as the mesh, except that a stiffness matrix goes
+    with its tensor.  The geometry arrays, like ``nodes`` and
+    ``triangles``, are read-only.
     """
 
     nodes: np.ndarray
@@ -88,11 +97,13 @@ class TriMesh:
         return TripletLayout(self.n_nodes, self.n_nodes, tri[:, :, None], tri[:, None, :])
 
     @cached_property
-    def operators(self) -> dict:
+    def operators(self) -> weakref.WeakKeyDictionary:
         """Matrices assembled on this mesh, filled by ``MonodomainSolver``:
-        ``"mass"`` -> M, and each ``DiffusionTensor`` -> its stiffness matrix A.
-        A tensor is keyed by identity; it cannot change after construction."""
-        return {}
+        ``MASS`` -> M, and each ``DiffusionTensor`` -> its stiffness matrix A.
+        A tensor is keyed by identity; it cannot change after construction.
+        Keys are held weakly: A is dropped once its tensor is garbage, while
+        ``MASS`` lives as long as the program, so M as long as the mesh."""
+        return weakref.WeakKeyDictionary()
 
 
 def grid_cells(bounds, h: float) -> tuple[int, int]:

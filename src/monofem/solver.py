@@ -20,7 +20,7 @@ from .assembly import (
     assemble_stiffness,
     interpolate_nodal,
 )
-from .mesh import NonDivisibleSpacing, TriMesh, grid_cells
+from .mesh import MASS, NonDivisibleSpacing, TriMesh, grid_cells
 from .sparse import DEFAULT_CG_TOL, DiaMatrix, VCycle, cg_solve, grid_offsets, spmv
 
 
@@ -74,8 +74,8 @@ class MonodomainSolver:
     """Holds the assembled system and the discrete trajectory for one run.
 
     M and A come from ``mesh.operators``: each is assembled on first use
-    and kept as long as the mesh, M once per mesh and A once per
-    ``DiffusionTensor`` object (keyed by identity).  Only S = M + k A and
+    and kept on the mesh, M once per mesh and A once per ``DiffusionTensor``
+    object (keyed by identity) while that tensor lives.  Only S = M + k A and
     its V-cycle are built per solver, so solvers for several k on one mesh
     share the assembly.
 
@@ -93,11 +93,11 @@ class MonodomainSolver:
         # M and A are scattered from the same triangles, so they share their
         # diagonals and S = M + k A is a sum of data arrays.
         ops = mesh.operators
-        if "mass" not in ops:
-            ops["mass"] = assemble_mass(mesh)
+        if MASS not in ops:
+            ops[MASS] = assemble_mass(mesh)
         if cfg.diffusion not in ops:
             ops[cfg.diffusion] = assemble_stiffness(mesh, cfg.diffusion)
-        self.mass = M = ops["mass"]
+        self.mass = M = ops[MASS]
         A = ops[cfg.diffusion]
         self.system = DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + cfg.k * A.data, M.nnz)
         self.multigrid = _multigrid(mesh, self.system, cfg.k)

@@ -2,13 +2,15 @@
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
-diagonals, so a product is seven shifted-slice multiply-adds.  A
-``TripletLayout`` maps each (row, col) of a fixed COO pattern to its slot
-in DIA storage once; every matrix on that pattern is then one keyed sum
-of its values.  CG solves symmetric positive definite systems, optionally
-preconditioned; ``VCycle`` is the preconditioner for P1 operators on
-nested uniform grids (prolongation, restriction and Galerkin coarse
-operators act on the node grid of ``mesh.py``).
+diagonals.  A product walks the rows in cache-sized blocks and adds each
+diagonal's shifted-slice products into the block through one reused
+buffer; CG updates its vectors in place.  A ``TripletLayout`` maps each
+(row, col) of a fixed COO pattern to its slot in DIA storage once; every
+matrix on that pattern is then one keyed sum of its values.  CG solves
+symmetric positive definite systems, optionally preconditioned;
+``VCycle`` is the preconditioner for P1 operators on nested uniform grids
+(prolongation, restriction and Galerkin coarse operators act on the node
+grid of ``mesh.py``).
 """
 from __future__ import annotations
 
@@ -19,6 +21,12 @@ from typing import Callable
 import numpy as np
 
 DEFAULT_CG_TOL = 1e-10
+
+# Rows per block of ``spmv``.  A block of y and the product buffer take
+# 2 x 256 kB, so they stay in a 1-2 MB L2 cache while every diagonal is
+# added into the block; a whole-length pass per diagonal would stream y
+# through memory seven times once n exceeds L2.
+SPMV_BLOCK = 1 << 15
 
 
 class IndexOutOfRange(IndexError):
@@ -47,6 +55,14 @@ class DiaMatrix:
     are not stored are 0.  ``nnz`` counts the distinct stored (row, col)
     pairs.  Storage is distinct diagonals x nrows floats: 7 n for every
     matrix monofem assembles, but (nrows + ncols - 1) x nrows for a dense one.
+
+    ``plan`` is built once, here, and walked by ``spmv`` and ``to_dense``:
+    one ``(rows, terms)`` per block of SPMV_BLOCK rows, ``rows`` the block's
+    slice of rows, and one ``(ys, xs, ts, d)`` per diagonal that reaches the
+    block, in ascending offset order.  Row ``rows.start + ys.start + i`` of
+    that diagonal holds ``d[i]`` (a read-only view of ``data``) in column
+    ``xs.start + i``; ``ts`` is ``slice(0, len(d))``, its span in a
+    block-sized buffer.
     """
 
     nrows: int
@@ -54,9 +70,7 @@ class DiaMatrix:
     offsets: np.ndarray  # (n_diagonals,) int64, strictly ascending
     data: np.ndarray  # (n_diagonals, nrows) float64
     nnz: int
-    # (offset, lo, hi, d) per diagonal: row i in [lo, hi) holds d[i - lo]
-    # in column i + offset.
-    diagonals: tuple = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets)
@@ -77,17 +91,27 @@ class DiaMatrix:
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "data", data)
         n = self.nrows
-        diagonals = []
-        for d, offset in zip(data, offsets.tolist()):
-            lo, hi = max(0, -offset), min(n, self.ncols - offset)
-            diagonals.append((offset, lo, hi, d[lo:hi]))
-        object.__setattr__(self, "diagonals", tuple(diagonals))
+        # Row i in [lo, hi) of a diagonal holds a column i + offset in the matrix.
+        spans = [(offset, max(0, -offset), min(n, self.ncols - offset))
+                 for offset in offsets.tolist()]
+        plan = []
+        for r0 in range(0, n, SPMV_BLOCK):
+            r1 = min(n, r0 + SPMV_BLOCK)
+            terms = []
+            for d, (offset, lo, hi) in zip(data, spans):
+                a, b = max(lo, r0), min(hi, r1)
+                if a < b:
+                    terms.append((slice(a - r0, b - r0), slice(a + offset, b + offset),
+                                  slice(0, b - a), d[a:b]))
+            plan.append((slice(r0, r1), tuple(terms)))
+        object.__setattr__(self, "plan", tuple(plan))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols))
-        for offset, lo, hi, d in self.diagonals:
-            rows = np.arange(lo, hi)
-            out[rows, rows + offset] = d
+        for rows, terms in self.plan:
+            block = out[rows]
+            for ys, xs, _, d in terms:
+                block[np.arange(ys.start, ys.stop), np.arange(xs.start, xs.stop)] = d
         return out
 
 
@@ -154,21 +178,43 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     return TripletLayout(nrows, ncols, rows, cols).assemble(vals)
 
 
-def spmv(A: DiaMatrix, x: np.ndarray) -> np.ndarray:
-    """y = A @ x.
+def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """y = A @ x, written into ``out`` if given, and returned.
 
-    Diagonals are added in ascending offset order, i.e. each row's products
-    in ascending column order starting from 0.0.  A zero-padded entry adds
-    0 * x = +-0, which leaves every sum unchanged for finite x, so the
-    result is bit-identical to summing only the stored entries of each row.
+    Each block of ``A.plan`` is zeroed, then its diagonals are added in
+    ascending offset order, so every row sums its products in ascending
+    column order starting from 0.0, whatever the block size.  A
+    zero-padded entry adds 0 * x = +-0, which leaves every sum unchanged
+    for finite x, so the result is bit-identical to summing only the
+    stored entries of each row.
+
+    ``out`` must be a float64 array of shape (nrows,) that shares no
+    memory with ``x``; DimensionMismatch otherwise.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (A.ncols,):
         raise DimensionMismatch(f"expected vector of length {A.ncols}, got shape {x.shape}")
-    y = np.zeros(A.nrows)
-    for offset, lo, hi, d in A.diagonals:
-        y[lo:hi] += d * x[lo + offset : hi + offset]
-    return y
+    if out is None:
+        out = np.empty(A.nrows)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (A.nrows,)) or np.shares_memory(out, x):
+        raise DimensionMismatch(f"out must be a float64 array of shape ({A.nrows},) "
+                                "that shares no memory with x")
+    # One product buffer for every block, as long as the first (longest)
+    # one and started on a 64-byte boundary: malloc aligns to 16 bytes only,
+    # and numpy's multiply and add run up to 1.5x slower into and out of a
+    # misaligned buffer.
+    m = A.plan[0][0].stop if A.plan else 0
+    t = np.empty(m + 7)
+    t = t[(-t.ctypes.data % 64) // 8:][:m]
+    for rows, terms in A.plan:
+        y = out[rows]
+        y.fill(0.0)
+        for ys, xs, ts, d in terms:
+            yy, tt = y[ys], t[ts]
+            np.multiply(d, x[xs], tt)
+            np.add(yy, tt, yy)
+    return out
 
 
 def _preconditioned(precondition, r, rr):
@@ -198,6 +244,8 @@ def cg_solve(
     CG runs on b 2^-e and x0 2^-e, e the binary exponent of max |b|, and
     scales x and reported norms back: no norm or p.Ap under- or overflows,
     and the iterates are exactly the unscaled ones wherever those are normal.
+    These scaled copies are the only vectors updated in place; b and x0
+    are never written, and the returned x is a new array.
 
     Returns:
         (x, iterations)
@@ -223,34 +271,42 @@ def cg_solve(
     e = int(np.frexp(bmax)[1])
     b = np.ldexp(b, -e)
     x = np.zeros_like(b) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -e)
-    r = b - spmv(A, x)
+    r = spmv(A, x)
+    np.subtract(b, r, r)
     rr = r @ r
     tol = rel_tol * np.linalg.norm(b)
     if np.sqrt(rr) <= tol:
-        return np.ldexp(x, e), 0
+        return np.ldexp(x, e, out=x), 0
     z, rz = _preconditioned(precondition, r, rr)
     p = z.copy()
+    # Every iterate is updated in place through Ap and one scratch vector.
+    Ap, tmp = np.empty_like(b), np.empty_like(b)
     for it in range(1, max_iter + 1):
-        Ap = spmv(A, p)
+        spmv(A, p, out=Ap)
         pAp = p @ Ap
         if not 0 < pAp < math.inf:
             raise NoConvergence(f"CG breakdown in iteration {it}: p.Ap = {pAp}",
                                 residual=float(np.ldexp(np.sqrt(rr), e)), iterations=it)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        np.multiply(p, alpha, tmp)
+        x += tmp
+        np.multiply(Ap, alpha, tmp)
+        r -= tmp
         rr = r @ r
         if np.sqrt(rr) <= tol:
             # Recurrence residual can drift; confirm with the true residual.
-            r = b - spmv(A, x)
+            spmv(A, x, out=r)
+            np.subtract(b, r, r)
             rr = r @ r
             if np.sqrt(rr) <= tol:
-                return np.ldexp(x, e), it
+                return np.ldexp(x, e, out=x), it
             z, rz = _preconditioned(precondition, r, rr)
-            p = z.copy()
+            np.copyto(p, z)
             continue
         z, rz_new = _preconditioned(precondition, r, rr)
-        p = z + (rz_new / rz) * p
+        # p = z + beta p, bit for bit: IEEE products and sums commute.
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     residual, target = np.ldexp([np.sqrt(rr), tol], e)
     raise NoConvergence(
@@ -370,11 +426,17 @@ class VCycle:
     def _cycle(self, level, r):
         S, w = self.operators[level], self._weights[level]
         x = w * r
+        res = np.empty_like(r)  # r - S x, formed in place
+
+        def residual():
+            spmv(S, x, out=res)
+            return np.subtract(r, res, res)
+
         if level == len(self.cells):
             for _ in range(COARSE_SWEEPS - 1):
-                x += w * (r - spmv(S, x))
+                x += np.multiply(residual(), w, res)
             return x
         nx, ny = self.cells[level]
-        x += prolong(self._cycle(level + 1, restrict(r - spmv(S, x), nx, ny)), nx, ny)
-        x += w * (r - spmv(S, x))
+        x += prolong(self._cycle(level + 1, restrict(residual(), nx, ny)), nx, ny)
+        x += np.multiply(residual(), w, res)
         return x

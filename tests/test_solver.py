@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from monofem.assembly import (
     l2_norm,
 )
 from monofem.ionic import make_model
-from monofem.mesh import DegenerateTriangle, TriMesh, build_uniform_mesh
+from monofem.mesh import MASS, DegenerateTriangle, TriMesh, build_uniform_mesh
 from monofem.solver import (
     InvalidConfig,
     MonodomainSolver,
@@ -173,9 +174,16 @@ def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
         MonodomainSolver(mesh, paper_config(k=k, diffusion=D))
     assert calls == ["assemble_mass", "assemble_stiffness"]
     # An equal tensor is another key: A is cached by tensor identity.
-    MonodomainSolver(mesh, paper_config(diffusion=DiffusionTensor.diagonal(2.0, 1.0)))
+    E = DiffusionTensor.diagonal(2.0, 1.0)
+    MonodomainSolver(mesh, paper_config(diffusion=E))
     assert calls == ["assemble_mass", "assemble_stiffness", "assemble_stiffness"]
     assert len(mesh.operators) == 3
+    # A tensor's A goes with it; M stays as long as the mesh.
+    del D
+    gc.collect()
+    assert len(mesh.operators) == 2 and MASS in mesh.operators and E in mesh.operators
+    MonodomainSolver(mesh, paper_config(diffusion=E))
+    assert calls == ["assemble_mass", "assemble_stiffness", "assemble_stiffness"]
 
 
 def test_set_up_memory_peak():

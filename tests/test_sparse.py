@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import monofem.sparse
 from monofem.ionic import make_model
 from monofem.mesh import TriMesh, build_uniform_mesh
 from monofem.solver import MonodomainSolver, SolverConfig
@@ -40,9 +41,22 @@ def check_dia_invariants(A):
     assert A.data.shape == (len(A.offsets), A.nrows)
     assert not A.data.flags.writeable
     slots = 0
-    for (offset, lo, hi, d), row in zip(A.diagonals, A.data):
+    for offset, row in zip(A.offsets.tolist(), A.data):
+        lo, hi = max(0, -offset), min(A.nrows, A.ncols - offset)
         assert not row[:lo].any() and not row[hi:].any()  # padding outside the matrix
         slots += hi - lo
+    # The plan's blocks tile the rows in order, and each term is one
+    # read-only stretch of a diagonal inside its block.
+    assert [rows.start for rows, _ in A.plan] == list(range(0, A.nrows, monofem.sparse.SPMV_BLOCK))
+    assert sum(rows.stop - rows.start for rows, _ in A.plan) == A.nrows
+    planned = 0
+    for rows, terms in A.plan:
+        for ys, xs, ts, d in terms:
+            assert 0 <= ys.start < ys.stop <= rows.stop - rows.start and 0 <= xs.start
+            assert ys.stop - ys.start == xs.stop - xs.start == ts.stop == len(d) and ts.start == 0
+            assert xs.stop <= A.ncols and not d.flags.writeable and np.shares_memory(d, A.data)
+            planned += len(d)
+    assert planned == slots
     assert type(A.nnz) is int  # a plain int, which JSON and the hooks take as is
     assert np.count_nonzero(A.data) <= A.nnz <= slots
 
@@ -103,6 +117,25 @@ def test_spmv_dimension_mismatch():
     A = from_triplets(2, 3, [0], [0], [1.0])
     with pytest.raises(DimensionMismatch):
         spmv(A, np.ones(2))
+
+
+def test_spmv_out_contract():
+    A = from_triplets(3, 2, [0, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0])
+    x = np.array([1.0, -1.0])
+    out = np.full(3, np.nan)  # overwritten, not added to
+    assert spmv(A, x, out=out) is out
+    assert out.tobytes() == spmv(A, x).tobytes()
+    square = from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+    for bad in (np.empty(2), np.empty((3, 1)), np.empty(3, dtype=np.float32), [0.0, 0.0, 0.0]):
+        with pytest.raises(DimensionMismatch):
+            spmv(A, x, out=bad)
+    y = np.array([1.0, 2.0])
+    with pytest.raises(DimensionMismatch):
+        spmv(square, y, out=y)
+    z = np.arange(3.0)
+    with pytest.raises(DimensionMismatch):
+        spmv(square, z[:2], out=z[1:])  # overlapping views
+    np.testing.assert_array_equal(y, [1.0, 2.0])
 
 
 def test_spmv_dense_oracle():
@@ -169,6 +202,23 @@ def test_spmv_property_random_coo(case):
     assert np.all(np.abs(got - dense @ x) <= bound)
 
 
+@given(coo_and_vector(), st.integers(1, 13))
+def test_spmv_blocks_bit_identical(case, block):
+    # Blocks of a few rows put block edges inside every diagonal; each row
+    # must still sum its products in column order from 0.0.
+    (nrows, ncols, rows, cols, vals), x = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monofem.sparse, "SPMV_BLOCK", block)
+        A = from_triplets(nrows, ncols, rows, cols, vals)
+        check_dia_invariants(A)
+    assert len(A.plan) == -(-nrows // block)
+    entries = reference_entries(ncols, rows, cols, vals)
+    assert spmv(A, x).tobytes() == reference_spmv(nrows, entries, x).tobytes()
+    dense = np.zeros((nrows, ncols))
+    dense[entries[0], entries[1]] = entries[2]
+    assert A.to_dense().tobytes() == dense.tobytes()
+
+
 def element_triplets(mesh, D):
     """(rows, cols, mass values, stiffness values) of every element matrix,
     built independently of assembly: entry (i, j) of triangle t is triplet
@@ -226,6 +276,31 @@ def test_spmv_bit_identical_on_assembled_operators(h):
                 for _ in range(5):
                     x = rng.standard_normal(mat.ncols)
                     assert spmv(mat, x).tobytes() == reference_spmv(mat.nrows, entries, x).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 20, 100, 1000])
+def test_spmv_block_edges_on_assembled_operators(monkeypatch, block):
+    # h = 1/16 has 1,681 rows, 41 per grid line: blocks of 1 and 20 rows
+    # split a line, 100 and 1,000 span several; every product must equal
+    # the reference row sums and the single-block product.
+    mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 16)
+    n = mesh.n_nodes
+    D = ASSEMBLY_TENSORS[-1]
+    rows, cols, m_vals, a_vals = element_triplets(mesh, D)
+    single = system(mesh, 1 / 160, D)
+    monkeypatch.setattr(monofem.sparse, "SPMV_BLOCK", block)
+    S = system(mesh, 1 / 160, D)
+    assert len(single.plan) == 1 and len(S.plan) == -(-n // block)
+    check_dia_invariants(S)
+    m_entries = reference_entries(n, rows, cols, m_vals)
+    entries = (m_entries[0], m_entries[1],
+               m_entries[2] + 1 / 160 * reference_entries(n, rows, cols, a_vals)[2])
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        got = spmv(S, x)
+        assert got.tobytes() == reference_spmv(n, entries, x).tobytes()
+        assert got.tobytes() == spmv(single, x).tobytes()
 
 
 def test_assembly_bit_identical_on_a_perturbed_mesh():
@@ -360,6 +435,25 @@ def test_cg_non_finite_rhs_norm(entry):
     x, _ = cg_solve(A, b, x0=np.zeros(2))
     assert math.hypot(*(b - spmv(A, x))) <= 1e-10 * math.hypot(*b)  # hypot: no overflow
     assert x[0] == 5e199
+
+
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_cg_leaves_its_inputs_alone(preconditioned):
+    # CG updates its iterates in place; MonodomainSolver.step passes its
+    # state as x0, so neither b nor x0 may change, nor alias the result.
+    A = system(fine_mesh(8, 8), 10.0, DiffusionTensor.diagonal(1.0, 1.0))
+    B = VCycle(A, [(16, 16), (8, 8), (4, 4)]) if preconditioned else None
+    rng = np.random.default_rng(9)
+    b, x0 = rng.uniform(-1, 1, A.nrows), rng.uniform(-1, 1, A.nrows)
+    b_copy, x0_copy = b.copy(), x0.copy()
+    for start in (None, x0):
+        x, iterations = cg_solve(A, b, x0=start, precondition=B)
+        assert iterations > 1
+        assert b.tobytes() == b_copy.tobytes() and x0.tobytes() == x0_copy.tobytes()
+        assert not np.shares_memory(x, b) and not np.shares_memory(x, x0)
+    if B is not None:  # the V-cycle smooths in place too, but not into r
+        B(b)
+        assert b.tobytes() == b_copy.tobytes()
 
 
 def test_cg_breakdown_raises():
