@@ -5,10 +5,10 @@ as CSV or markdown.  Exit codes: 0 success; 2 usage error (bad flags or
 values, a spacing or time step that does not divide the domain or the
 final time, a time step too large for the explicit reaction step along
 the homogeneous or the manufactured trajectory, an unwritable ``--out``);
-3 the solver failed (CG did not converge or broke down, the homogeneous
-reference did not converge, or the state became non-finite).  Every
-usage error except an unwritable ``--out`` is reported before any
-computation starts.
+3 the solver failed (CG did not converge, stalled or broke down, the
+homogeneous reference did not converge, or the state became
+non-finite).  Every usage error except an unwritable ``--out`` is
+reported before any computation starts.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ The operators themselves are kept on the mesh too (``TriMesh.operators``).
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,13 +21,6 @@ from .sparse import TripletLayout
 DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
 
-class _MassKey:
-    """Key of M in ``TriMesh.operators``: weakly referenceable, never freed."""
-
-
-MASS = _MassKey()
-
-
 class NonDivisibleSpacing(ValueError):
     """Rectangle side length is not an integer multiple of the grid spacing."""
 
@@ -35,7 +29,7 @@ class DegenerateTriangle(ValueError):
     """A triangle is clockwise or has zero area (signed area <= 0)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriMesh:
     """Triangulation of a rectangle.
 
@@ -48,9 +42,10 @@ class TriMesh:
     ``geometry`` (areas and basis gradients) and ``p1_layout`` (where each
     element-matrix entry goes in DIA storage) are computed on first use and
     cached on the mesh, as are the matrices in ``operators``.  Every cache
-    lives exactly as long as the mesh, except that a stiffness matrix goes
-    with its tensor.  The geometry arrays, like ``nodes`` and
-    ``triangles``, are read-only.
+    lives exactly as long as the mesh, except that the matrices of a
+    diffusion tensor go with the tensor.  The geometry arrays, like
+    ``nodes`` and ``triangles``, are read-only.  Meshes compare and hash
+    by identity.
     """
 
     nodes: np.ndarray
@@ -99,26 +94,32 @@ class TriMesh:
     @cached_property
     def operators(self) -> weakref.WeakKeyDictionary:
         """Matrices assembled on this mesh, filled by ``MonodomainSolver``:
-        ``MASS`` -> M, and each ``DiffusionTensor`` -> its stiffness matrix A.
+        each ``DiffusionTensor`` -> (M, A), its mass and stiffness matrices.
         A tensor is keyed by identity; it cannot change after construction.
-        Keys are held weakly: A is dropped once its tensor is garbage, while
-        ``MASS`` lives as long as the program, so M as long as the mesh."""
+        Keys are held weakly: (M, A) is dropped once its tensor is garbage."""
         return weakref.WeakKeyDictionary()
+
+
+def whole_count(length: float, step: float) -> int:
+    """length / step if it is within 1e-9 of a positive whole number, else 0
+    (also when the ratio is not finite)."""
+    ratio = length / step
+    n = int(round(ratio)) if abs(ratio) < math.inf else 0
+    return n if n >= 1 and abs(ratio - n) <= 1e-9 else 0
 
 
 def grid_cells(bounds, h: float) -> tuple[int, int]:
     """Cells of side ``h`` along x and y of ``bounds``; NonDivisibleSpacing
-    unless h is finite, positive and divides both sides (to 1e-9 cells)."""
+    unless h is finite, positive and divides both sides (``whole_count``)."""
     xmin, ymin, xmax, ymax = map(float, bounds)
-    if not 0 < h < np.inf:
+    if not 0 < h < math.inf:
         raise NonDivisibleSpacing(f"grid spacing must be finite and positive, got {h}")
-    nx = (xmax - xmin) / h
-    ny = (ymax - ymin) / h
-    if min(nx, ny) < 0.5 or abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
+    nx, ny = whole_count(xmax - xmin, h), whole_count(ymax - ymin, h)
+    if not (nx and ny):
         raise NonDivisibleSpacing(
             f"side lengths {xmax - xmin} x {ymax - ymin} are not positive integer multiples of h={h}"
         )
-    return int(round(nx)), int(round(ny))
+    return nx, ny
 
 
 def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:

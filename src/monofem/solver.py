@@ -8,7 +8,7 @@ and cancels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,8 +20,8 @@ from .assembly import (
     assemble_stiffness,
     interpolate_nodal,
 )
-from .mesh import MASS, NonDivisibleSpacing, TriMesh, grid_cells
-from .sparse import DEFAULT_CG_TOL, DiaMatrix, VCycle, cg_solve, grid_offsets, spmv
+from .mesh import NonDivisibleSpacing, TriMesh, grid_cells, whole_count
+from .sparse import DiaMatrix, VCycle, cg_solve, grid_offsets, spmv
 
 
 class InvalidConfig(ValueError):
@@ -32,8 +32,10 @@ class NonFiniteState(RuntimeError):
     """A step produced non-finite nodal values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverState:
+    """One time level; compares and hashes by identity, as it holds arrays."""
+
     v: np.ndarray  # nodal action potential
     w: np.ndarray  # nodal gating variable
     t: float
@@ -48,7 +50,7 @@ class SolverConfig:
     scalar constants.  ``source``, used only by manufactured-solution runs,
     maps t to the nodal sources (i_app, w_source) added to (i_ion, g) at
     that time level.  Every step's CG solve stops at the relative residual
-    ``DEFAULT_CG_TOL``, read from this module when the step runs.
+    ``monofem.sparse.DEFAULT_CG_TOL``, read when the solve starts.
     """
 
     k: float
@@ -63,9 +65,8 @@ class SolverConfig:
         """t_final / k; raises InvalidConfig unless it is a positive whole number."""
         if not (self.k > 0 and self.t_final > 0):
             raise InvalidConfig(f"need k > 0 and t_final > 0, got k={self.k}, T={self.t_final}")
-        ratio = self.t_final / self.k
-        n = round(ratio) if ratio < np.inf else 0
-        if n < 1 or abs(ratio - n) > 1e-9:
+        n = whole_count(self.t_final, self.k)
+        if not n:
             raise InvalidConfig(f"t_final={self.t_final} is not an integer multiple of k={self.k}")
         return n
 
@@ -73,11 +74,11 @@ class SolverConfig:
 class MonodomainSolver:
     """Holds the assembled system and the discrete trajectory for one run.
 
-    M and A come from ``mesh.operators``: each is assembled on first use
-    and kept on the mesh, M once per mesh and A once per ``DiffusionTensor``
-    object (keyed by identity) while that tensor lives.  Only S = M + k A and
-    its V-cycle are built per solver, so solvers for several k on one mesh
-    share the assembly.
+    M and A come from ``mesh.operators``: the pair is assembled on first
+    use and kept on the mesh once per ``DiffusionTensor`` object (keyed by
+    identity) while that tensor lives.  Only S = M + k A and its V-cycle are
+    built per solver, so solvers for several k on one mesh share the
+    assembly.
 
     ``multigrid`` is the V-cycle that preconditions CG on S, or None.  Its
     list of grids, built once by ``_multigrid``, starts at the cells of the
@@ -93,13 +94,10 @@ class MonodomainSolver:
         # M and A are scattered from the same triangles, so they share their
         # diagonals and S = M + k A is a sum of data arrays.
         ops = mesh.operators
-        if MASS not in ops:
-            ops[MASS] = assemble_mass(mesh)
         if cfg.diffusion not in ops:
-            ops[cfg.diffusion] = assemble_stiffness(mesh, cfg.diffusion)
-        self.mass = M = ops[MASS]
-        A = ops[cfg.diffusion]
-        self.system = DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + cfg.k * A.data, M.nnz)
+            ops[cfg.diffusion] = assemble_mass(mesh), assemble_stiffness(mesh, cfg.diffusion)
+        self.mass, A = ops[cfg.diffusion]
+        self.system = replace(self.mass, data=self.mass.data + cfg.k * A.data)
         self.multigrid = _multigrid(mesh, self.system, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)
@@ -116,8 +114,7 @@ class MonodomainSolver:
             i_app, w_source = cfg.source(s.t)
             f, g = f + i_app, g + w_source
         rhs = spmv(self.mass, s.v + k * f)
-        v_new, _ = cg_solve(self.system, rhs, x0=s.v, rel_tol=DEFAULT_CG_TOL,
-                            precondition=self.multigrid)
+        v_new, _ = cg_solve(self.system, rhs, x0=s.v, precondition=self.multigrid)
         w_new = s.w + k * g
         if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
             raise NonFiniteState(f"non-finite nodal values after step {s.n + 1} (t={s.t + k})")

@@ -46,7 +46,7 @@ class NoConvergence(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiaMatrix:
     """Sparse matrix stored by diagonals.
 
@@ -62,7 +62,7 @@ class DiaMatrix:
     block, in ascending offset order.  Row ``rows.start + ys.start + i`` of
     that diagonal holds ``d[i]`` (a read-only view of ``data``) in column
     ``xs.start + i``; ``ts`` is ``slice(0, len(d))``, its span in a
-    block-sized buffer.
+    block-sized buffer.  Matrices compare and hash by identity.
     """
 
     nrows: int
@@ -70,7 +70,7 @@ class DiaMatrix:
     offsets: np.ndarray  # (n_diagonals,) int64, strictly ascending
     data: np.ndarray  # (n_diagonals, nrows) float64
     nnz: int
-    plan: tuple = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets)
@@ -229,13 +229,14 @@ def cg_solve(
     A: DiaMatrix,
     b: np.ndarray,
     x0: np.ndarray | None = None,
-    rel_tol: float = DEFAULT_CG_TOL,
+    rel_tol: float | None = None,
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve A x = b for SPD A by conjugate gradients.
 
-    Stops when the true residual satisfies ||b - A x|| <= rel_tol * ||b||.
+    Stops when the true residual satisfies ||b - A x|| <= rel_tol * ||b||;
+    rel_tol None means ``DEFAULT_CG_TOL`` as it is when the call starts.
     ``precondition`` maps a residual r to z = B r for a symmetric positive
     definite B ~ A^-1, such as a ``VCycle``; without it, CG is plain and
     z is r itself.  Either way the stopping test and the residual reported
@@ -252,10 +253,13 @@ def cg_solve(
 
     Raises:
         ValueError: rel_tol is not finite and positive.
-        NoConvergence: tolerance not met within max_iter iterations, b not
-            finite, or breakdown (p.Ap not finite and positive, so A is not
-            SPD); ``iterations`` is then the iteration that broke down.
+        NoConvergence: tolerance not met within max_iter iterations, a
+            stall (a true-residual check that failed without halving the
+            true residual of the check before, or of x0), b not finite, or
+            breakdown (p.Ap not finite and positive, so A is not SPD);
+            ``iterations`` is then the iteration that stalled or broke down.
     """
+    rel_tol = DEFAULT_CG_TOL if rel_tol is None else rel_tol
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"CG tolerance must be finite and positive, got {rel_tol!r}")
     b = np.asarray(b, dtype=float)
@@ -273,7 +277,7 @@ def cg_solve(
     x = np.zeros_like(b) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -e)
     r = spmv(A, x)
     np.subtract(b, r, r)
-    rr = r @ r
+    rr = checked = r @ r
     tol = rel_tol * np.linalg.norm(b)
     if np.sqrt(rr) <= tol:
         return np.ldexp(x, e, out=x), 0
@@ -300,6 +304,12 @@ def cg_solve(
             rr = r @ r
             if np.sqrt(rr) <= tol:
                 return np.ldexp(x, e, out=x), it
+            # Below the attainable accuracy the recurrence residual keeps
+            # falling while the true one stalls (Greenbaum, SIMAX 18, 1997):
+            # restart only while each check at least halves the true residual.
+            if not rr <= 0.25 * checked:
+                raise _not_converged(it, rr, tol, e, "stalled at ")
+            checked = rr
             z, rz = _preconditioned(precondition, r, rr)
             np.copyto(p, z)
             continue
@@ -308,12 +318,17 @@ def cg_solve(
         p *= rz_new / rz
         p += z
         rz = rz_new
+    raise _not_converged(max_iter, rr, tol, e)
+
+
+def _not_converged(it, rr, tol, e, how=""):
+    """NoConvergence after ``it`` iterations, with the unscaled residual and target."""
     residual, target = np.ldexp([np.sqrt(rr), tol], e)
-    raise NoConvergence(
-        f"CG did not converge in {max_iter} iterations (residual {residual:.3e}, "
+    return NoConvergence(
+        f"CG did not converge in {it} iterations ({how}residual {residual:.3e}, "
         f"target {target:.3e})",
         residual=float(residual),
-        iterations=max_iter,
+        iterations=it,
     )
 
 

@@ -268,10 +268,13 @@ class StudyConfig:
     ``sweep`` selects how ``levels`` is read: "mesh" treats them as grid
     spacings (with dt from ``dt_rule``), "timestep" treats them as time
     steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
-    inputs, every level included, are checked here before any compute,
-    down to the stability of the explicit reaction step along the whole
-    trajectory.  The manufactured solution and CG's stopping rule are
-    fixed (``ManufacturedProblem``, ``solver.DEFAULT_CG_TOL``).
+    inputs, every level included, are checked here before any compute:
+    each h must divide the domain's sides and each dt the final time into
+    a whole number of parts (``mesh.whole_count``; a ratio that overflows
+    to inf is not whole), down to the stability of the explicit reaction
+    step along the whole trajectory.  The manufactured solution and CG's
+    stopping rule are fixed (``ManufacturedProblem``,
+    ``monofem.sparse.DEFAULT_CG_TOL``).
     """
 
     model: IonicModel

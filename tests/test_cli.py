@@ -51,12 +51,13 @@ MANUFACTURED_BELOW_GATE = [
 ]
 
 
+def no_compute(cfg):
+    raise AssertionError("study ran")
+
+
 def test_parse_rejects_bad_levels_before_any_compute(monkeypatch):
     # parse_config runs no study, so these are found at parse time.
     import monofem.cli as cli
-
-    def no_compute(cfg):
-        raise AssertionError("study ran")
 
     monkeypatch.setattr(cli, "convergence_study", no_compute)
     for args in (
@@ -166,16 +167,40 @@ EXIT_PATHS = {
     "diffusion-overflow": (
         ["--diffusion", "1e160", "--levels", "1/4,1/8", "--dt", "1/64", "--t-final", "1/64"], 3
     ),
+    # The two 1e-320 spacings divided a side to inf, and round(inf) raised
+    # OverflowError out of main (exit 1, with a traceback).
+    "h-subnormal": (["--levels", "1e-320"], 2),
+    "fixed-h-subnormal": (
+        ["--mode", "manufactured", "--sweep", "timestep", "--fixed-h", "1e-320", "--levels", "1/40"], 2
+    ),
+    "h-huge": (["--levels", "1e308"], 2),
+    "h-zero": (["--levels", "0"], 2),
+    "h-division-by-zero": (["--levels", "1/0"], 2),
+    "levels-bad-separator": (["--levels", "1/8;1/16"], 2),
+    "t-final-huge": (["--t-final", "1e308"], 2),
+    "dt-subnormal": (["--dt", "1e-320"], 2),
+    "diffusion-singular": (["--diffusion", "0,1"], 2),
+    "param-empty-key": (["--param", "=1"], 2),
+    "param-empty": (["--param", ""], 2),
+    "format-unknown": (["--format", "xml"], 2),
+    # S = M + k A overflows, so CG breaks down in its first iteration.
+    "diffusion-huge": (["--levels", "1/8", "--diffusion", "1e308"], 3),
+    # A is negligible next to M, and the run succeeds.
+    "diffusion-subnormal": (["--levels", "1/8", "--diffusion", "1e-320", "--t-final", "1/64"], 0),
 }
 
 
 # pytest would capture a numpy RuntimeWarning instead of letting it reach
 # stderr; the filterwarnings setting in pyproject.toml turns it into a failure.
 @pytest.mark.parametrize("args,code", EXIT_PATHS.values(), ids=EXIT_PATHS.keys())
-def test_main_exit_codes(capsys, args, code):
+def test_main_exit_codes(capsys, monkeypatch, args, code):
+    import monofem.cli as cli
+
+    if code == 2:  # every usage error here is found before any compute
+        monkeypatch.setattr(cli, "convergence_study", no_compute)
     assert main(["study", *args]) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1  # one-line message, no traceback
+    assert err.count("\n") == (code != 0)  # one-line message, no traceback
 
 
 @pytest.mark.parametrize("args", [
@@ -209,10 +234,10 @@ def test_main_exit_code_when_reference_does_not_converge(capsys, monkeypatch):
 
 
 def test_main_exit_code_when_cg_does_not_converge(capsys, monkeypatch):
-    import monofem.solver as solver
+    import monofem.sparse as sparse
 
-    # No residual reaches 1e-30 of ||b||, so CG stops at its iteration cap.
-    monkeypatch.setattr(solver, "DEFAULT_CG_TOL", 1e-30)
+    # No residual reaches 1e-30 of ||b||, so CG stops without converging.
+    monkeypatch.setattr(sparse, "DEFAULT_CG_TOL", 1e-30)
     assert main(["study", "--levels", "1/4", "--t-final", "1/16"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "CG did not converge in" in err  # no traceback

@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monofem.mesh
 import monofem.solver
+import monofem.sparse
 from monofem.assembly import (
     DiffusionTensor,
     assemble_mass,
@@ -13,15 +16,15 @@ from monofem.assembly import (
     interpolate_nodal,
     l2_norm,
 )
-from monofem.ionic import make_model
-from monofem.mesh import MASS, DegenerateTriangle, TriMesh, build_uniform_mesh
+from monofem.ionic import MODELS, make_model
+from monofem.mesh import DegenerateTriangle, TriMesh, build_uniform_mesh
 from monofem.solver import (
     InvalidConfig,
     MonodomainSolver,
     NonFiniteState,
     SolverConfig,
 )
-from monofem.sparse import DEFAULT_CG_TOL, cg_solve, spmv
+from monofem.sparse import DEFAULT_CG_TOL, NoConvergence, cg_solve, spmv
 from monofem.verification import ManufacturedProblem, discrete_cell_trajectory
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
@@ -105,6 +108,92 @@ def test_cg_iteration_counts_pinned(monkeypatch):
     assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [12]
 
 
+def test_cg_tolerance_is_read_from_sparse(monkeypatch):
+    # monofem.sparse.DEFAULT_CG_TOL is the one tolerance: step passes none,
+    # so patching it moves where every step's CG stops.
+    assert not hasattr(monofem.solver, "DEFAULT_CG_TOL")
+    mesh = build_uniform_mesh(BOUNDS, 1 / 16)
+    cfg = paper_config(h=1 / 16, ionic=ZeroReaction(),
+                       v0=lambda x, y: np.cos(np.pi * (x + 1.25) / 2.5) * np.cos(np.pi * y))
+    iterations = []
+    for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", tol)
+        iterations += first_step_cg_iterations(monkeypatch, mesh, cfg)
+        solver = MonodomainSolver(mesh, cfg)
+        rhs = spmv(solver.mass, solver.state.v)  # no reaction: b = M v
+        residual = np.linalg.norm(rhs - spmv(solver.system, solver.step().v))
+        assert residual <= tol * np.linalg.norm(rhs)
+    assert iterations == sorted(iterations) and len(set(iterations)) == 4
+
+
+@pytest.mark.parametrize("multigrid", [True, False], ids=["v-cycle", "plain"])
+def test_cg_stops_when_it_stalls(monkeypatch, multigrid):
+    # 1e-15 is below the attainable accuracy of this stiff first step (the
+    # true residual stalls near 1e-15 of ||b||), so each true-residual check
+    # fails and CG once restarted until 10 n = 259,210 iterations.  It now
+    # raises at the first check that does not halve the true residual:
+    # after 21 iterations with the V-cycle, 455 without.
+    mesh = build_uniform_mesh(BOUNDS, 1 / 64)
+    p = ManufacturedProblem(make_model("fhn"))
+    v_at = p.v_on(*mesh.nodes.T)
+    solver = MonodomainSolver(mesh, SolverConfig(
+        k=1 / 40, t_final=1 / 40, ionic=p.model, v0=v_at(0.0), w0=0.5 * v_at(0.0),
+        source=lambda t: p.sources(v_at(t)),
+    ))
+    assert solver.multigrid is not None
+    if not multigrid:
+        solver.multigrid = None
+    monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", 1e-15)
+    with pytest.raises(NoConvergence, match=r"CG did not converge in \d+ iterations \(stalled") as info:
+        solver.step()
+    assert info.value.iterations <= 1000
+
+
+def _tensor(kind, a, b, rho):
+    c = rho * np.sqrt(a * b)
+    if kind == "constant":
+        return DiffusionTensor([[a, c], [c, b]])
+    return DiffusionTensor(lambda x, y: [[a * (1 + x * x), c], [c, b * (1 + y * y)]])
+
+
+@settings(max_examples=40)
+@given(
+    nx=st.sampled_from([2, 4, 6]), ny=st.sampled_from([2, 4, 8]),
+    h=st.sampled_from([1 / 4, 1 / 8]), factor=st.sampled_from([1, 10]),
+    kind=st.sampled_from(["constant", "variable"]),
+    a=st.floats(0.1, 10), b=st.floats(0.1, 10), rho=st.floats(-0.9, 0.9),
+    model=st.sampled_from(sorted(MODELS)), seed=st.integers(0, 2**32 - 1),
+)
+def test_step_matches_dense_solve(nx, ny, h, factor, kind, a, b, rho, model, seed):
+    # One full step on non-uniform (v, w) against a dense solve of
+    # S v' = M (v + k f): k = h^2 runs plain CG, k = 10 h^2 the V-cycle.
+    # v in [0, 1] keeps ap's v + mu2 clear of 0.
+    mesh = build_uniform_mesh((0.0, 0.0, nx * h, ny * h), h)
+    rng = np.random.default_rng(seed)
+    v, w = rng.uniform(0, 1, mesh.n_nodes), rng.uniform(0, 1, mesh.n_nodes)
+    ionic, k = make_model(model), factor * h * h
+    cfg = SolverConfig(k=k, t_final=k, ionic=ionic, diffusion=_tensor(kind, a, b, rho), v0=v, w0=w)
+    solver = MonodomainSolver(mesh, cfg)
+    assert (solver.multigrid is None) == (factor == 1)
+    f, g = ionic(v, w)
+    S = solver.system.to_dense()
+    expect = np.linalg.solve(S, solver.mass.to_dense() @ (v + k * f))
+    state = solver.step()
+    bound = np.linalg.cond(S) * (monofem.sparse.DEFAULT_CG_TOL + 8 * np.finfo(float).eps)
+    assert np.linalg.norm(state.v - expect) <= bound * np.linalg.norm(expect)
+    assert np.array_equal(state.w, w + k * np.asarray(g))
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # A generated __eq__ compared the arrays and raised; hash raised too.
+    mesh, other = build_uniform_mesh(BOUNDS, 1 / 4), build_uniform_mesh(BOUNDS, 1 / 4)
+    solver = MonodomainSolver(mesh, paper_config(h=1 / 4))
+    for x, y in ((mesh, other), (solver.mass, solver.system), (solver.state, solver.step())):
+        assert x == x and x != y
+        assert hash(x) == hash(x)
+    assert len({mesh, other, mesh}) == 2
+
+
 @pytest.mark.parametrize("factor,levels", [(1, 1), (3.9, 1), (4, 2), (100, 3)])
 def test_multigrid_levels(factor, levels):
     # The 20 x 20 grid is halved while both cell counts are even and
@@ -173,17 +262,18 @@ def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
     for k in (1 / 64, 1 / 16):
         MonodomainSolver(mesh, paper_config(k=k, diffusion=D))
     assert calls == ["assemble_mass", "assemble_stiffness"]
-    # An equal tensor is another key: A is cached by tensor identity.
+    # An equal tensor is another key: (M, A) is cached by tensor identity,
+    # so a second tensor on one mesh assembles M again.
     E = DiffusionTensor.diagonal(2.0, 1.0)
     MonodomainSolver(mesh, paper_config(diffusion=E))
-    assert calls == ["assemble_mass", "assemble_stiffness", "assemble_stiffness"]
-    assert len(mesh.operators) == 3
-    # A tensor's A goes with it; M stays as long as the mesh.
+    assert calls == ["assemble_mass", "assemble_stiffness"] * 2
+    assert len(mesh.operators) == 2
+    # A tensor's (M, A) goes with it.
     del D
     gc.collect()
-    assert len(mesh.operators) == 2 and MASS in mesh.operators and E in mesh.operators
+    assert len(mesh.operators) == 1 and E in mesh.operators
     MonodomainSolver(mesh, paper_config(diffusion=E))
-    assert calls == ["assemble_mass", "assemble_stiffness", "assemble_stiffness"]
+    assert calls == ["assemble_mass", "assemble_stiffness"] * 2
 
 
 def test_set_up_memory_peak():
