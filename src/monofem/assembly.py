@@ -55,9 +55,8 @@ class DiffusionTensor:
     and kept, read-only, in ``constant`` so assembly can skip per-triangle
     evaluation, or a callable (x, y) -> 2x2 matrix, checked where
     ``assemble_stiffness`` evaluates it, which must always return the same
-    value at the same point.  A tensor never changes, so the stiffness
-    matrix assembled for it on a mesh is cached there while the tensor
-    lives (``TriMesh.operators``).
+    value at the same point.  A tensor never changes, so its matrices can
+    be cached on a mesh (``TriMesh.operators``).
     """
 
     def __init__(self, D):

@@ -2,7 +2,8 @@
 
 ``monofem study`` runs a convergence study and writes the resulting table
 as CSV or markdown.  Exit codes: 0 success; 2 usage error (bad flags or
-values, a spacing or time step that does not divide the domain or the
+values, ``--dt`` outside a mesh sweep or ``--fixed-h`` outside a timestep
+sweep, a spacing or time step that does not divide the domain or the
 final time, a time step too large for the explicit reaction step along
 the homogeneous or the manufactured trajectory, an unwritable ``--out``);
 3 the solver failed (CG did not converge, stalled or broke down, the
@@ -53,14 +54,14 @@ def _build_parser() -> _Parser:
     study.add_argument("--levels", default="1/8,1/16,1/32,1/64",
                        help="comma-separated h values (or dt values for --sweep timestep); fractions like 1/128 accepted")
     study.add_argument("--t-final", default="0.25")
-    study.add_argument("--dt", default="h2", help="'h2' for dt = h^2, or a fixed time step")
+    study.add_argument("--dt", help="mesh sweep only: 'h2' for dt = h^2, or a fixed time step")
     study.add_argument("--diffusion", default="1.0", help="scalar sigma or diagonal 'a,b'")
     study.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                        help="ionic model parameter override (repeatable)")
     study.add_argument("--out", default=None)
     study.add_argument("--format", default="csv", choices=["csv", "md"])
     study.add_argument("--sweep", default="mesh", choices=["mesh", "timestep"])
-    study.add_argument("--fixed-h", default="1/64")
+    study.add_argument("--fixed-h", help="timestep sweep only: the mesh spacing")
     return parser
 
 
@@ -85,16 +86,25 @@ def parse_config(argv) -> tuple[StudyConfig, str | None, str]:
     if len(diffusion) not in (1, 2):
         raise UsageError(f"--diffusion expects 'sigma' or 'a,b', got {ns.diffusion!r}")
 
+    # Each sweep reads one of --dt and --fixed-h; StudyConfig owns their defaults.
+    flag, unread = ("--dt", ns.dt) if ns.sweep == "timestep" else ("--fixed-h", ns.fixed_h)
+    if unread is not None:
+        raise UsageError(f"{flag} does not apply to a {ns.sweep} sweep")
+    given = {}
+    if ns.dt is not None:
+        given["dt_rule"] = ns.dt if ns.dt == "h2" else _number(ns.dt)
+    if ns.fixed_h is not None:
+        given["fixed_h"] = _number(ns.fixed_h)
+
     try:
         cfg = StudyConfig(
             model=make_model(ns.model, **params),
             mode=ns.mode,
             levels=[_number(tok) for tok in ns.levels.split(",") if tok.strip()],
             t_final=_number(ns.t_final),
-            dt_rule=ns.dt if ns.dt == "h2" else _number(ns.dt),
             diffusion=DiffusionTensor.diagonal(diffusion[0], diffusion[-1]),  # 'sigma' sets both
             sweep=ns.sweep,
-            fixed_h=_number(ns.fixed_h),
+            **given,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

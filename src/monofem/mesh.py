@@ -41,11 +41,9 @@ class TriMesh:
 
     ``geometry`` (areas and basis gradients) and ``p1_layout`` (where each
     element-matrix entry goes in DIA storage) are computed on first use and
-    cached on the mesh, as are the matrices in ``operators``.  Every cache
-    lives exactly as long as the mesh, except that the matrices of a
-    diffusion tensor go with the tensor.  The geometry arrays, like
-    ``nodes`` and ``triangles``, are read-only.  Meshes compare and hash
-    by identity.
+    cached on the mesh for as long as it lives; ``operators`` caches the
+    matrices (see there).  The geometry arrays, like ``nodes`` and
+    ``triangles``, are read-only.  Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -93,10 +91,12 @@ class TriMesh:
 
     @cached_property
     def operators(self) -> weakref.WeakKeyDictionary:
-        """Matrices assembled on this mesh, filled by ``MonodomainSolver``:
-        each ``DiffusionTensor`` -> (M, A), its mass and stiffness matrices.
-        A tensor is keyed by identity; it cannot change after construction.
-        Keys are held weakly: (M, A) is dropped once its tensor is garbage."""
+        """Mass and stiffness matrices on this mesh: ``DiffusionTensor`` -> (M, A).
+        ``MonodomainSolver`` assembles a pair on first use and reuses it, so
+        solvers for several k on one mesh share it and each builds only
+        S = M + k A and its V-cycle.  Tensors are keyed by identity (a tensor
+        cannot change) and held weakly: (M, A) goes with its tensor or the
+        mesh.  Two tensors on one mesh each assemble their own M."""
         return weakref.WeakKeyDictionary()
 
 

@@ -8,7 +8,7 @@ and cancels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -42,7 +42,7 @@ class SolverState:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Run configuration for a single monodomain solve.
 
@@ -51,6 +51,9 @@ class SolverConfig:
     maps t to the nodal sources (i_app, w_source) added to (i_ion, g) at
     that time level.  Every step's CG solve stops at the relative residual
     ``monofem.sparse.DEFAULT_CG_TOL``, read when the solve starts.
+
+    Checked when made: ``n_steps`` = t_final / k, and InvalidConfig unless
+    it is a positive whole number.  Compares and hashes by identity.
     """
 
     k: float
@@ -60,25 +63,22 @@ class SolverConfig:
     v0: object = 0.0
     w0: object = 0.0
     source: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
+    n_steps: int = field(init=False)
 
-    def n_steps(self) -> int:
-        """t_final / k; raises InvalidConfig unless it is a positive whole number."""
+    def __post_init__(self):
         if not (self.k > 0 and self.t_final > 0):
             raise InvalidConfig(f"need k > 0 and t_final > 0, got k={self.k}, T={self.t_final}")
         n = whole_count(self.t_final, self.k)
         if not n:
             raise InvalidConfig(f"t_final={self.t_final} is not an integer multiple of k={self.k}")
-        return n
+        object.__setattr__(self, "n_steps", n)
 
 
 class MonodomainSolver:
     """Holds the assembled system and the discrete trajectory for one run.
 
-    M and A come from ``mesh.operators``: the pair is assembled on first
-    use and kept on the mesh once per ``DiffusionTensor`` object (keyed by
-    identity) while that tensor lives.  Only S = M + k A and its V-cycle are
-    built per solver, so solvers for several k on one mesh share the
-    assembly.
+    M and A come from ``mesh.operators`` (see there for when they are
+    assembled and dropped); only S = M + k A and its V-cycle are per solver.
 
     ``multigrid`` is the V-cycle that preconditions CG on S, or None.  Its
     list of grids, built once by ``_multigrid``, starts at the cells of the
@@ -89,7 +89,6 @@ class MonodomainSolver:
     """
 
     def __init__(self, mesh: TriMesh, cfg: SolverConfig):
-        cfg.n_steps()  # validate k, T
         self.cfg = cfg
         # M and A are scattered from the same triangles, so they share their
         # diagonals and S = M + k A is a sum of data arrays.
@@ -123,7 +122,7 @@ class MonodomainSolver:
 
     def run(self) -> SolverState:
         """Apply exactly t_final / k steps."""
-        for _ in range(self.cfg.n_steps()):
+        for _ in range(self.cfg.n_steps):
             self.step()
         return self.state
 

@@ -408,7 +408,7 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
     data = np.empty((len(_NEIGHBOURS), n))
     for d, (dx, dy) in zip(data, _NEIGHBOURS):
         d[:] = probes[colours[1 + dy : ny + 2 + dy, 1 + dx : nx + 2 + dx].ravel(), rows]
-    nnz = n + 2 * (nx * (ny + 1) + (nx + 1) * ny + nx * ny)
+    nnz = sum((nx + 1 - abs(dx)) * (ny + 1 - abs(dy)) for dx, dy in _NEIGHBOURS)
     return DiaMatrix(n, n, np.array(grid_offsets(nx)), data, nnz)
 
 
@@ -441,17 +441,11 @@ class VCycle:
     def _cycle(self, level, r):
         S, w = self.operators[level], self._weights[level]
         x = w * r
-        res = np.empty_like(r)  # r - S x, formed in place
-
-        def residual():
-            spmv(S, x, out=res)
-            return np.subtract(r, res, res)
-
         if level == len(self.cells):
             for _ in range(COARSE_SWEEPS - 1):
-                x += np.multiply(residual(), w, res)
+                x += w * (r - spmv(S, x))
             return x
         nx, ny = self.cells[level]
-        x += prolong(self._cycle(level + 1, restrict(residual(), nx, ny)), nx, ny)
-        x += np.multiply(residual(), w, res)
+        x += prolong(self._cycle(level + 1, restrict(r - spmv(S, x), nx, ny)), nx, ny)
+        x += w * (r - spmv(S, x))
         return x

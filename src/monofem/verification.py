@@ -267,7 +267,8 @@ class StudyConfig:
 
     ``sweep`` selects how ``levels`` is read: "mesh" treats them as grid
     spacings (with dt from ``dt_rule``), "timestep" treats them as time
-    steps on the fixed mesh ``fixed_h`` (manufactured mode only).  All
+    steps on the fixed mesh ``fixed_h`` (manufactured mode only).  The
+    config keeps ``levels`` as the tuple of floats it checked.  All
     inputs, every level included, are checked here before any compute:
     each h must divide the domain's sides and each dt the final time into
     a whole number of parts (``mesh.whole_count``; a ratio that overflows
@@ -293,9 +294,10 @@ class StudyConfig:
             raise ValueError(f"unknown sweep {self.sweep!r}")
         if self.sweep == "timestep" and self.mode != "manufactured":
             raise ValueError("a timestep sweep needs manufactured mode")
+        object.__setattr__(self, "levels", tuple(map(float, self.levels)))
         if len(self.levels) == 0:
             raise ValueError("need at least one refinement level")
-        if any(b >= a for a, b in zip(self.levels, list(self.levels)[1:])):
+        if any(b >= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly decreasing")
         if self.mode == "manufactured":  # checks D
             ManufacturedProblem(self.model, self.diffusion)
@@ -309,7 +311,7 @@ class StudyConfig:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as rho = inf
             for h, dt in zip(*self.resolutions()):  # also rejects h, dt <= 0
                 grid_cells(DEFAULT_BOUNDS, h)
-                steps = SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps()
+                steps = SolverConfig(k=dt, t_final=self.t_final, ionic=self.model).n_steps
                 if self.mode == "homogeneous":
                     rho = spectral_radius(self.model, *discrete_cell_trajectory(
                         self.model, HOMOGENEOUS_V0, HOMOGENEOUS_W0, dt, steps))
@@ -325,8 +327,8 @@ class StudyConfig:
     def resolutions(self) -> tuple[list[float], list[float]]:
         """(h, dt) per level."""
         if self.sweep == "timestep":
-            return [float(self.fixed_h)] * len(self.levels), [float(k) for k in self.levels]
-        hs = [float(h) for h in self.levels]
+            return [float(self.fixed_h)] * len(self.levels), list(self.levels)
+        hs = list(self.levels)
         if self.dt_rule == "h2":
             return hs, [h * h for h in hs]
         return hs, [float(self.dt_rule)] * len(hs)
@@ -335,11 +337,10 @@ class StudyConfig:
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Run every refinement level and attach observed rates.
 
-    Consecutive levels with the same h (a timestep sweep) share one mesh,
-    and with it the mesh's cached geometry, M and A (``TriMesh.operators``);
-    each level builds only its own S and V-cycle.  A mesh is dropped as soon
-    as h changes, before the next one is built, so a spatial ladder holds
-    one level's mesh at a time.
+    Consecutive levels with the same h (a timestep sweep) share one mesh
+    and its cached set-up (``TriMesh.operators``).  A mesh is dropped as
+    soon as h changes, before the next one is built, so a spatial ladder
+    holds one level's mesh at a time.
     """
     hs, dts = cfg.resolutions()
     # Homogeneous initial data and the exact v at t_final; manufactured ones per level.
@@ -367,7 +368,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
                             **data)
         solver = MonodomainSolver(mesh, scfg)
         final = solver.run()
-        steps.append(scfg.n_steps())
+        steps.append(scfg.n_steps)
         errors.append(l2_norm(solver.mass, final.v - interpolate_nodal(mesh, v_final)))
         del solver, final  # free this level's S and V-cycle before the next ones are built
 

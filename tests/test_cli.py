@@ -8,7 +8,7 @@ def test_parse_basic_study():
     cfg, out, fmt = parse_config(["study", "--model", "fhn", "--levels", "1/8,1/16", "--t-final", "0.25"])
     assert cfg.model.kind == "fhn"
     assert cfg.mode == "homogeneous"
-    assert cfg.levels == [1 / 8, 1 / 16]
+    assert cfg.levels == (1 / 8, 1 / 16)
     assert cfg.t_final == 0.25
     assert cfg.dt_rule == "h2"
     assert (out, fmt) == (None, "csv")
@@ -73,7 +73,7 @@ def test_parse_rejects_bad_levels_before_any_compute(monkeypatch):
 
 def test_parse_fractional_levels_and_dt():
     cfg, _, _ = parse_config(["study", "--levels", "1/128", "--dt", "1/40"])
-    assert cfg.levels == [1 / 128]
+    assert cfg.levels == (1 / 128,)
     assert cfg.dt_rule == 1 / 40
 
 
@@ -183,6 +183,12 @@ EXIT_PATHS = {
     "param-empty-key": (["--param", "=1"], 2),
     "param-empty": (["--param", ""], 2),
     "format-unknown": (["--format", "xml"], 2),
+    # Each sweep once dropped the other sweep's flag unread and ran (exit 0).
+    "dt-in-timestep-sweep": (
+        ["--mode", "manufactured", "--sweep", "timestep", "--fixed-h", "1/8", "--levels", "1/4,1/8",
+         "--t-final", "1/2", "--dt", "0.3"], 2
+    ),
+    "fixed-h-in-mesh-sweep": (["--levels", "1/4,1/8", "--t-final", "1/16", "--fixed-h", "0.3"], 2),
     # S = M + k A overflows, so CG breaks down in its first iteration.
     "diffusion-huge": (["--levels", "1/8", "--diffusion", "1e308"], 3),
     # A is negligible next to M, and the run succeeds.

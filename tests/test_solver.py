@@ -302,6 +302,46 @@ def test_non_integer_step_count_rejected():
             SolverConfig(k=k, t_final=t_final, ionic=make_model("fhn")).n_steps()
 
 
+def test_config_is_checked_when_made():
+    # The constructor checks k and T once and keeps the step count; the
+    # solver and the study read it and check nothing again.
+    with pytest.raises(InvalidConfig):
+        SolverConfig(k=0.3, t_final=1.0, ionic=make_model("fhn"))
+    cfg = paper_config()
+    assert cfg.n_steps == 16 and MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), cfg).run().n == 16
+    with pytest.raises(TypeError):
+        SolverConfig(k=0.5, t_final=1.0, ionic=make_model("fhn"), n_steps=3)
+
+
+def test_configs_holding_arrays_compare_by_identity():
+    # A generated __eq__ compared the v0 arrays and raised; hash raised too.
+    v0 = np.zeros(4)
+    a, b = (SolverConfig(k=0.5, t_final=1.0, ionic=make_model("fhn"), v0=v0, w0=v0) for _ in "ab")
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("k", [1 / 128**2, 1 / 40], ids=["plain", "v-cycle"])
+def test_first_step_meets_1e_12_at_the_finest_mesh(monkeypatch, k):
+    # First manufactured fhn step at h = 1/128.  With the V-cycle (k = 1/40)
+    # the true relative residual stalls near 1.5e-13 (a 1e-13 stop raises,
+    # at 1.59e-15 against 1.03e-15), so a 1e-12 stop has about 6x margin;
+    # plain CG (k = h^2) still reaches 1e-14.
+    mesh = build_uniform_mesh(BOUNDS, 1 / 128)
+    p = ManufacturedProblem(make_model("fhn"))
+    v_at = p.v_on(*mesh.nodes.T)
+    v0 = v_at(0.0)
+    solver = MonodomainSolver(mesh, SolverConfig(
+        k=k, t_final=k, ionic=p.model, v0=v0, w0=0.5 * v0, source=lambda t: p.sources(v_at(t)),
+    ))
+    assert (solver.multigrid is not None) == (k == 1 / 40)
+    monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", 1e-12)
+    rhs = spmv(solver.mass, v0 + k * (p.model(v0, 0.5 * v0)[0] + p.sources(v0)[0]))
+    residual = np.linalg.norm(rhs - spmv(solver.system, solver.step().v))
+    assert residual <= 1e-12 * np.linalg.norm(rhs)
+
+
 def test_single_step_uniform_fhn():
     # A annihilates constants, so the step reduces to the scalar recursion:
     # v1 = 0.2 + (1/64) * i_ion(0.2, 0.1) = 0.1986875, w1 = 0.1.
@@ -368,7 +408,7 @@ def test_pure_diffusion_energy_decay():
     cfg = paper_config(ionic=ZeroReaction(), v0=lambda x, y: np.cos(np.pi * (x + 1.25) / 2.5))
     solver = MonodomainSolver(mesh, cfg)
     norms = [l2_norm(solver.mass, solver.state.v)]
-    for _ in range(cfg.n_steps()):
+    for _ in range(cfg.n_steps):
         norms.append(l2_norm(solver.mass, solver.step().v))
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 

@@ -279,6 +279,17 @@ def test_study_config_validation():
     assert cfg.resolutions() == ([1 / 64] * 2, [1 / 20, 1 / 40])
 
 
+def test_study_config_keeps_the_levels_it_checked():
+    # A level appended to the caller's list afterwards was once run unchecked
+    # (1/9.7 does not divide the side), after the checked levels had run.
+    levels = [1 / 4, 1 / 8]
+    cfg = StudyConfig(model=make_model("fhn"), levels=levels, t_final=1 / 16)
+    levels.append(1 / 9.7)
+    assert cfg.levels == (1 / 4, 1 / 8)
+    assert hash(cfg) == hash(cfg)
+    assert [r.h for r in convergence_study(cfg)] == [1 / 4, 1 / 8]
+
+
 def test_study_config_rejects_unstable_reaction_step():
     # fhn at the homogeneous data (0.2, 0.1): rho(J) = 1.3718, so the
     # forward-Euler reaction step is stable up to dt = 2 / rho = 1.458.
