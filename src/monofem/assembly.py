@@ -2,11 +2,12 @@
 
 Consistent (non-lumped) mass matrix, diffusion stiffness matrix with a
 one-point centroid quadrature for the conductivity tensor, nodal
-interpolation, and the mass-matrix L2 norm.  A matrix is assembled by
-computing the 3 x 3 element matrices of all triangles at once and summing
-them into DIA storage through the mesh's cached ``p1_layout``.  The
-triangle geometry is cached on the mesh too, so M and A on one mesh share
-both.
+interpolation, and the mass-matrix L2 norm.  A matrix is assembled in
+blocks of ``sparse.LAYOUT_BLOCK`` triangles: for each block, the geometry
+and the 3 x 3 element matrices are computed and summed into DIA storage
+through the mesh's cached ``p1_layout``, which every matrix on the mesh
+shares.  So no array of one value per element-matrix entry is ever made
+for the whole mesh, and the mesh keeps no geometry.
 """
 from __future__ import annotations
 
@@ -79,9 +80,11 @@ IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:
     """Consistent P1 mass matrix M_ij = int phi_i phi_j."""
-    areas, _ = mesh.geometry
-    local = areas[:, None, None] * _LOCAL_MASS  # (T, 3, 3)
-    return mesh.p1_layout.assemble(local)
+
+    def fill(s, out):
+        np.multiply.outer(mesh.block_areas(s), _LOCAL_MASS, out=out)
+
+    return mesh.p1_layout.assemble(fill)
 
 
 def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -> DiaMatrix:
@@ -94,27 +97,29 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
     Raises:
         ValueError: D is not symmetric positive definite at some centroid.
     """
-    areas, grads = mesh.geometry
-    if D.constant is not None:
-        Dc = D.constant  # (2, 2), the same for every triangle
-    else:
-        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
-        Dc = np.stack([D(cx, cy) for cx, cy in centroids])  # (T, 2, 2)
-        _check_spd(Dc)
-    # K[t, i, j] = area_t * sum_ab (grad_i[a] D_t[a, b]) grad_j[b], the terms
-    # added from 0.0 in the order ab = 00, 01, 10, 11: bit for bit what
-    # np.einsum("tia,tab,tjb->tij") gives, which the tests check.  Built as
-    # [i, j, t], so that every product runs over the triangles.
-    g = grads.transpose(2, 1, 0)  # g[a, i, t]
-    local = np.zeros((3, 3, mesh.n_triangles))
-    term = np.empty_like(local)
-    for a in (0, 1):
-        for b in (0, 1):
+
+    def fill(s, out):
+        areas, g = mesh.block_geometry(s)  # g[a, i, t]
+        if D.constant is not None:
+            Dc = D.constant  # (2, 2), the same for every triangle
+        else:
+            centroids = mesh.nodes[mesh.triangles[s]].mean(axis=1)
+            Dc = np.stack([D(cx, cy) for cx, cy in centroids])  # (m, 2, 2)
+            _check_spd(Dc)
+        # K[t, i, j] = area_t * sum_ab (grad_i[a] D_t[a, b]) grad_j[b], the
+        # terms added in the order ab = 00, 01, 10, 11: what
+        # np.einsum("tia,tab,tjb->tij") gives, but for the sign of a zero
+        # sum, which the DIA sum from 0.0 removes; the tests check the
+        # matrices bit for bit.  Built as [i, j, t], so that every product
+        # runs over the triangles, and put in triangle order by the last one.
+        local = (g[0] * Dc[..., 0, 0])[:, None] * g[0]
+        term = np.empty_like(local)
+        for a, b in ((0, 1), (1, 0), (1, 1)):
             np.multiply((g[a] * Dc[..., a, b])[:, None], g[b], out=term)
             local += term
-    del term  # freed before assemble copies local into triangle order
-    local *= areas
-    return mesh.p1_layout.assemble(local.transpose(2, 0, 1))
+        np.multiply(local, areas, out=out.transpose(1, 2, 0))
+
+    return mesh.p1_layout.assemble(fill)
 
 
 def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:

@@ -3,9 +3,12 @@
 Each square cell of an N x N grid is split into two triangles along the
 diagonal from its lower-left to its upper-right corner.  Nodes are ordered
 row-major by (y, x) so that matrix sparsity patterns are reproducible.
-A mesh computes its triangle geometry and the layout of its P1 element
-matrices once, on first use, and every operator assembled on it shares them.
-The operators themselves are kept on the mesh too (``TriMesh.operators``).
+A mesh builds the layout of its P1 element matrices once, on first use,
+and every operator assembled on it shares it; the operators themselves are
+kept on the mesh too (``TriMesh.operators``).  Besides ``nodes`` and
+``triangles``, that layout is all a mesh keeps per triangle: one byte per
+element-matrix entry.  Assembly computes the triangle geometry block by
+block each time it builds a matrix.
 """
 from __future__ import annotations
 
@@ -39,11 +42,13 @@ class TriMesh:
         h: grid spacing of the underlying square cells.
         bounds: (xmin, ymin, xmax, ymax).
 
-    ``geometry`` (areas and basis gradients) and ``p1_layout`` (where each
-    element-matrix entry goes in DIA storage) are computed on first use and
-    cached on the mesh for as long as it lives; ``operators`` caches the
-    matrices (see there).  The geometry arrays, like ``nodes`` and
-    ``triangles``, are read-only.  Meshes compare and hash by identity.
+    ``p1_layout`` (where each element-matrix entry goes in DIA storage) is
+    built on first use and kept for as long as the mesh lives: one byte per
+    entry, 9 per triangle, and the offsets of the diagonals.  ``operators``
+    caches the matrices (see there).  The geometry, ``geometry`` for the
+    whole mesh and ``block_geometry`` or ``block_areas`` for a block of
+    triangles, is computed on each call and kept nowhere.  ``nodes`` and
+    ``triangles`` are read-only.  Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -65,9 +70,11 @@ class TriMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @cached_property
+    @property
     def geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Areas and P1 nodal basis gradients of every triangle, read-only.
+        """Areas and P1 nodal basis gradients of every triangle, read-only,
+        computed anew on each read; assembly uses ``block_geometry`` and
+        ``block_areas``.
 
         Returns:
             areas: (n_triangles,) array.
@@ -76,18 +83,60 @@ class TriMesh:
                 triangle t.  The three gradients of a triangle sum to zero.
 
         Raises:
-            DegenerateTriangle: some triangle's signed area is not positive
-                (clockwise, collinear or non-finite vertices).
+            DegenerateTriangle: as ``block_geometry``.
         """
-        return _triangle_geometry(self.nodes, self.triangles)
+        areas, g = self.block_geometry(slice(0, self.n_triangles))
+        grads = g.transpose(2, 1, 0)
+        for a in (areas, grads):
+            a.setflags(write=False)
+        return areas, grads
+
+    def block_geometry(self, s: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Areas (m,) and basis gradients g (2, 3, m) of the m triangles
+        ``triangles[s]``, s a slice with a start and step 1: g[a, i, t] is
+        component a of the gradient of the basis function at vertex i of
+        triangle s.start + t, so each component of each vertex is
+        contiguous over the triangles.  Each triangle's values do not
+        depend on s.
+
+        Raises:
+            DegenerateTriangle: some triangle's signed area is not positive
+                (clockwise, collinear or non-finite vertices); the message
+                names the first such triangle by its index in the mesh.
+        """
+        x, y, det = self._corners_and_det(s)
+        g = np.empty((2, *x.shape))
+        for i, ahead, behind in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.subtract(y[ahead], y[behind], out=g[0, i])  # y1 - y2, y2 - y0, y0 - y1
+            np.subtract(x[behind], x[ahead], out=g[1, i])  # x2 - x1, x0 - x2, x1 - x0
+        g /= det
+        return 0.5 * det, g
+
+    def block_areas(self, s: slice) -> np.ndarray:
+        """The areas of ``block_geometry(s)``, without the gradients."""
+        return 0.5 * self._corners_and_det(s)[2]
+
+    def _corners_and_det(self, s):
+        """x and y (3, m) of the vertices of ``triangles[s]`` and twice
+        their signed areas; DegenerateTriangle unless all are positive."""
+        triangles = self.triangles[s].T
+        x, y = self.nodes[:, 0][triangles], self.nodes[:, 1][triangles]
+        det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+        bad = np.flatnonzero(~(det > 0))
+        if len(bad):
+            t = s.start + int(bad[0])
+            raise DegenerateTriangle(
+                f"triangle {t} (nodes {self.triangles[t].tolist()}) has signed area "
+                f"{0.5 * det[bad[0]]!r}; every triangle must be counterclockwise with positive area"
+            )
+        return x, y, det
 
     @cached_property
     def p1_layout(self) -> TripletLayout:
         """DIA layout of the P1 element triplets: entry (i, j) of the 3 x 3
         element matrix of triangle t is triplet 9 t + 3 i + j, at row
         ``triangles[t, i]`` and column ``triangles[t, j]``."""
-        tri = self.triangles
-        return TripletLayout(self.n_nodes, self.n_nodes, tri[:, :, None], tri[:, None, :])
+        return TripletLayout(self.n_nodes, self.n_nodes, self.triangles, self.triangles)
 
     @cached_property
     def operators(self) -> weakref.WeakKeyDictionary:
@@ -145,24 +194,3 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
     return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))
-
-
-def _triangle_geometry(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    (x0, x1, x2), (y0, y1, y2) = nodes[:, 0][triangles.T], nodes[:, 1][triangles.T]
-    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-    bad = np.flatnonzero(~(det > 0))
-    if len(bad):
-        t = int(bad[0])
-        raise DegenerateTriangle(
-            f"triangle {t} (nodes {triangles[t].tolist()}) has signed area {0.5 * det[t]!r}; "
-            "every triangle must be counterclockwise with positive area"
-        )
-    areas = 0.5 * det
-    # Stored as [component, vertex, triangle], so each component of each
-    # vertex is contiguous over the triangles; grads is a view of it.
-    by_component = np.array([[y1 - y2, y2 - y0, y0 - y1], [x2 - x1, x0 - x2, x1 - x0]])
-    by_component /= det
-    grads = by_component.transpose(2, 1, 0)
-    for a in (areas, grads):
-        a.setflags(write=False)
-    return areas, grads

@@ -96,7 +96,9 @@ class MonodomainSolver:
         if cfg.diffusion not in ops:
             ops[cfg.diffusion] = assemble_mass(mesh), assemble_stiffness(mesh, cfg.diffusion)
         self.mass, A = ops[cfg.diffusion]
-        self.system = replace(self.mass, data=self.mass.data + cfg.k * A.data)
+        data = cfg.k * A.data
+        data += self.mass.data  # M + k A, without a second temporary
+        self.system = replace(self.mass, data=data)
         self.multigrid = _multigrid(mesh, self.system, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)

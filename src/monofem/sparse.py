@@ -4,13 +4,14 @@ Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
 diagonals.  A product walks the rows in cache-sized blocks and adds each
 diagonal's shifted-slice products into the block through one reused
-buffer; CG updates its vectors in place.  A ``TripletLayout`` maps each
-(row, col) of a fixed COO pattern to its slot in DIA storage once; every
-matrix on that pattern is then one keyed sum of its values.  CG solves
-symmetric positive definite systems, optionally preconditioned;
-``VCycle`` is the preconditioner for P1 operators on nested uniform grids
-(prolongation, restriction and Galerkin coarse operators act on the node
-grid of ``mesh.py``).
+buffer; CG updates its vectors in place.  A ``TripletLayout`` finds the
+diagonal of each (row, col) of a fixed COO pattern once and keeps it in
+one byte (for up to 256 diagonals); every matrix on that pattern is then
+summed into DIA storage block by block, with no per-triplet array of its
+own.  CG solves symmetric positive definite systems, optionally
+preconditioned; ``VCycle`` is the preconditioner for P1 operators on
+nested uniform grids (prolongation, restriction and Galerkin coarse
+operators act on the node grid of ``mesh.py``).
 """
 from __future__ import annotations
 
@@ -27,6 +28,16 @@ DEFAULT_CG_TOL = 1e-10
 # added into the block; a whole-length pass per diagonal would stream y
 # through memory seven times once n exceeds L2.
 SPMV_BLOCK = 1 << 15
+
+# Elements (triangles, for the P1 layout of a mesh) per block of
+# ``TripletLayout`` and of assembly.  A block's DIA positions, element
+# values and geometry take about 0.5 kB per triangle, 2 MB in all, so no
+# array of one entry per triplet is made but the layout's one-byte slots.
+# Set-up (mesh and solver) was about fastest at 4,096 over h = 1/16 to
+# 1/128: at h = 1/128, blocks of 1,024 took about 20 % longer (numpy's
+# cost per call), and at h = 1/32 one block of all 12,800 triangles took
+# 60 % longer (fresh pages for its larger temporaries).
+LAYOUT_BLOCK = 1 << 12
 
 
 class IndexOutOfRange(IndexError):
@@ -118,13 +129,22 @@ class DiaMatrix:
 class TripletLayout:
     """Where each triplet of a fixed COO pattern lands in DIA storage.
 
-    The triplets sit at (rows, cols) of an nrows x ncols matrix, integer
-    arrays that broadcast to one shape, in C order of that shape.
-    ``key[p]`` is slot * nrows + row of triplet p, slot being the index in
-    ``offsets`` (read-only) of its diagonal, column - row: the position of
-    its entry in the flattened ``DiaMatrix.data``.  ``key`` is left
-    writeable, because np.bincount copies a read-only input; nothing writes
-    to it.  ``nnz`` counts the distinct (row, col) pairs.
+    The pattern is given by element: ``rows`` (N, a) and ``cols`` (N, b)
+    are integer arrays, and element p puts an a x b block of triplets at
+    rows ``rows[p]`` and columns ``cols[p]`` of an nrows x ncols matrix.
+    Triplet (p, i, j), at (rows[p, i], cols[p, j]), comes in C order of
+    the shape (N, a, b): for the P1 layout of a mesh, rows = cols are the
+    triangles, and for plain COO triplets a = b = 1.
+
+    The layout keeps what every matrix on the pattern shares: ``offsets``
+    (read-only), the distinct diagonals, column - row, that occur;
+    ``nnz``, the distinct (row, col) pairs; and ``slot`` (N, a, b), each
+    triplet's index in ``offsets``, in the smallest unsigned integer type
+    that holds it: one byte per triplet for up to 256 diagonals.  It also
+    keeps ``rows`` itself, the array given, without a copy when it is
+    int64.  Building the layout and ``assemble`` walk the elements in
+    blocks of LAYOUT_BLOCK, and rebuild each block's positions in DIA
+    storage, slot * nrows + row, on the way.
 
     Raises:
         IndexOutOfRange: some row or column lies outside the matrix.
@@ -133,35 +153,80 @@ class TripletLayout:
     def __init__(self, nrows, ncols, rows, cols):
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        diagonal = cols - rows  # a fresh array of the broadcast shape, reused as the key
-        if diagonal.size and (
+        if rows.size and cols.size and (
             rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
         ):
             raise IndexOutOfRange(f"triplet index outside {nrows} x {ncols}")
-        diagonal += nrows - 1  # offset + nrows - 1 >= 0
-        present = np.flatnonzero(np.bincount(diagonal.ravel(), minlength=nrows + ncols - 1))
-        slot = np.zeros(nrows + ncols - 1, dtype=np.int64)
-        slot[present] = np.arange(len(present))
-        # Every index is in range, so mode="clip" changes nothing; unlike the
-        # default mode it writes straight into ``out`` without a buffer.
-        key = np.take(slot, diagonal, out=diagonal, mode="clip")
-        key *= nrows
-        key += rows
-        self.nrows, self.ncols = nrows, ncols
+        self.nrows, self.ncols, self.rows = nrows, ncols, rows
+        shape = (len(rows), rows.shape[1], cols.shape[1])
+        # Diagonals are found as [i, j, p], so that each subtraction runs
+        # along the block.
+        diagonal = np.empty((shape[1], shape[2], min(shape[0], LAYOUT_BLOCK)), dtype=np.int64)
+
+        def diagonals(s):
+            """column - row + nrows - 1 >= 0 of the triplets of block s, as [i, j, p]."""
+            d = diagonal[:, :, : s.stop - s.start]
+            np.subtract(cols[s].T[None, :, :], rows[s].T[:, None, :], out=d)
+            d += nrows - 1
+            return d
+
+        blocks = _blocks(shape[0])
+        present = np.zeros(nrows + ncols - 1, dtype=bool)
+        for s in blocks:
+            present[diagonals(s)] = True
+        present = np.flatnonzero(present)
         self.offsets = present - (nrows - 1)
         self.offsets.setflags(write=False)
-        self.key = key.ravel()
-        self.nnz = int(np.count_nonzero(np.bincount(self.key, minlength=len(present) * nrows)))
+        slot_of = np.zeros(nrows + ncols - 1, dtype=np.min_scalar_type(max(len(present) - 1, 0)))
+        slot_of[present] = np.arange(len(present))
+        self.slot = np.empty(shape, dtype=slot_of.dtype)
+        stored = np.zeros(len(present) * nrows, dtype=bool)
+        key = _block_buffer(shape, np.int64)
+        for s in blocks:
+            # Every index is in range, so mode="clip" changes nothing; unlike
+            # the default mode, it does not always buffer ``out``.
+            np.take(slot_of, diagonals(s), out=self.slot[s].transpose(1, 2, 0), mode="clip")
+            stored[self._keys(s, key)] = True
+        self.nnz = int(np.count_nonzero(stored))
 
-    def assemble(self, vals) -> DiaMatrix:
-        """The DiaMatrix with triplet values ``vals`` (n_triplets, any shape,
-        C order), duplicates added in triplet order, starting from 0.0."""
-        vals = np.asarray(vals, dtype=float).ravel()
-        if vals.shape != self.key.shape:
-            raise DimensionMismatch(f"{vals.size} values for {self.key.size} triplets")
-        shape = (len(self.offsets), self.nrows)
-        data = np.bincount(self.key, weights=vals, minlength=shape[0] * shape[1])
-        return DiaMatrix(self.nrows, self.ncols, self.offsets, data.reshape(shape), self.nnz)
+    def _keys(self, s, key):
+        """Positions in the flattened ``DiaMatrix.data``, slot * nrows + row,
+        of the triplets of block s, written into the head of ``key``."""
+        k = key[: s.stop - s.start]
+        np.multiply(self.slot[s], self.nrows, out=k, dtype=np.int64)
+        for j in range(k.shape[2]):
+            k[:, :, j] += self.rows[s]
+        return k.reshape(-1)
+
+    def assemble(self, fill) -> DiaMatrix:
+        """The DiaMatrix whose triplets of block s hold the values that
+        ``fill(s, out)`` writes into ``out``, a float array of the block's
+        shape (m, a, b), for each block in order.
+
+        Duplicates are added in triplet order, starting from 0.0, whatever
+        LAYOUT_BLOCK is: np.add.at adds repeated indices one after another,
+        in index order, as np.bincount does.  (np.add.at has a fast path
+        from numpy 1.25 on; older versions give the same bits, slower.)
+        """
+        shape = self.slot.shape
+        data = np.zeros(len(self.offsets) * self.nrows)
+        key, vals = _block_buffer(shape, np.int64), _block_buffer(shape, float)
+        for s in _blocks(shape[0]):
+            v = vals[: s.stop - s.start]
+            fill(s, v)
+            np.add.at(data, self._keys(s, key), v.reshape(-1))
+        return DiaMatrix(self.nrows, self.ncols, self.offsets,
+                         data.reshape(len(self.offsets), self.nrows), self.nnz)
+
+
+def _block_buffer(shape, dtype):
+    """An array for the values of one block of a layout of ``shape``."""
+    return np.empty((min(shape[0], LAYOUT_BLOCK), *shape[1:]), dtype=dtype)
+
+
+def _blocks(n):
+    """Slices of LAYOUT_BLOCK indices (the last one shorter) that tile range(n)."""
+    return [slice(a, min(n, a + LAYOUT_BLOCK)) for a in range(0, n, LAYOUT_BLOCK)]
 
 
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
@@ -175,7 +240,8 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     vals = np.asarray(vals, dtype=float).ravel()
     if not (len(rows) == len(cols) == len(vals)):
         raise DimensionMismatch("triplet arrays must have equal length")
-    return TripletLayout(nrows, ncols, rows, cols).assemble(vals)
+    return TripletLayout(nrows, ncols, rows[:, None], cols[:, None]).assemble(
+        lambda s, out: np.copyto(out, vals[s, None, None]))
 
 
 def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -139,11 +139,24 @@ def test_vectorized_matches_single():
         np.testing.assert_allclose(inv[1:].T, grads[t])
 
 
-def test_geometry_cached_and_read_only():
+def test_geometry_read_only_and_not_kept():
+    # Assembly computes the geometry by blocks of triangles, so the mesh
+    # keeps none: the whole-mesh ``geometry`` is computed on each read.
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
     areas, grads = mesh.geometry
     again = mesh.geometry
-    assert again[0] is areas and again[1] is grads
+    assert again[0] is not areas and again[1] is not grads
+    assert again[0].tobytes() == areas.tobytes() and again[1].tobytes() == grads.tobytes()
+    assert "geometry" not in vars(mesh)
     for a in (areas, grads):
         with pytest.raises(ValueError):
             a[0] = 1.0
+    # Each triangle's values do not depend on the block it is computed in.
+    n = mesh.n_triangles
+    for size in (1, 7, n):
+        blocks = [mesh.block_geometry(slice(a, min(n, a + size))) for a in range(0, n, size)]
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == areas.tobytes()
+        areas_only = [mesh.block_areas(slice(a, min(n, a + size))) for a in range(0, n, size)]
+        assert np.concatenate(areas_only).tobytes() == areas.tobytes()
+        g = np.concatenate([b[1] for b in blocks], axis=2)
+        assert g.transpose(2, 1, 0).tobytes() == grads.tobytes()

@@ -11,7 +11,6 @@ import monofem.solver
 import monofem.sparse
 from monofem.assembly import (
     DiffusionTensor,
-    assemble_mass,
     assemble_stiffness,
     interpolate_nodal,
     l2_norm,
@@ -226,27 +225,63 @@ def test_degenerate_triangle_rejected_at_construction(apex):
         MonodomainSolver(tri, SolverConfig(k=0.1, t_final=0.1, ionic=make_model("fhn")))
 
 
-def test_set_up_computes_geometry_and_layout_once_per_mesh(monkeypatch):
-    calls = {}
+def test_degenerate_triangle_named_by_its_index_in_the_mesh(monkeypatch):
+    # Geometry is computed by blocks of triangles; the message names the
+    # triangle's index in the mesh, not in its block.
+    monkeypatch.setattr(monofem.sparse, "LAYOUT_BLOCK", 1)
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    tri = TriMesh(nodes=nodes, triangles=np.array([[0, 1, 2], [0, 1, 3]]), h=1.0,
+                  bounds=(0, 0, 2, 1))
+    with pytest.raises(DegenerateTriangle, match="triangle 1 "):
+        MonodomainSolver(tri, SolverConfig(k=0.1, t_final=0.1, ionic=make_model("fhn")))
+    with pytest.raises(DegenerateTriangle, match="triangle 1 "):
+        assemble_stiffness(tri)
 
-    def counted(name):
-        original = getattr(monofem.mesh, name)
 
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args)
-
-        monkeypatch.setattr(monofem.mesh, name, wrapper)
-
-    counted("_triangle_geometry")
-    counted("TripletLayout")
+def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
+    # Only the two triangles of the top-right cell (the last two of the
+    # mesh, in the last of 50 blocks) see a tensor that is not SPD.
+    monkeypatch.setattr(monofem.sparse, "LAYOUT_BLOCK", 16)
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    MonodomainSolver(mesh, paper_config())
-    assemble_mass(mesh)
-    assemble_stiffness(mesh, DiffusionTensor.diagonal(2.0, 1.0))
-    assert calls == {"_triangle_geometry": 1, "TripletLayout": 1}
+    D = DiffusionTensor(lambda x, y: -np.eye(2) if x + y > 2.3 else np.eye(2))
+    for build in (lambda: assemble_stiffness(mesh, D),
+                  lambda: MonodomainSolver(mesh, paper_config(diffusion=D))):
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            build()
+    assert len(mesh.operators) == 0
+
+
+def test_set_up_keeps_one_byte_per_triplet_on_the_mesh(monkeypatch):
+    # The mesh builds the DIA layout of its triplets once and keeps only
+    # their diagonal slots (one byte each) besides nodes, triangles and the
+    # operators; assembly computes the geometry by blocks and never reads
+    # the whole-mesh ``geometry``.  Keeping triplet keys (8 bytes each) and
+    # the geometry (56 bytes per triangle) held 14 bytes per triplet.
+    calls = []
+
+    def counted(*args, _original=monofem.mesh.TripletLayout):
+        calls.append(args[0])
+        return _original(*args)
+
+    monkeypatch.setattr(monofem.mesh, "TripletLayout", counted)
+    monkeypatch.setattr(TriMesh, "geometry", property(lambda mesh: pytest.fail("geometry read")))
+    h, D = 1 / 64, DiffusionTensor.diagonal(2.0, 1.0)
+    tracemalloc.start()
+    try:
+        mesh = build_uniform_mesh(BOUNDS, h)
+        for k in (h * h, 1 / 16):
+            MonodomainSolver(mesh, paper_config(h=h, k=k, diffusion=D))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert calls == [mesh.n_nodes]
+    M, A = mesh.operators[D]
+    own = held - sum(a.nbytes for a in (mesh.nodes, mesh.triangles, M.data, A.data))
+    assert mesh.p1_layout.slot.itemsize == 1
+    assert own <= 9 * mesh.n_triangles + 8 * mesh.n_nodes
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
-    assert calls == {"_triangle_geometry": 2, "TripletLayout": 2}
+    assert len(calls) == 2
 
 
 def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
@@ -276,19 +311,28 @@ def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
     assert calls == ["assemble_mass", "assemble_stiffness"] * 2
 
 
-def test_set_up_memory_peak():
-    # tracemalloc counts numpy's buffers, so the peak of building the h = 1/64
-    # mesh and solver repeats to a few kB: 18.5 MB, bounded here at 20 MB
-    # (8 % margin).  Building the geometry and the DIA layout once per
-    # matrix, with a three-operand einsum, peaked at 27.7 MB.
-    h = 1 / 64
+def set_up_peak(h):
+    """tracemalloc peak of building the mesh and solver at spacing h."""
     tracemalloc.start()
     try:
         MonodomainSolver(build_uniform_mesh(BOUNDS, h), paper_config(h=h))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20.0e6
+
+
+def test_set_up_memory_peak():
+    # tracemalloc counts numpy's buffers, so the peak repeats to a few kB:
+    # 6.9 MB at h = 1/64, bounded here with an 8 % margin.  That is the
+    # mesh, the one-byte triplet slots, M, A and S, and the buffers of one
+    # block of triangles.  With the triplet keys, the geometry and three
+    # (3, 3, triangles) arrays made whole, the peak was 18.5 MB.
+    assert set_up_peak(1 / 64) <= 7.5e6
+
+
+def test_set_up_memory_peak_fine_mesh():
+    # 27.5 MB at h = 1/128 (8 % margin); 73.8 MB with whole-mesh arrays.
+    assert set_up_peak(1 / 128) <= 29.7e6
 
 
 def test_non_integer_step_count_rejected():

@@ -319,6 +319,65 @@ def test_assembly_bit_identical_on_a_perturbed_mesh():
             assert np.array_equal(mat.offsets, ref.offsets) and mat.nnz == ref.nnz
 
 
+def reference_dia(nrows, rows, cols, vals):
+    """(offsets, data, nnz) of the triplets added into DIA storage one at a
+    time, in triplet order from 0.0, by a plain loop."""
+    rows, cols = [int(r) for r in np.ravel(rows)], [int(c) for c in np.ravel(cols)]
+    offsets = sorted({c - r for r, c in zip(rows, cols)})
+    slot = {offset: k for k, offset in enumerate(offsets)}
+    data = np.zeros((len(offsets), nrows))
+    for r, c, v in zip(rows, cols, np.ravel(vals).tolist()):
+        data[slot[c - r], r] += v
+    return offsets, data, len(set(zip(rows, cols)))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2], ids=["uniform", "perturbed"])
+@pytest.mark.parametrize("h", [1 / 4, 1 / 8, 1 / 16])
+def test_assembly_does_not_depend_on_layout_block(monkeypatch, h, jitter):
+    # Blocks of a few triangles split the triangles around a node between
+    # blocks; every entry must still add its triplets in triplet order from
+    # 0.0, as one block and a plain loop do.  Jittered nodes make every
+    # term of the stiffness kernel count.
+    base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), h)
+    nodes = base.nodes + np.random.default_rng(1).uniform(-jitter, jitter, base.nodes.shape) * h
+    n, n_tri = base.n_nodes, base.n_triangles
+
+    def assembled(block):
+        monkeypatch.setattr(monofem.sparse, "LAYOUT_BLOCK", block)
+        mesh = TriMesh(nodes, base.triangles, h, base.bounds)  # a layout built in these blocks
+        return [assemble_mass(mesh)] + [assemble_stiffness(mesh, D) for D in ASSEMBLY_TENSORS]
+
+    whole = assembled(n_tri)
+    mesh = TriMesh(nodes, base.triangles, h, base.bounds)
+    rows, cols, m_vals, _ = element_triplets(mesh, ASSEMBLY_TENSORS[0])
+    values = [m_vals] + [element_triplets(mesh, D)[3] for D in ASSEMBLY_TENSORS]
+    for mat, vals in zip(whole, values):
+        offsets, data, nnz = reference_dia(n, rows, cols, vals)
+        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
+        assert mat.data.tobytes() == data.tobytes()
+    for block in (1, 2, 5, 13, 2 * n_tri):
+        for mat, one in zip(assembled(block), whole):
+            assert mat.data.tobytes() == one.data.tobytes()
+            assert np.array_equal(mat.offsets, one.offsets) and mat.nnz == one.nnz
+
+
+@given(coo_and_vector(), st.sampled_from([1, 2, 5, 13]))
+@example(((3, 3, [1, 2, 1, 1, 0, 1], [1, 0, 1, 1, 2, 1], [0.1, 2.0, 0.2, 1e6, -1.0, -1e6]),
+          np.zeros(3)), 2)  # four (1, 1), split across blocks
+def test_from_triplets_does_not_depend_on_layout_block(case, block):
+    (nrows, ncols, rows, cols, vals), _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", max(1, len(vals)))
+        whole = from_triplets(nrows, ncols, rows, cols, vals)
+        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", block)
+        blocked = from_triplets(nrows, ncols, rows, cols, vals)
+    offsets, data, nnz = reference_dia(nrows, rows, cols, vals)
+    for mat in (whole, blocked):
+        check_dia_invariants(mat)
+        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
+        assert mat.data.tobytes() == data.tobytes()
+
+
 def test_diagonal_storage_of_assembled_operators():
     # Seven diagonals, 0, +-1, +-(N+1), +-(N+2) for N cells per side, so the
     # diagonal form holds 7 n values.
