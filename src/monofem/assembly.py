@@ -3,17 +3,19 @@
 Consistent (non-lumped) mass matrix, diffusion stiffness matrix with a
 one-point centroid quadrature for the conductivity tensor, nodal
 interpolation, and the mass-matrix L2 norm.  A matrix is assembled in
-blocks of ``sparse.LAYOUT_BLOCK`` triangles: for each block, the geometry
-and the 3 x 3 element matrices are computed and summed into DIA storage
-through the mesh's cached ``p1_layout``, which every matrix on the mesh
-shares.  So no array of one value per element-matrix entry is ever made
-for the whole mesh, and the mesh keeps no geometry.
+blocks of ``sparse.LAYOUT_BLOCK`` triangles, the blocked element loop of
+MILAMIN (Dabrowski, Krotkiewski & Schmid, G-cubed 9, Q04030, 2008): for
+each block, ``_corners`` computes the geometry, and the 3 x 3 element
+matrices are built from it and summed into DIA storage through the mesh's
+cached ``p1_layout``, which every matrix on the mesh shares.  So no array
+of one value per element-matrix entry, nor any geometry, is ever made for
+the whole mesh; the mesh has no geometry API.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import TriMesh
+from .mesh import DegenerateTriangle, TriMesh
 from .sparse import DiaMatrix, DimensionMismatch, spmv
 from .sparse import from_triplets  # noqa: F401  (perfbench/spans.py hooks the name here)
 
@@ -78,11 +80,35 @@ class DiffusionTensor:
 IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 
+def _corners(mesh: TriMesh, s: slice):
+    """x and y (3, m) of the vertices of the m triangles ``mesh.triangles[s]``
+    (s a slice with a start and step 1) and det (m,), twice their signed
+    areas.  Each triangle's values do not depend on s.
+
+    Raises:
+        DegenerateTriangle: some triangle's signed area is not positive
+            (clockwise, collinear or non-finite vertices); the message
+            names the first such triangle by its index in the mesh.
+    """
+    triangles = mesh.triangles[s].T
+    x, y = mesh.nodes[:, 0][triangles], mesh.nodes[:, 1][triangles]
+    det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
+    bad = np.flatnonzero(~(det > 0))
+    if len(bad):
+        t = s.start + int(bad[0])
+        raise DegenerateTriangle(
+            f"triangle {t} (nodes {mesh.triangles[t].tolist()}) has signed area "
+            f"{0.5 * det[bad[0]]!r}; every triangle must be counterclockwise with positive area"
+        )
+    return x, y, det
+
+
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:
-    """Consistent P1 mass matrix M_ij = int phi_i phi_j."""
+    """Consistent P1 mass matrix M_ij = int phi_i phi_j (DegenerateTriangle
+    as in ``_corners``)."""
 
     def fill(s, out):
-        np.multiply.outer(mesh.block_areas(s), _LOCAL_MASS, out=out)
+        np.multiply.outer(0.5 * _corners(mesh, s)[2], _LOCAL_MASS, out=out)
 
     return mesh.p1_layout.assemble(fill)
 
@@ -95,15 +121,23 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
     is the pure-Neumann setting.
 
     Raises:
+        DegenerateTriangle: as in ``_corners``.
         ValueError: D is not symmetric positive definite at some centroid.
     """
 
     def fill(s, out):
-        areas, g = mesh.block_geometry(s)  # g[a, i, t]
+        x, y, det = _corners(mesh, s)
+        # g[a, i, t]: component a of the gradient of the basis function at
+        # vertex i of triangle s.start + t, contiguous over the triangles.
+        g = np.empty((2, *x.shape))
+        for i, ahead, behind in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.subtract(y[ahead], y[behind], out=g[0, i])  # y1 - y2, y2 - y0, y0 - y1
+            np.subtract(x[behind], x[ahead], out=g[1, i])  # x2 - x1, x0 - x2, x1 - x0
+        g /= det
         if D.constant is not None:
             Dc = D.constant  # (2, 2), the same for every triangle
         else:
-            centroids = mesh.nodes[mesh.triangles[s]].mean(axis=1)
+            centroids = zip(x.mean(axis=0), y.mean(axis=0))
             Dc = np.stack([D(cx, cy) for cx, cy in centroids])  # (m, 2, 2)
             _check_spd(Dc)
         # K[t, i, j] = area_t * sum_ab (grad_i[a] D_t[a, b]) grad_j[b], the
@@ -117,7 +151,7 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
         for a, b in ((0, 1), (1, 0), (1, 1)):
             np.multiply((g[a] * Dc[..., a, b])[:, None], g[b], out=term)
             local += term
-        np.multiply(local, areas, out=out.transpose(1, 2, 0))
+        np.multiply(local, 0.5 * det, out=out.transpose(1, 2, 0))
 
     return mesh.p1_layout.assemble(fill)
 

@@ -7,8 +7,8 @@ A mesh builds the layout of its P1 element matrices once, on first use,
 and every operator assembled on it shares it; the operators themselves are
 kept on the mesh too (``TriMesh.operators``).  Besides ``nodes`` and
 ``triangles``, that layout is all a mesh keeps per triangle: one byte per
-element-matrix entry.  Assembly computes the triangle geometry block by
-block each time it builds a matrix.
+element-matrix entry.  The mesh has no geometry API: assembly computes the
+areas and basis gradients block by block each time it builds a matrix.
 """
 from __future__ import annotations
 
@@ -45,10 +45,10 @@ class TriMesh:
     ``p1_layout`` (where each element-matrix entry goes in DIA storage) is
     built on first use and kept for as long as the mesh lives: one byte per
     entry, 9 per triangle, and the offsets of the diagonals.  ``operators``
-    caches the matrices (see there).  The geometry, ``geometry`` for the
-    whole mesh and ``block_geometry`` or ``block_areas`` for a block of
-    triangles, is computed on each call and kept nowhere.  ``nodes`` and
-    ``triangles`` are read-only.  Meshes compare and hash by identity.
+    caches the matrices (see there).  The mesh holds no geometry and has
+    no method for it: assembly computes each block's areas and gradients
+    and keeps none.  ``nodes`` and ``triangles`` are read-only.  Meshes
+    compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -69,67 +69,6 @@ class TriMesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Areas and P1 nodal basis gradients of every triangle, read-only,
-        computed anew on each read; assembly uses ``block_geometry`` and
-        ``block_areas``.
-
-        Returns:
-            areas: (n_triangles,) array.
-            grads: (n_triangles, 3, 2) array; grads[t, i] is the constant
-                gradient of the basis function attached to vertex i of
-                triangle t.  The three gradients of a triangle sum to zero.
-
-        Raises:
-            DegenerateTriangle: as ``block_geometry``.
-        """
-        areas, g = self.block_geometry(slice(0, self.n_triangles))
-        grads = g.transpose(2, 1, 0)
-        for a in (areas, grads):
-            a.setflags(write=False)
-        return areas, grads
-
-    def block_geometry(self, s: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Areas (m,) and basis gradients g (2, 3, m) of the m triangles
-        ``triangles[s]``, s a slice with a start and step 1: g[a, i, t] is
-        component a of the gradient of the basis function at vertex i of
-        triangle s.start + t, so each component of each vertex is
-        contiguous over the triangles.  Each triangle's values do not
-        depend on s.
-
-        Raises:
-            DegenerateTriangle: some triangle's signed area is not positive
-                (clockwise, collinear or non-finite vertices); the message
-                names the first such triangle by its index in the mesh.
-        """
-        x, y, det = self._corners_and_det(s)
-        g = np.empty((2, *x.shape))
-        for i, ahead, behind in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            np.subtract(y[ahead], y[behind], out=g[0, i])  # y1 - y2, y2 - y0, y0 - y1
-            np.subtract(x[behind], x[ahead], out=g[1, i])  # x2 - x1, x0 - x2, x1 - x0
-        g /= det
-        return 0.5 * det, g
-
-    def block_areas(self, s: slice) -> np.ndarray:
-        """The areas of ``block_geometry(s)``, without the gradients."""
-        return 0.5 * self._corners_and_det(s)[2]
-
-    def _corners_and_det(self, s):
-        """x and y (3, m) of the vertices of ``triangles[s]`` and twice
-        their signed areas; DegenerateTriangle unless all are positive."""
-        triangles = self.triangles[s].T
-        x, y = self.nodes[:, 0][triangles], self.nodes[:, 1][triangles]
-        det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
-        bad = np.flatnonzero(~(det > 0))
-        if len(bad):
-            t = s.start + int(bad[0])
-            raise DegenerateTriangle(
-                f"triangle {t} (nodes {self.triangles[t].tolist()}) has signed area "
-                f"{0.5 * det[bad[0]]!r}; every triangle must be counterclockwise with positive area"
-            )
-        return x, y, det
 
     @cached_property
     def p1_layout(self) -> TripletLayout:
@@ -177,20 +116,14 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     nx, ny = grid_cells(bounds, h)
     xmin, ymin, xmax, ymax = map(float, bounds)
 
-    xs = np.linspace(xmin, xmax, nx + 1)
-    ys = np.linspace(ymin, ymax, ny + 1)
-    X, Y = np.meshgrid(xs, ys)  # row-major by (y, x)
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    nodes = np.empty((ny + 1, nx + 1, 2))  # row-major by (y, x)
+    nodes[..., 0] = np.linspace(xmin, xmax, nx + 1)
+    nodes[..., 1] = np.linspace(ymin, ymax, ny + 1)[:, None]
 
-    # Cell corners: ll, lr, ul, ur; diagonal ll-ur.
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
-    ll = (j * (nx + 1) + i).ravel()
-    lr = ll + 1
-    ul = ll + (nx + 1)
-    ur = ul + 1
-    lower = np.column_stack([ll, lr, ur])
-    upper = np.column_stack([ll, ur, ul])
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    # Cell (j, i) has lower-left corner ll = j (nx + 1) + i and is split
+    # along its diagonal ll-ur into (ll, lr, ur) and (ll, ur, ul).
+    ll = np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)
+    triangles = np.empty((ny, nx, 2, 3), dtype=np.int64)
+    np.add(ll[..., None, None], [[0, 1, nx + 2], [0, nx + 2, nx + 1]], out=triangles)
+    nodes, triangles = nodes.reshape(-1, 2), triangles.reshape(-1, 3)
     return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from element_geometry import element_geometry
+
 from monofem.assembly import (
     DiffusionTensor,
     NonFiniteValue,
@@ -24,7 +26,7 @@ BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
 
 def quadrature_p1_squared(mesh: TriMesh, e: np.ndarray) -> float:
-    areas, _ = mesh.geometry
+    areas, _ = element_geometry(mesh)
     vals = e[mesh.triangles]  # (T, 3)
     mids = 0.5 * (vals + np.roll(vals, -1, axis=1))
     return float((areas / 3 * (mids**2).sum(axis=1)).sum())
@@ -47,7 +49,7 @@ _Q7_W = np.array([0.225, 0.12593918, 0.12593918, 0.12593918, 0.13239415, 0.13239
 
 def interpolation_l2_error(mesh: TriMesh, f, nodal: np.ndarray) -> float:
     """||f - I_h f||_L2 by fine quadrature; independent of the mass matrix."""
-    areas, _ = mesh.geometry
+    areas, _ = element_geometry(mesh)
     pts = np.einsum("qb,tbx->tqx", _Q7_BARY, mesh.nodes[mesh.triangles])
     exact = f(pts[..., 0], pts[..., 1])
     interp = np.einsum("qb,tb->tq", _Q7_BARY, nodal[mesh.triangles])

@@ -4,13 +4,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from element_geometry import element_geometry
+
+from monofem.assembly import DiffusionTensor, _corners, assemble_mass, assemble_stiffness
 from monofem.mesh import (
     NonDivisibleSpacing,
     TriMesh,
     build_uniform_mesh,
+    grid_cells,
 )
+from monofem.sparse import spmv
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
+ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+ANISOTROPIC = ROTATION @ np.diag([2.0, 0.5]) @ ROTATION.T
 
 
 def signed_area(p0, p1, p2):
@@ -93,70 +100,124 @@ def test_refinement_nesting():
         assert (round(x, 12), round(y, 12)) in fine_set
 
 
+def meshgrid_construction(bounds, h):
+    """nodes and triangles as built from node and cell meshgrids and the
+    four corner columns of every cell."""
+    nx, ny = grid_cells(bounds, h)
+    xmin, ymin, xmax, ymax = map(float, bounds)
+    X, Y = np.meshgrid(np.linspace(xmin, xmax, nx + 1), np.linspace(ymin, ymax, ny + 1))
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
+    ll = (j * (nx + 1) + i).ravel()
+    lr, ul = ll + 1, ll + (nx + 1)
+    ur = ul + 1
+    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([ll, lr, ur])
+    triangles[1::2] = np.column_stack([ll, ur, ul])
+    return nodes, triangles
+
+
+@pytest.mark.parametrize("bounds,h", [
+    (BOUNDS, 1 / 4), (BOUNDS, 1 / 128),
+    ((0, 0, 3, 1), 0.5),  # nx > ny
+    ((-1, 0, 2, 5), 0.25),  # nx < ny
+    ((0, 0, 1, 1), 1.0),  # one cell
+], ids=["square-4", "square-128", "wide", "tall", "single-cell"])
+def test_build_matches_meshgrid_construction(bounds, h):
+    mesh = build_uniform_mesh(bounds, h)
+    nodes, triangles = meshgrid_construction(bounds, h)
+    for got, want in ((mesh.nodes, nodes), (mesh.triangles, triangles)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def one_triangle(p1=(1.0, 0.0), p2=(0.0, 1.0)):
+    return TriMesh(nodes=np.array([[0.0, 0.0], p1, p2]), triangles=np.array([[0, 1, 2]]),
+                   h=1.0, bounds=(0, 0, 1, 1))
+
+
+def unglued(mesh):
+    """The triangles of ``mesh``, each with three nodes of its own, so that
+    an assembled matrix is block diagonal with the element matrices."""
+    n = mesh.n_triangles
+    return TriMesh(mesh.nodes[mesh.triangles].reshape(-1, 2), np.arange(3 * n).reshape(n, 3),
+                   mesh.h, mesh.bounds)
+
+
+def jittered(h, seed=1):
+    mesh = build_uniform_mesh(BOUNDS, h)
+    nodes = mesh.nodes + np.random.default_rng(seed).uniform(-0.2, 0.2, mesh.nodes.shape) * h
+    return TriMesh(nodes, mesh.triangles, h, mesh.bounds)
+
+
+def element_stiffness(mesh, D):
+    """(T, 3, 3) element stiffness matrices of ``mesh`` as assembly builds them."""
+    A = assemble_stiffness(unglued(mesh), DiffusionTensor(D)).to_dense()
+    n = mesh.n_triangles
+    blocks = A.reshape(n, 3, n, 3)
+    return blocks[np.arange(n), :, np.arange(n)]
+
+
 def test_unit_right_triangle_geometry():
     mesh = build_uniform_mesh((0, 0, 1, 1), 1.0)
     # lower triangle of the unit square is (0,0),(1,0),(1,1)
-    areas, _ = mesh.geometry
-    assert areas[0] == pytest.approx(0.5)
-    # hand-computed barycentric gradients for (0,0),(1,0),(0,1)
-    tri = TriMesh(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 1, 2]]),
-        h=1.0,
-        bounds=(0, 0, 1, 1),
-    )
-    areas, grads = tri.geometry
-    assert areas[0] == pytest.approx(0.5)
-    np.testing.assert_allclose(grads[0], [[-1, -1], [1, 0], [0, 1]], atol=1e-14)
+    assert 0.5 * _corners(mesh, slice(0, 2))[2][0] == pytest.approx(0.5)
+    # hand-computed barycentric gradients G for (0,0),(1,0),(0,1): the
+    # element stiffness is area G D G^T for the identity and an
+    # anisotropic D
+    G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    for D in (np.eye(2), ANISOTROPIC):
+        np.testing.assert_allclose(element_stiffness(one_triangle(), D)[0], 0.5 * G @ D @ G.T,
+                                   atol=1e-14)
 
 
 def test_equilateral_area():
-    tri = TriMesh(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]),
-        triangles=np.array([[0, 1, 2]]),
-        h=1.0,
-        bounds=(0, 0, 1, 1),
-    )
-    areas, _ = tri.geometry
-    assert areas[0] == pytest.approx(math.sqrt(3) / 4)
+    tri = one_triangle((1.0, 0.0), (0.5, math.sqrt(3) / 2))
+    assert 0.5 * _corners(tri, slice(0, 1))[2][0] == pytest.approx(math.sqrt(3) / 4)
+    assert assemble_mass(tri).to_dense().sum() == pytest.approx(math.sqrt(3) / 4)
 
 
 def test_gradients_sum_to_zero():
-    mesh = build_uniform_mesh(BOUNDS, 1 / 8)
-    _, grads = mesh.geometry
-    np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-13)
+    # Each element stiffness area G D G^T has zero row sums exactly when
+    # the rows of G sum to zero (G has rank 2 and D is SPD).
+    mesh = unglued(jittered(1 / 8))
+    for D in (np.eye(2), ANISOTROPIC):
+        A = assemble_stiffness(mesh, DiffusionTensor(D))
+        np.testing.assert_allclose(spmv(A, np.ones(mesh.n_nodes)), 0.0, atol=1e-12)
 
 
 def test_vectorized_matches_single():
     # Per-triangle oracle: basis function i is a + b x + c y with (a, b, c)
-    # column i of inv([[1, x_j, y_j]]), so its gradient is (b, c).
-    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    areas, grads = mesh.geometry
-    for t in (0, 1, mesh.n_triangles - 1):
-        p = mesh.nodes[mesh.triangles[t]]
-        assert signed_area(*p) == pytest.approx(areas[t])
-        inv = np.linalg.inv(np.column_stack([np.ones(3), p]))
-        np.testing.assert_allclose(inv[1:].T, grads[t])
-
-
-def test_geometry_read_only_and_not_kept():
-    # Assembly computes the geometry by blocks of triangles, so the mesh
-    # keeps none: the whole-mesh ``geometry`` is computed on each read.
-    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    areas, grads = mesh.geometry
-    again = mesh.geometry
-    assert again[0] is not areas and again[1] is not grads
-    assert again[0].tobytes() == areas.tobytes() and again[1].tobytes() == grads.tobytes()
-    assert "geometry" not in vars(mesh)
-    for a in (areas, grads):
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-    # Each triangle's values do not depend on the block it is computed in.
+    # column i of inv([[1, x_j, y_j]]), so its gradient is (b, c).  It
+    # checks assembly's areas and element stiffness matrices and the
+    # tests' element_geometry.
+    mesh = jittered(1 / 4)
     n = mesh.n_triangles
+    det = _corners(mesh, slice(0, n))[2]
+    K = element_stiffness(mesh, ANISOTROPIC)
+    areas, grads = element_geometry(mesh)
+    for t in range(n):
+        p = mesh.nodes[mesh.triangles[t]]
+        assert 0.5 * det[t] == areas[t] == pytest.approx(signed_area(*p))
+        oracle = np.linalg.inv(np.column_stack([np.ones(3), p]))[1:].T
+        np.testing.assert_allclose(grads[t], oracle, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(K[t], areas[t] * oracle @ ANISOTROPIC @ oracle.T,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_geometry_not_kept_and_block_independent():
+    # The mesh has no geometry API and keeps only its layout after
+    # assembly, which computes the geometry by blocks of triangles; each
+    # triangle's values do not depend on the block.
+    mesh = jittered(1 / 4)
+    assemble_mass(mesh)
+    assemble_stiffness(mesh)
+    assert set(vars(mesh)) == {"nodes", "triangles", "h", "bounds", "p1_layout"}
+    assert {a for a in dir(TriMesh) if not a.startswith("_")} == {
+        "n_nodes", "n_triangles", "p1_layout", "operators"}
+    n = mesh.n_triangles
+    whole = _corners(mesh, slice(0, n))
     for size in (1, 7, n):
-        blocks = [mesh.block_geometry(slice(a, min(n, a + size))) for a in range(0, n, size)]
-        assert np.concatenate([b[0] for b in blocks]).tobytes() == areas.tobytes()
-        areas_only = [mesh.block_areas(slice(a, min(n, a + size))) for a in range(0, n, size)]
-        assert np.concatenate(areas_only).tobytes() == areas.tobytes()
-        g = np.concatenate([b[1] for b in blocks], axis=2)
-        assert g.transpose(2, 1, 0).tobytes() == grads.tobytes()
+        blocks = [_corners(mesh, slice(a, min(n, a + size))) for a in range(0, n, size)]
+        for k, part in enumerate(whole):
+            assert np.concatenate([b[k] for b in blocks], axis=-1).tobytes() == part.tobytes()

