@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import TripletLayout
+from .sparse import DimensionMismatch, TripletLayout, index_array
 
 DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
@@ -38,17 +38,17 @@ class TriMesh:
 
     Attributes:
         nodes: (n_nodes, 2) array of vertex coordinates.
-        triangles: (n_triangles, 3) array of node indices, counterclockwise.
+        triangles: (n_triangles, 3) integer array of node indices, counterclockwise.
         h: grid spacing of the underlying square cells.
         bounds: (xmin, ymin, xmax, ymax).
 
-    ``p1_layout`` (where each element-matrix entry goes in DIA storage) is
-    built on first use and kept for as long as the mesh lives: one byte per
-    entry, 9 per triangle, and the offsets of the diagonals.  ``operators``
-    caches the matrices (see there).  The mesh holds no geometry and has
-    no method for it: assembly computes each block's areas and gradients
-    and keeps none.  ``nodes`` and ``triangles`` are read-only.  Meshes
-    compare and hash by identity.
+    ``p1_layout``, one byte per element-matrix entry (9 per triangle), is
+    built on first use and kept as long as the mesh; ``operators`` caches
+    the matrices (see there).  The mesh holds no geometry and has no method
+    for it: assembly computes each block's areas and gradients and keeps
+    none.  ``nodes`` and ``triangles`` are read-only, and checked when the
+    mesh is made (DimensionMismatch for another shape, ``index_array`` for
+    the node indices).  Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -57,10 +57,15 @@ class TriMesh:
     bounds: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
-        self.nodes.setflags(write=False)
-        self.triangles.setflags(write=False)
+        nodes = np.asarray(self.nodes, dtype=float)
+        if nodes.shape[1:] != (2,):
+            raise DimensionMismatch(f"nodes must be (n, 2), got shape {nodes.shape}")
+        triangles = index_array(self.triangles, "triangles", len(nodes))
+        if triangles.shape[1:] != (3,):
+            raise DimensionMismatch(f"triangles must be (m, 3), got shape {triangles.shape}")
+        for name, a in (("nodes", nodes), ("triangles", triangles)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_nodes(self) -> int:
@@ -72,10 +77,9 @@ class TriMesh:
 
     @cached_property
     def p1_layout(self) -> TripletLayout:
-        """DIA layout of the P1 element triplets: entry (i, j) of the 3 x 3
-        element matrix of triangle t is triplet 9 t + 3 i + j, at row
-        ``triangles[t, i]`` and column ``triangles[t, j]``."""
-        return TripletLayout(self.n_nodes, self.n_nodes, self.triangles, self.triangles)
+        """DIA layout of the P1 element matrices: entry (i, j) of triangle t's
+        is triplet 9 t + 3 i + j (see ``TripletLayout``)."""
+        return TripletLayout(self.n_nodes, self.triangles)
 
     @cached_property
     def operators(self) -> weakref.WeakKeyDictionary:

@@ -4,11 +4,11 @@ Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
 diagonals.  A product walks the rows in cache-sized blocks and adds each
 diagonal's shifted-slice products into the block through one reused
-buffer; CG updates its vectors in place.  A ``TripletLayout`` finds the
-diagonal of each (row, col) of a fixed COO pattern once and keeps it in
-one byte (for up to 256 diagonals); every matrix on that pattern is then
-summed into DIA storage block by block, with no per-triplet array of its
-own.  CG solves symmetric positive definite systems, optionally
+buffer; CG updates its vectors in place.  A mesh's ``TripletLayout``
+keeps the diagonal of each entry of its element matrices in one byte
+(for up to 256 diagonals), and every matrix on the mesh is summed into
+DIA storage block by block through it; ``from_triplets`` sums plain COO
+arrays whole.  CG solves symmetric positive definite systems, optionally
 preconditioned; ``VCycle`` is the preconditioner for P1 operators on
 nested uniform grids (prolongation, restriction and Galerkin coarse
 operators act on the node grid of ``mesh.py``).
@@ -29,14 +29,13 @@ DEFAULT_CG_TOL = 1e-10
 # through memory seven times once n exceeds L2.
 SPMV_BLOCK = 1 << 15
 
-# Elements (triangles, for the P1 layout of a mesh) per block of
-# ``TripletLayout`` and of assembly.  A block's DIA positions, element
-# values and geometry take about 0.5 kB per triangle, 2 MB in all, so no
-# array of one entry per triplet is made but the layout's one-byte slots.
-# Set-up (mesh and solver) was about fastest at 4,096 over h = 1/16 to
-# 1/128: at h = 1/128, blocks of 1,024 took about 20 % longer (numpy's
-# cost per call), and at h = 1/32 one block of all 12,800 triangles took
-# 60 % longer (fresh pages for its larger temporaries).
+# Triangles per block of ``TripletLayout`` and of assembly.  A block's DIA
+# positions, element values and geometry take about 0.5 kB per triangle,
+# 2 MB in all, so no array of one entry per triplet is made but the
+# layout's one-byte slots.  Set-up (mesh and solver) was about fastest at
+# 4,096 over h = 1/16 to 1/128: at h = 1/128, blocks of 1,024 took about
+# 20 % longer (numpy's cost per call), and at h = 1/32 one block of all
+# 12,800 triangles took 60 % longer (fresh pages for its larger temporaries).
 LAYOUT_BLOCK = 1 << 12
 
 
@@ -55,6 +54,18 @@ class NoConvergence(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def index_array(a, name, n) -> np.ndarray:
+    """``a`` as int64 indices in [0, n): DimensionMismatch unless it is empty or of
+    an integer type (a cast truncates floats), IndexOutOfRange if one lies outside."""
+    a = np.asarray(a)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise DimensionMismatch(f"{name} must be an integer array, got dtype {a.dtype}")
+    a = a.astype(np.int64, copy=False)
+    if a.size and (a.min() < 0 or a.max() >= n):
+        raise IndexOutOfRange(f"{name} holds an index outside [0, {n})")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,61 +138,47 @@ class DiaMatrix:
 
 
 class TripletLayout:
-    """Where each triplet of a fixed COO pattern lands in DIA storage.
+    """Where each entry of the element matrices of one mesh lands in DIA storage.
 
-    The pattern is given by element: ``rows`` (N, a) and ``cols`` (N, b)
-    are integer arrays, and element p puts an a x b block of triplets at
-    rows ``rows[p]`` and columns ``cols[p]`` of an nrows x ncols matrix.
-    Triplet (p, i, j), at (rows[p, i], cols[p, j]), comes in C order of
-    the shape (N, a, b): for the P1 layout of a mesh, rows = cols are the
-    triangles, and for plain COO triplets a = b = 1.
+    ``elements`` (N, a) holds node indices in [0, n) (``TriMesh`` checks
+    its triangles).  Triplet (p, i, j), in C order of (N, a, a), is entry
+    (i, j) of element p's matrix, at row ``elements[p, i]`` and column
+    ``elements[p, j]`` of an n x n matrix.
 
-    The layout keeps what every matrix on the pattern shares: ``offsets``
-    (read-only), the distinct diagonals, column - row, that occur;
-    ``nnz``, the distinct (row, col) pairs; and ``slot`` (N, a, b), each
-    triplet's index in ``offsets``, in the smallest unsigned integer type
-    that holds it: one byte per triplet for up to 256 diagonals.  It also
-    keeps ``rows`` itself, the array given, without a copy when it is
-    int64.  Building the layout and ``assemble`` walk the elements in
-    blocks of LAYOUT_BLOCK, and rebuild each block's positions in DIA
-    storage, slot * nrows + row, on the way.
-
-    Raises:
-        IndexOutOfRange: some row or column lies outside the matrix.
+    The layout keeps ``elements``; ``offsets`` (read-only), the distinct
+    diagonals, column - row; ``nnz``, the distinct (row, col) pairs; and
+    ``slot`` (N, a, a), each triplet's index in ``offsets`` in the smallest
+    unsigned type that holds it: one byte for up to 256 diagonals.  The
+    build and ``assemble`` walk the elements in blocks of LAYOUT_BLOCK and
+    rebuild each block's positions in DIA storage, slot * n + row.
     """
 
-    def __init__(self, nrows, ncols, rows, cols):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.size and cols.size and (
-            rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
-        ):
-            raise IndexOutOfRange(f"triplet index outside {nrows} x {ncols}")
-        self.nrows, self.ncols, self.rows = nrows, ncols, rows
-        shape = (len(rows), rows.shape[1], cols.shape[1])
+    def __init__(self, n, elements):
+        self.n, self.elements = n, elements
+        size, a = elements.shape
         # Diagonals are found as [i, j, p], so that each subtraction runs
         # along the block.
-        diagonal = np.empty((shape[1], shape[2], min(shape[0], LAYOUT_BLOCK)), dtype=np.int64)
+        diagonal = np.empty((a, a, min(size, LAYOUT_BLOCK)), dtype=np.int64)
 
         def diagonals(s):
-            """column - row + nrows - 1 >= 0 of the triplets of block s, as [i, j, p]."""
+            """column - row + n - 1 >= 0 of the triplets of block s, as [i, j, p]."""
             d = diagonal[:, :, : s.stop - s.start]
-            np.subtract(cols[s].T[None, :, :], rows[s].T[:, None, :], out=d)
-            d += nrows - 1
+            np.subtract(elements[s].T, elements[s].T[:, None], out=d)
+            d += n - 1
             return d
 
-        blocks = _blocks(shape[0])
-        present = np.zeros(nrows + ncols - 1, dtype=bool)
+        blocks = _blocks(size)
+        present = np.zeros(2 * n - 1, dtype=bool)
         for s in blocks:
             present[diagonals(s)] = True
         present = np.flatnonzero(present)
-        self.offsets = present - (nrows - 1)
+        self.offsets = present - (n - 1)
         self.offsets.setflags(write=False)
-        slot_of = np.zeros(nrows + ncols - 1, dtype=np.min_scalar_type(max(len(present) - 1, 0)))
+        slot_of = np.zeros(2 * n - 1, dtype=np.min_scalar_type(max(len(present) - 1, 0)))
         slot_of[present] = np.arange(len(present))
-        self.slot = np.empty(shape, dtype=slot_of.dtype)
-        stored = np.zeros(len(present) * nrows, dtype=bool)
-        key = _block_buffer(shape, np.int64)
+        self.slot = np.empty((size, a, a), dtype=slot_of.dtype)
+        stored = np.zeros(len(present) * n, dtype=bool)
+        key = np.empty((min(size, LAYOUT_BLOCK), a, a), dtype=np.int64)
         for s in blocks:
             # Every index is in range, so mode="clip" changes nothing; unlike
             # the default mode, it does not always buffer ``out``.
@@ -190,38 +187,33 @@ class TripletLayout:
         self.nnz = int(np.count_nonzero(stored))
 
     def _keys(self, s, key):
-        """Positions in the flattened ``DiaMatrix.data``, slot * nrows + row,
+        """Positions in the flattened ``DiaMatrix.data``, slot * n + row,
         of the triplets of block s, written into the head of ``key``."""
         k = key[: s.stop - s.start]
-        np.multiply(self.slot[s], self.nrows, out=k, dtype=np.int64)
-        for j in range(k.shape[2]):
-            k[:, :, j] += self.rows[s]
+        np.multiply(self.slot[s], self.n, out=k, dtype=np.int64)
+        k += self.elements[s][:, :, None]
         return k.reshape(-1)
 
     def assemble(self, fill) -> DiaMatrix:
         """The DiaMatrix whose triplets of block s hold the values that
         ``fill(s, out)`` writes into ``out``, a float array of the block's
-        shape (m, a, b), for each block in order.
+        shape (m, a, a), for each block in order.
 
         Duplicates are added in triplet order, starting from 0.0, whatever
         LAYOUT_BLOCK is: np.add.at adds repeated indices one after another,
         in index order, as np.bincount does.  (np.add.at has a fast path
         from numpy 1.25 on; older versions give the same bits, slower.)
         """
-        shape = self.slot.shape
-        data = np.zeros(len(self.offsets) * self.nrows)
-        key, vals = _block_buffer(shape, np.int64), _block_buffer(shape, float)
-        for s in _blocks(shape[0]):
+        size, a, _ = self.slot.shape
+        data = np.zeros(len(self.offsets) * self.n)
+        key = np.empty((min(size, LAYOUT_BLOCK), a, a), dtype=np.int64)
+        vals = np.empty(key.shape)
+        for s in _blocks(size):
             v = vals[: s.stop - s.start]
             fill(s, v)
             np.add.at(data, self._keys(s, key), v.reshape(-1))
-        return DiaMatrix(self.nrows, self.ncols, self.offsets,
-                         data.reshape(len(self.offsets), self.nrows), self.nnz)
-
-
-def _block_buffer(shape, dtype):
-    """An array for the values of one block of a layout of ``shape``."""
-    return np.empty((min(shape[0], LAYOUT_BLOCK), *shape[1:]), dtype=dtype)
+        return DiaMatrix(self.n, self.n, self.offsets,
+                         data.reshape(len(self.offsets), self.n), self.nnz)
 
 
 def _blocks(n):
@@ -232,16 +224,19 @@ def _blocks(n):
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     """Build a DiaMatrix from parallel COO arrays, summing duplicate (row, col) pairs.
 
-    The layout of (rows, cols) is built, then ``TripletLayout.assemble``
-    adds duplicates in input order, starting from 0.0.
+    np.add.at adds each triplet at slot * nrows + row, slot its diagonal's
+    index, in input order from 0.0; ``index_array`` checks rows and cols.
     """
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
+    rows = index_array(rows, "rows", nrows).ravel()
+    cols = index_array(cols, "cols", ncols).ravel()
     vals = np.asarray(vals, dtype=float).ravel()
     if not (len(rows) == len(cols) == len(vals)):
         raise DimensionMismatch("triplet arrays must have equal length")
-    return TripletLayout(nrows, ncols, rows[:, None], cols[:, None]).assemble(
-        lambda s, out: np.copyto(out, vals[s, None, None]))
+    offsets, slot = np.unique(cols - rows, return_inverse=True)
+    data = np.zeros(len(offsets) * nrows)
+    np.add.at(data, slot * nrows + rows, vals)
+    nnz = len(np.unique(rows * ncols + cols))
+    return DiaMatrix(nrows, ncols, offsets, data.reshape(len(offsets), nrows), nnz)
 
 
 def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from monofem.mesh import (
     build_uniform_mesh,
     grid_cells,
 )
-from monofem.sparse import spmv
+from monofem.sparse import DimensionMismatch, IndexOutOfRange, spmv
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -81,6 +81,25 @@ def test_non_divisible_spacing():
     for h in (float("inf"), float("nan"), 1e10):  # 1e10: 2.5e-10 cells per side
         with pytest.raises(NonDivisibleSpacing):
             build_uniform_mesh(BOUNDS, h)
+
+
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("nodes,triangles,error", [
+    (np.c_[SQUARE, np.ones(4)], [[0, 1, 2]], DimensionMismatch),  # z was once dropped
+    (SQUARE[:, 0], [[0, 1, 2]], DimensionMismatch),
+    (SQUARE, [[0, 1, 2, 3]], DimensionMismatch),  # once a numpy broadcast ValueError at assembly
+    (SQUARE, [0, 1, 2], DimensionMismatch),  # once an IndexError at assembly
+    (SQUARE, [[0, 1, 2.7]], DimensionMismatch),  # once truncated to [0, 1, 2]
+    (SQUARE, [[True, False, True]], DimensionMismatch),
+    (SQUARE, [[0, 1, 4]], IndexOutOfRange),
+    (SQUARE, [[0, -1, 2]], IndexOutOfRange),
+], ids=["xyz-nodes", "1-d-nodes", "four-corners", "1-d-triangles", "float-index",
+        "bool-index", "past-last-node", "negative-index"])
+def test_mesh_rejects_bad_arrays_when_made(nodes, triangles, error):
+    with pytest.raises(error):
+        TriMesh(nodes, triangles, 1.0, (0.0, 0.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("n_cells", [4, 10])

@@ -97,6 +97,15 @@ def test_index_out_of_range():
         from_triplets(2, 2, [0], [-1], [1.0])
 
 
+@pytest.mark.parametrize("rows,cols", [
+    ([0.9, 1.5], [0.2, 1.99]), ([0, 1], [0.0, 1.0]), ([True, False], [0, 1]),
+], ids=["float", "float-cols", "bool"])
+def test_from_triplets_rejects_non_integer_indices(rows, cols):
+    # Cast to int64, the first case once built diag(1, 2).
+    with pytest.raises(DimensionMismatch):
+        from_triplets(2, 2, rows, cols, [1.0, 2.0])
+
+
 def test_unit_square_stiffness_row_sums():
     # Assembled by hand from the two-triangle unit square: pure Neumann
     # stiffness rows sum to zero.
@@ -189,10 +198,15 @@ def coo_and_vector(draw):
 @given(coo_and_vector())
 @example(((3, 2, [], [], []), np.array([1.0, -2.0])))  # nnz = 0
 @example(((2, 3, [1, 1, 1], [2, 0, 2], [0.5, 1.0, -0.25]), np.array([1.0, 3.0, -2.0])))
+@example(((3, 3, [1, 2, 1, 1, 0, 1], [1, 0, 1, 1, 2, 1], [0.1, 2.0, 0.2, 1e6, -1.0, -1e6]),
+          np.zeros(3)))  # four (1, 1), whose sum depends on the order of adding
 def test_spmv_property_random_coo(case):
     (nrows, ncols, rows, cols, vals), x = case
     A = from_triplets(nrows, ncols, rows, cols, vals)
     check_dia_invariants(A)
+    offsets, data, nnz = reference_dia(nrows, rows, cols, vals)
+    assert A.offsets.tolist() == offsets and A.nnz == nnz
+    assert A.data.tobytes() == data.tobytes()  # duplicates added in input order
     entries = reference_entries(ncols, rows, cols, vals)
     assert A.nnz == len(entries[2])
     got = spmv(A, x)
@@ -321,6 +335,29 @@ def test_assembly_bit_identical_on_a_perturbed_mesh():
             assert np.array_equal(mat.offsets, ref.offsets) and mat.nnz == ref.nnz
 
 
+def test_assembly_bit_identical_with_wide_slots():
+    # Relabelling the nodes at random spreads the triplets over thousands
+    # of diagonals, so the layout's slots take two bytes, not one, and
+    # each matrix holds about 2,800 x 1,681 floats (37 MB).
+    base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 16)
+    perm = np.random.default_rng(5).permutation(base.n_nodes)
+    label = np.empty_like(perm)
+    label[perm] = np.arange(len(perm))  # old node perm[k] becomes node k
+    mesh = TriMesh(base.nodes[perm], label[base.triangles], base.h, base.bounds)
+    assert len(mesh.p1_layout.offsets) > 256 and mesh.p1_layout.slot.dtype == np.uint16
+    n = mesh.n_nodes
+    D = ASSEMBLY_TENSORS[-1]
+    rows, cols, m_vals, a_vals = element_triplets(mesh, D)
+    x = np.random.default_rng(6).standard_normal(n)
+    for assemble, vals in ((assemble_mass, m_vals), (lambda m: assemble_stiffness(m, D), a_vals)):
+        mat, ref = assemble(mesh), from_triplets(n, n, rows, cols, vals)
+        assert np.array_equal(mat.data.view(np.int64), ref.data.view(np.int64))  # bytes, no copy
+        assert np.array_equal(mat.offsets, ref.offsets) and mat.nnz == ref.nnz
+        entries = reference_entries(n, rows, cols, vals)
+        assert spmv(mat, x).tobytes() == reference_spmv(n, entries, x).tobytes()
+        del mat, ref  # before the next pair is built
+
+
 def reference_dia(nrows, rows, cols, vals):
     """(offsets, data, nnz) of the triplets added into DIA storage one at a
     time, in triplet order from 0.0, by a plain loop."""
@@ -361,23 +398,6 @@ def test_assembly_does_not_depend_on_layout_block(monkeypatch, h, jitter):
         for mat, one in zip(assembled(block), whole):
             assert mat.data.tobytes() == one.data.tobytes()
             assert np.array_equal(mat.offsets, one.offsets) and mat.nnz == one.nnz
-
-
-@given(coo_and_vector(), st.sampled_from([1, 2, 5, 13]))
-@example(((3, 3, [1, 2, 1, 1, 0, 1], [1, 0, 1, 1, 2, 1], [0.1, 2.0, 0.2, 1e6, -1.0, -1e6]),
-          np.zeros(3)), 2)  # four (1, 1), split across blocks
-def test_from_triplets_does_not_depend_on_layout_block(case, block):
-    (nrows, ncols, rows, cols, vals), _ = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", max(1, len(vals)))
-        whole = from_triplets(nrows, ncols, rows, cols, vals)
-        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", block)
-        blocked = from_triplets(nrows, ncols, rows, cols, vals)
-    offsets, data, nnz = reference_dia(nrows, rows, cols, vals)
-    for mat in (whole, blocked):
-        check_dia_invariants(mat)
-        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
-        assert mat.data.tobytes() == data.tobytes()
 
 
 def test_diagonal_storage_of_assembled_operators():
