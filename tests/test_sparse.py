@@ -400,6 +400,25 @@ def test_assembly_does_not_depend_on_layout_block(monkeypatch, h, jitter):
             assert np.array_equal(mat.offsets, one.offsets) and mat.nnz == one.nnz
 
 
+@given(coo_and_vector(), st.sampled_from([1, 2, 5, 13]))
+@example(((3, 3, [1, 2, 1, 1, 0, 1], [1, 0, 1, 1, 2, 1], [0.1, 2.0, 0.2, 1e6, -1.0, -1e6]),
+          np.zeros(3)), 2)  # four (1, 1), which a blocked sum would split
+def test_from_triplets_does_not_depend_on_layout_block(case, block):
+    # from_triplets sums its triplets whole; the layout's block size must
+    # not reach it.
+    (nrows, ncols, rows, cols, vals), _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", max(1, len(vals)))
+        whole = from_triplets(nrows, ncols, rows, cols, vals)
+        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", block)
+        blocked = from_triplets(nrows, ncols, rows, cols, vals)
+    offsets, data, nnz = reference_dia(nrows, rows, cols, vals)
+    for mat in (whole, blocked):
+        check_dia_invariants(mat)
+        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
+        assert mat.data.tobytes() == data.tobytes()
+
+
 def test_diagonal_storage_of_assembled_operators():
     # Seven diagonals, 0, +-1, +-(N+1), +-(N+2) for N cells per side, so the
     # diagonal form holds 7 n values.
