@@ -2,22 +2,24 @@
 
 Consistent (non-lumped) mass matrix, diffusion stiffness matrix with a
 one-point centroid quadrature for the conductivity tensor, nodal
-interpolation, and the mass-matrix L2 norm.  A matrix is assembled in
-blocks of ``sparse.LAYOUT_BLOCK`` triangles, the blocked element loop of
-MILAMIN (Dabrowski, Krotkiewski & Schmid, G-cubed 9, Q04030, 2008): for
-each block, ``_corners`` computes the geometry, and the 3 x 3 element
-matrices are built from it and summed into DIA storage through the mesh's
-cached ``p1_layout``, which every matrix on the mesh shares.  So no array
-of one value per element-matrix entry, nor any geometry, is ever made for
-the whole mesh; the mesh has no geometry API.
+interpolation, and the mass-matrix L2 norm.
+
+On the uniform grid (``TriMesh.grid``), a matrix is assembled in blocks
+of cell rows, the blocked element loop of MILAMIN (Dabrowski, Krotkiewski
+& Schmid, G-cubed 9, Q04030, 2008): for each block, ``_corners`` computes
+the geometry, the 3 x 3 element matrices are built from it, and each of
+their 18 entries (triangle type, row vertex, column vertex) is added into
+its diagonal of DIA storage with one sliced add over the block's cells.
+So no array of one value per element-matrix entry, nor any geometry, is
+ever made for the whole mesh.  Any other mesh sums its whole element
+arrays with ``from_triplets``.  The mesh has no geometry API.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import DegenerateTriangle, TriMesh
-from .sparse import DiaMatrix, DimensionMismatch, spmv
-from .sparse import from_triplets  # noqa: F401  (perfbench/spans.py hooks the name here)
+from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh
+from .sparse import GRID_NEIGHBOURS, DiaMatrix, DimensionMismatch, from_triplets, grid_matrix, spmv
 
 # Reference-triangle integrals of products of the three P1 basis functions,
 # scaled by 1/area: int phi_i phi_j = area/12 * (1 + delta_ij).
@@ -80,37 +82,75 @@ class DiffusionTensor:
 IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 
-def _corners(mesh: TriMesh, s: slice):
-    """x and y (3, m) of the vertices of the m triangles ``mesh.triangles[s]``
-    (s a slice with a start and step 1) and det (m,), twice their signed
-    areas.  Each triangle's values do not depend on s.
+# Triangles per block of grid assembly, in whole cell rows (12 at h = 1/128),
+# at about 300 bytes each.  M and A at h = 1/128 took 30, 26 and 25 ms with
+# 4,096, 8,192 and 16,384 (2 cores); 16,384 doubles the 2.4 MB of block
+# buffers in the set-up peak at h = 1/64 that ``test_solver`` bounds.
+BLOCK_TRIANGLES = 1 << 13
+
+# Entry (i, j) of the element matrix of type t (CELL_TRIANGLES) as (i, j, t,
+# d, dx, dy): its row vertex is cell corner (dx, dy), its column vertex that
+# corner's neighbour GRID_NEIGHBOURS[d].  Sorted by (-dy, -dx, t), the order
+# of the triangles at a node, so each DIA entry is summed in triplet order.
+_GRID_ENTRIES = sorted(
+    ((i, j, t, GRID_NEIGHBOURS.index((cj[0] - ci[0], cj[1] - ci[1])), *ci)
+     for t, corners in enumerate(CELL_TRIANGLES)
+     for i, ci in enumerate(corners) for j, cj in enumerate(corners)),
+    key=lambda e: (-e[5], -e[4], e[2]))
+
+
+def _corners(mesh: TriMesh, index):
+    """x and y (3, m) of the vertices of the m triangles ``mesh.triangles[index]``
+    (index a slice or an integer array) and det (m,), twice their signed
+    areas.  Each triangle's values do not depend on the others in index.
 
     Raises:
         DegenerateTriangle: some triangle's signed area is not positive
             (clockwise, collinear or non-finite vertices); the message
-            names the first such triangle by its index in the mesh.
+            names the one with the lowest index in the mesh.
     """
-    triangles = mesh.triangles[s].T
+    triangles = mesh.triangles[index].T
     x, y = mesh.nodes[:, 0][triangles], mesh.nodes[:, 1][triangles]
     det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     bad = np.flatnonzero(~(det > 0))
     if len(bad):
-        t = s.start + int(bad[0])
+        ids = np.arange(mesh.n_triangles)[index]
+        k = bad[np.argmin(ids[bad])]
         raise DegenerateTriangle(
-            f"triangle {t} (nodes {mesh.triangles[t].tolist()}) has signed area "
-            f"{0.5 * det[bad[0]]!r}; every triangle must be counterclockwise with positive area"
+            f"triangle {ids[k]} (nodes {mesh.triangles[ids[k]].tolist()}) has signed area "
+            f"{0.5 * det[k]!r}; every triangle must be counterclockwise with positive area"
         )
     return x, y, det
+
+
+def _assemble(mesh: TriMesh, element) -> DiaMatrix:
+    """The DiaMatrix summing ``element(index)``, the element matrices (3, 3, m)
+    [i, j, p] of triangles ``mesh.triangles[index]``.  On the grid, blocks of
+    cell rows are taken in (type, row, column) order, so that each entry
+    (i, j) of each type is one (rows, nx) array, added by one sliced add.
+    Either path sums every DIA entry from 0.0 in triplet order."""
+    if mesh.grid is None:
+        n, tri = mesh.n_nodes, mesh.triangles
+        vals = element(slice(0, mesh.n_triangles)).transpose(2, 0, 1)  # [p, i, j]
+        return from_triplets(n, n, np.broadcast_to(tri[:, :, None], vals.shape),
+                             np.broadcast_to(tri[:, None, :], vals.shape), vals)
+    nx, ny = mesh.grid
+    data = np.zeros((len(GRID_NEIGHBOURS), ny + 1, nx + 1))
+    rows = max(1, BLOCK_TRIANGLES // (2 * nx))
+    for r0 in range(0, ny, rows):
+        r1 = min(ny, r0 + rows)
+        # Triangles 2 (cy nx + cx) + t of cell rows r0 to r1, in (t, cy, cx) order.
+        index = np.arange(2 * r0 * nx, 2 * r1 * nx).reshape(-1, 2).T.ravel()
+        vals = element(index).reshape(3, 3, 2, r1 - r0, nx)
+        for i, j, t, d, dx, dy in _GRID_ENTRIES:
+            data[d, r0 + dy : r1 + dy, dx : dx + nx] += vals[i, j, t]
+    return grid_matrix(data.reshape(len(GRID_NEIGHBOURS), -1), nx, ny)
 
 
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:
     """Consistent P1 mass matrix M_ij = int phi_i phi_j (DegenerateTriangle
     as in ``_corners``)."""
-
-    def fill(s, out):
-        np.multiply.outer(0.5 * _corners(mesh, s)[2], _LOCAL_MASS, out=out)
-
-    return mesh.p1_layout.assemble(fill)
+    return _assemble(mesh, lambda s: np.multiply.outer(_LOCAL_MASS, 0.5 * _corners(mesh, s)[2]))
 
 
 def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -> DiaMatrix:
@@ -125,10 +165,10 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
         ValueError: D is not symmetric positive definite at some centroid.
     """
 
-    def fill(s, out):
-        x, y, det = _corners(mesh, s)
+    def element(index):
+        x, y, det = _corners(mesh, index)
         # g[a, i, t]: component a of the gradient of the basis function at
-        # vertex i of triangle s.start + t, contiguous over the triangles.
+        # vertex i of triangle t, contiguous over the triangles.
         g = np.empty((2, *x.shape))
         for i, ahead, behind in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             np.subtract(y[ahead], y[behind], out=g[0, i])  # y1 - y2, y2 - y0, y0 - y1
@@ -140,20 +180,20 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
             centroids = zip(x.mean(axis=0), y.mean(axis=0))
             Dc = np.stack([D(cx, cy) for cx, cy in centroids])  # (m, 2, 2)
             _check_spd(Dc)
-        # K[t, i, j] = area_t * sum_ab (grad_i[a] D_t[a, b]) grad_j[b], the
+        # K[i, j, t] = area_t * sum_ab (grad_i[a] D_t[a, b]) grad_j[b], the
         # terms added in the order ab = 00, 01, 10, 11: what
-        # np.einsum("tia,tab,tjb->tij") gives, but for the sign of a zero
+        # np.einsum("tia,tab,tjb->ijt") gives, but for the sign of a zero
         # sum, which the DIA sum from 0.0 removes; the tests check the
-        # matrices bit for bit.  Built as [i, j, t], so that every product
-        # runs over the triangles, and put in triangle order by the last one.
-        local = (g[0] * Dc[..., 0, 0])[:, None] * g[0]
-        term = np.empty_like(local)
-        for a, b in ((0, 1), (1, 0), (1, 1)):
-            np.multiply((g[a] * Dc[..., a, b])[:, None], g[b], out=term)
-            local += term
-        np.multiply(local, 0.5 * det, out=out.transpose(1, 2, 0))
+        # matrices bit for bit.  Row i of K is built in place.
+        local, area = np.empty((3, *g.shape[1:])), 0.5 * det
+        for i, row in enumerate(local):
+            np.multiply(g[0, i] * Dc[..., 0, 0], g[0], out=row)
+            for a, b in ((0, 1), (1, 0), (1, 1)):
+                row += g[a, i] * Dc[..., a, b] * g[b]
+            row *= area
+        return local
 
-    return mesh.p1_layout.assemble(fill)
+    return _assemble(mesh, element)
 
 
 def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:

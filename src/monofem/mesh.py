@@ -3,12 +3,12 @@
 Each square cell of an N x N grid is split into two triangles along the
 diagonal from its lower-left to its upper-right corner.  Nodes are ordered
 row-major by (y, x) so that matrix sparsity patterns are reproducible.
-A mesh builds the layout of its P1 element matrices once, on first use,
-and every operator assembled on it shares it; the operators themselves are
-kept on the mesh too (``TriMesh.operators``).  Besides ``nodes`` and
-``triangles``, that layout is all a mesh keeps per triangle: one byte per
-element-matrix entry.  The mesh has no geometry API: assembly computes the
-areas and basis gradients block by block each time it builds a matrix.
+A mesh keeps only ``nodes`` and ``triangles`` per node and triangle, and
+the operators assembled on it (``TriMesh.operators``).  It knows whether
+its triangles are those of the uniform grid (``TriMesh.grid``), which
+assembly and the multigrid solver ask.  The mesh has no geometry API:
+assembly computes the areas and basis gradients block by block each time
+it builds a matrix.
 """
 from __future__ import annotations
 
@@ -19,9 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import DimensionMismatch, TripletLayout, index_array
+from .sparse import DimensionMismatch, frozen, index_array
 
 DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
+
+# Corners (dx, dy) of the two triangles of a grid cell, counterclockwise
+# from its lower-left corner: the cell is split along its diagonal ll-ur.
+CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 
 class NonDivisibleSpacing(ValueError):
@@ -42,13 +46,13 @@ class TriMesh:
         h: grid spacing of the underlying square cells.
         bounds: (xmin, ymin, xmax, ymax).
 
-    ``p1_layout``, one byte per element-matrix entry (9 per triangle), is
-    built on first use and kept as long as the mesh; ``operators`` caches
-    the matrices (see there).  The mesh holds no geometry and has no method
-    for it: assembly computes each block's areas and gradients and keeps
-    none.  ``nodes`` and ``triangles`` are read-only, and checked when the
+    ``grid`` tells whether the triangles are the uniform grid's;
+    ``operators`` caches the matrices.  The mesh keeps nothing else per
+    triangle and has no geometry API: assembly computes each block's areas
+    and gradients and keeps none.  ``nodes`` and ``triangles`` are read-only, and checked when the
     mesh is made (DimensionMismatch for another shape, ``index_array`` for
-    the node indices).  Meshes compare and hash by identity.
+    the node indices); an array the caller passes is copied unless it is
+    read-only already.  Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -63,9 +67,8 @@ class TriMesh:
         triangles = index_array(self.triangles, "triangles", len(nodes))
         if triangles.shape[1:] != (3,):
             raise DimensionMismatch(f"triangles must be (m, 3), got shape {triangles.shape}")
-        for name, a in (("nodes", nodes), ("triangles", triangles)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "nodes", frozen(nodes, self.nodes))
+        object.__setattr__(self, "triangles", frozen(triangles, self.triangles))
 
     @property
     def n_nodes(self) -> int:
@@ -76,10 +79,16 @@ class TriMesh:
         return self.triangles.shape[0]
 
     @cached_property
-    def p1_layout(self) -> TripletLayout:
-        """DIA layout of the P1 element matrices: entry (i, j) of triangle t's
-        is triplet 9 t + 3 i + j (see ``TripletLayout``)."""
-        return TripletLayout(self.n_nodes, self.triangles)
+    def grid(self) -> tuple[int, int] | None:
+        """(nx, ny) if the triangles are ``grid_triangles(nx, ny)`` for the
+        nx x ny cells of side h in ``bounds`` and there are (nx+1)(ny+1)
+        nodes, else None.  The nodes need not lie on the grid."""
+        try:
+            nx, ny = grid_cells(self.bounds, self.h)
+        except NonDivisibleSpacing:
+            return None
+        grid = self.n_nodes == (nx + 1) * (ny + 1)
+        return (nx, ny) if grid and np.array_equal(self.triangles, grid_triangles(nx, ny)) else None
 
     @cached_property
     def operators(self) -> weakref.WeakKeyDictionary:
@@ -124,10 +133,18 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     nodes[..., 0] = np.linspace(xmin, xmax, nx + 1)
     nodes[..., 1] = np.linspace(ymin, ymax, ny + 1)[:, None]
 
-    # Cell (j, i) has lower-left corner ll = j (nx + 1) + i and is split
-    # along its diagonal ll-ur into (ll, lr, ur) and (ll, ur, ul).
-    ll = np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)
-    triangles = np.empty((ny, nx, 2, 3), dtype=np.int64)
-    np.add(ll[..., None, None], [[0, 1, nx + 2], [0, nx + 2, nx + 1]], out=triangles)
-    nodes, triangles = nodes.reshape(-1, 2), triangles.reshape(-1, 3)
+    nodes, triangles = nodes.reshape(-1, 2), grid_triangles(nx, ny)
+    for a in (nodes, triangles):
+        a.setflags(write=False)  # so that TriMesh need not copy them
     return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))
+
+
+def grid_triangles(nx: int, ny: int) -> np.ndarray:
+    """Triangles of the grid of nx x ny cells with row-major nodes: cell
+    (cx, cy) holds triangles 2 (cy nx + cx) + t, t = 0, 1, on the corners
+    CELL_TRIANGLES[t] of the cell."""
+    ll = np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)  # lower-left nodes
+    corners = [[dx + dy * (nx + 1) for dx, dy in t] for t in CELL_TRIANGLES]
+    triangles = np.empty((ny, nx, 2, 3), dtype=np.int64)
+    np.add(ll[..., None, None], corners, out=triangles)
+    return triangles.reshape(-1, 3)

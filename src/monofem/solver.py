@@ -20,8 +20,8 @@ from .assembly import (
     assemble_stiffness,
     interpolate_nodal,
 )
-from .mesh import NonDivisibleSpacing, TriMesh, grid_cells, whole_count
-from .sparse import DiaMatrix, VCycle, cg_solve, grid_offsets, spmv
+from .mesh import TriMesh, whole_count
+from .sparse import DiaMatrix, VCycle, cg_solve, spmv
 
 
 class InvalidConfig(ValueError):
@@ -98,6 +98,7 @@ class MonodomainSolver:
         self.mass, A = ops[cfg.diffusion]
         data = cfg.k * A.data
         data += self.mass.data  # M + k A, without a second temporary
+        data.setflags(write=False)  # so that DiaMatrix need not copy it
         self.system = replace(self.mass, data=data)
         self.multigrid = _multigrid(mesh, self.system, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)
@@ -131,14 +132,11 @@ class MonodomainSolver:
 
 def _multigrid(mesh: TriMesh, S: DiaMatrix, k: float) -> VCycle | None:
     """V-cycle for S on the grids nested below ``mesh``, or None when the
-    hierarchy has one level (or the mesh is not a uniform grid)."""
-    try:
-        nx, ny = grid_cells(mesh.bounds, mesh.h)
-    except NonDivisibleSpacing:
+    hierarchy has one level (or the mesh is not the uniform grid)."""
+    if mesh.grid is None:
         return None
-    if S.nrows != (nx + 1) * (ny + 1) or S.offsets.tolist() != grid_offsets(nx):
-        return None
-    grids, H = [(nx, ny)], 2 * mesh.h
+    (nx, ny), H = mesh.grid, 2 * mesh.h
+    grids = [(nx, ny)]
     while nx % 2 == 0 and ny % 2 == 0 and k >= H * H:
         nx, ny, H = nx // 2, ny // 2, 2 * H
         grids.append((nx, ny))

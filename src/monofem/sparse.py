@@ -2,16 +2,15 @@
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
-diagonals.  A product walks the rows in cache-sized blocks and adds each
-diagonal's shifted-slice products into the block through one reused
-buffer; CG updates its vectors in place.  A mesh's ``TripletLayout``
-keeps the diagonal of each entry of its element matrices in one byte
-(for up to 256 diagonals), and every matrix on the mesh is summed into
-DIA storage block by block through it; ``from_triplets`` sums plain COO
-arrays whole.  CG solves symmetric positive definite systems, optionally
-preconditioned; ``VCycle`` is the preconditioner for P1 operators on
-nested uniform grids (prolongation, restriction and Galerkin coarse
-operators act on the node grid of ``mesh.py``).
+diagonals, and ``grid_matrix`` makes a matrix from them.  A product walks
+the rows in cache-sized blocks and adds each diagonal's shifted-slice
+products into the block through one reused buffer; CG updates its vectors
+in place.  ``from_triplets`` sums COO arrays into DIA storage whole, and
+refuses a matrix whose storage would far exceed its entries.  CG solves
+symmetric positive definite systems, optionally preconditioned;
+``VCycle`` is the preconditioner for P1 operators on nested uniform grids
+(prolongation, restriction and Galerkin coarse operators act on the node
+grid of ``mesh.py``).
 """
 from __future__ import annotations
 
@@ -29,14 +28,10 @@ DEFAULT_CG_TOL = 1e-10
 # through memory seven times once n exceeds L2.
 SPMV_BLOCK = 1 << 15
 
-# Triangles per block of ``TripletLayout`` and of assembly.  A block's DIA
-# positions, element values and geometry take about 0.5 kB per triangle,
-# 2 MB in all, so no array of one entry per triplet is made but the
-# layout's one-byte slots.  Set-up (mesh and solver) was about fastest at
-# 4,096 over h = 1/16 to 1/128: at h = 1/128, blocks of 1,024 took about
-# 20 % longer (numpy's cost per call), and at h = 1/32 one block of all
-# 12,800 triangles took 60 % longer (fresh pages for its larger temporaries).
-LAYOUT_BLOCK = 1 << 12
+# DIA floats per stored entry (plus a slack) that ``from_triplets`` allows:
+# the grid stores about 1, a dense matrix 2, a randomly relabelled mesh 400.
+STORAGE_PER_ENTRY = 4
+STORAGE_SLACK = 1024
 
 
 class IndexOutOfRange(IndexError):
@@ -45,6 +40,10 @@ class IndexOutOfRange(IndexError):
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class NotBanded(ValueError):
+    """DIA storage would far exceed the entries: the node numbering is not banded."""
 
 
 class NoConvergence(RuntimeError):
@@ -68,6 +67,15 @@ def index_array(a, name, n) -> np.ndarray:
     return a
 
 
+def frozen(a: np.ndarray, given) -> np.ndarray:
+    """``a`` made read-only, first copied if it is writeable and may share
+    memory with ``given``, the array a caller passed and still holds."""
+    if a.flags.writeable and isinstance(given, np.ndarray) and np.may_share_memory(a, given):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DiaMatrix:
     """Sparse matrix stored by diagonals.
@@ -77,6 +85,7 @@ class DiaMatrix:
     are not stored are 0.  ``nnz`` counts the distinct stored (row, col)
     pairs.  Storage is distinct diagonals x nrows floats: 7 n for every
     matrix monofem assembles, but (nrows + ncols - 1) x nrows for a dense one.
+    ``data`` is copied unless it is read-only already (``frozen``).
 
     ``plan`` is built once, here, and walked by ``spmv`` and ``to_dense``:
     one ``(rows, terms)`` per block of SPMV_BLOCK rows, ``rows`` the block's
@@ -108,8 +117,8 @@ class DiaMatrix:
         if data.shape != (len(offsets), self.nrows):
             raise DimensionMismatch(f"data shape {data.shape} does not fit "
                                     f"{len(offsets)} diagonals of {self.nrows} rows")
-        for a in (offsets, data):
-            a.setflags(write=False)
+        offsets.setflags(write=False)
+        data = frozen(data, self.data)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "data", data)
         n = self.nrows
@@ -137,95 +146,14 @@ class DiaMatrix:
         return out
 
 
-class TripletLayout:
-    """Where each entry of the element matrices of one mesh lands in DIA storage.
-
-    ``elements`` (N, a) holds node indices in [0, n) (``TriMesh`` checks
-    its triangles).  Triplet (p, i, j), in C order of (N, a, a), is entry
-    (i, j) of element p's matrix, at row ``elements[p, i]`` and column
-    ``elements[p, j]`` of an n x n matrix.
-
-    The layout keeps ``elements``; ``offsets`` (read-only), the distinct
-    diagonals, column - row; ``nnz``, the distinct (row, col) pairs; and
-    ``slot`` (N, a, a), each triplet's index in ``offsets`` in the smallest
-    unsigned type that holds it: one byte for up to 256 diagonals.  The
-    build and ``assemble`` walk the elements in blocks of LAYOUT_BLOCK and
-    rebuild each block's positions in DIA storage, slot * n + row.
-    """
-
-    def __init__(self, n, elements):
-        self.n, self.elements = n, elements
-        size, a = elements.shape
-        # Diagonals are found as [i, j, p], so that each subtraction runs
-        # along the block.
-        diagonal = np.empty((a, a, min(size, LAYOUT_BLOCK)), dtype=np.int64)
-
-        def diagonals(s):
-            """column - row + n - 1 >= 0 of the triplets of block s, as [i, j, p]."""
-            d = diagonal[:, :, : s.stop - s.start]
-            np.subtract(elements[s].T, elements[s].T[:, None], out=d)
-            d += n - 1
-            return d
-
-        blocks = _blocks(size)
-        present = np.zeros(2 * n - 1, dtype=bool)
-        for s in blocks:
-            present[diagonals(s)] = True
-        present = np.flatnonzero(present)
-        self.offsets = present - (n - 1)
-        self.offsets.setflags(write=False)
-        slot_of = np.zeros(2 * n - 1, dtype=np.min_scalar_type(max(len(present) - 1, 0)))
-        slot_of[present] = np.arange(len(present))
-        self.slot = np.empty((size, a, a), dtype=slot_of.dtype)
-        stored = np.zeros(len(present) * n, dtype=bool)
-        key = np.empty((min(size, LAYOUT_BLOCK), a, a), dtype=np.int64)
-        for s in blocks:
-            # Every index is in range, so mode="clip" changes nothing; unlike
-            # the default mode, it does not always buffer ``out``.
-            np.take(slot_of, diagonals(s), out=self.slot[s].transpose(1, 2, 0), mode="clip")
-            stored[self._keys(s, key)] = True
-        self.nnz = int(np.count_nonzero(stored))
-
-    def _keys(self, s, key):
-        """Positions in the flattened ``DiaMatrix.data``, slot * n + row,
-        of the triplets of block s, written into the head of ``key``."""
-        k = key[: s.stop - s.start]
-        np.multiply(self.slot[s], self.n, out=k, dtype=np.int64)
-        k += self.elements[s][:, :, None]
-        return k.reshape(-1)
-
-    def assemble(self, fill) -> DiaMatrix:
-        """The DiaMatrix whose triplets of block s hold the values that
-        ``fill(s, out)`` writes into ``out``, a float array of the block's
-        shape (m, a, a), for each block in order.
-
-        Duplicates are added in triplet order, starting from 0.0, whatever
-        LAYOUT_BLOCK is: np.add.at adds repeated indices one after another,
-        in index order, as np.bincount does.  (np.add.at has a fast path
-        from numpy 1.25 on; older versions give the same bits, slower.)
-        """
-        size, a, _ = self.slot.shape
-        data = np.zeros(len(self.offsets) * self.n)
-        key = np.empty((min(size, LAYOUT_BLOCK), a, a), dtype=np.int64)
-        vals = np.empty(key.shape)
-        for s in _blocks(size):
-            v = vals[: s.stop - s.start]
-            fill(s, v)
-            np.add.at(data, self._keys(s, key), v.reshape(-1))
-        return DiaMatrix(self.n, self.n, self.offsets,
-                         data.reshape(len(self.offsets), self.n), self.nnz)
-
-
-def _blocks(n):
-    """Slices of LAYOUT_BLOCK indices (the last one shorter) that tile range(n)."""
-    return [slice(a, min(n, a + LAYOUT_BLOCK)) for a in range(0, n, LAYOUT_BLOCK)]
-
-
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     """Build a DiaMatrix from parallel COO arrays, summing duplicate (row, col) pairs.
 
     np.add.at adds each triplet at slot * nrows + row, slot its diagonal's
     index, in input order from 0.0; ``index_array`` checks rows and cols.
+
+    NotBanded, before allocating, if diagonals x nrows floats would exceed
+    STORAGE_PER_ENTRY per stored entry plus STORAGE_SLACK.
     """
     rows = index_array(rows, "rows", nrows).ravel()
     cols = index_array(cols, "cols", ncols).ravel()
@@ -233,10 +161,15 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     if not (len(rows) == len(cols) == len(vals)):
         raise DimensionMismatch("triplet arrays must have equal length")
     offsets, slot = np.unique(cols - rows, return_inverse=True)
-    data = np.zeros(len(offsets) * nrows)
-    np.add.at(data, slot * nrows + rows, vals)
     nnz = len(np.unique(rows * ncols + cols))
-    return DiaMatrix(nrows, ncols, offsets, data.reshape(len(offsets), nrows), nnz)
+    if len(offsets) * nrows > STORAGE_PER_ENTRY * nnz + STORAGE_SLACK:
+        raise NotBanded(f"{len(offsets)} diagonals of {nrows} rows would store "
+                        f"{len(offsets) * nrows} floats for {nnz} entries: the node "
+                        "numbering is not banded")
+    data = np.zeros((len(offsets), nrows))
+    np.add.at(data.reshape(-1), slot * nrows + rows, vals)
+    data.setflags(write=False)
+    return DiaMatrix(nrows, ncols, offsets, data, nnz)
 
 
 def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -439,13 +372,19 @@ def restrict(r: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
 # (dx, dy) node steps of the seven P1 couplings on the uniform grid, in
 # ascending DIA offset dx + dy (nx + 1).
-_NEIGHBOURS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+GRID_NEIGHBOURS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def grid_offsets(nx: int) -> list[int]:
-    """DIA offsets of a P1 operator on the uniform grid of ``mesh.py`` with
-    nx cells per row (row-major nodes, lower-left to upper-right diagonals)."""
-    return [dx + dy * (nx + 1) for dx, dy in _NEIGHBOURS]
+def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:
+    """The P1 operator on the grid of nx x ny cells of ``mesh.py`` (row-major
+    nodes, lower-left to upper-right diagonals) whose diagonal d, the
+    coupling of each node to its neighbour GRID_NEIGHBOURS[d], is data[d].
+    ``data`` (7, n) is made read-only, not copied."""
+    n = (nx + 1) * (ny + 1)
+    nnz = sum((nx + 1 - abs(dx)) * (ny + 1 - abs(dy)) for dx, dy in GRID_NEIGHBOURS)
+    data.setflags(write=False)
+    return DiaMatrix(n, n, np.array([dx + dy * (nx + 1) for dx, dy in GRID_NEIGHBOURS]),
+                     data, nnz)
 
 
 def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
@@ -466,11 +405,10 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
     for c in range(9):
         probes[c] = restrict(spmv(S, prolong((colour == c).astype(float), nx, ny)), nx, ny)
     rows = np.arange(n)
-    data = np.empty((len(_NEIGHBOURS), n))
-    for d, (dx, dy) in zip(data, _NEIGHBOURS):
+    data = np.empty((len(GRID_NEIGHBOURS), n))
+    for d, (dx, dy) in zip(data, GRID_NEIGHBOURS):
         d[:] = probes[colours[1 + dy : ny + 2 + dy, 1 + dx : nx + 2 + dx].ravel(), rows]
-    nnz = sum((nx + 1 - abs(dx)) * (ny + 1 - abs(dy)) for dx, dy in _NEIGHBOURS)
-    return DiaMatrix(n, n, np.array(grid_offsets(nx)), data, nnz)
+    return grid_matrix(data, nx, ny)
 
 
 class VCycle:

@@ -7,13 +7,17 @@ import pytest
 from element_geometry import element_geometry
 
 from monofem.assembly import DiffusionTensor, _corners, assemble_mass, assemble_stiffness
+import monofem.mesh
+import monofem.sparse
+from monofem.ionic import make_model
 from monofem.mesh import (
     NonDivisibleSpacing,
     TriMesh,
     build_uniform_mesh,
     grid_cells,
 )
-from monofem.sparse import DimensionMismatch, IndexOutOfRange, spmv
+from monofem.solver import MonodomainSolver, SolverConfig
+from monofem.sparse import DiaMatrix, DimensionMismatch, IndexOutOfRange, from_triplets, spmv
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -225,18 +229,70 @@ def test_vectorized_matches_single():
 
 
 def test_geometry_not_kept_and_block_independent():
-    # The mesh has no geometry API and keeps only its layout after
-    # assembly, which computes the geometry by blocks of triangles; each
-    # triangle's values do not depend on the block.
+    # The mesh has no geometry API and keeps only whether it is the grid
+    # after assembly, which computes the geometry by blocks of triangles,
+    # on the grid in (type, cell row, cell column) order; each triangle's
+    # values do not depend on the block or the order.
     mesh = jittered(1 / 4)
     assemble_mass(mesh)
     assemble_stiffness(mesh)
-    assert set(vars(mesh)) == {"nodes", "triangles", "h", "bounds", "p1_layout"}
+    assert set(vars(mesh)) == {"nodes", "triangles", "h", "bounds", "grid"}
     assert {a for a in dir(TriMesh) if not a.startswith("_")} == {
-        "n_nodes", "n_triangles", "p1_layout", "operators"}
+        "n_nodes", "n_triangles", "grid", "operators"}
     n = mesh.n_triangles
     whole = _corners(mesh, slice(0, n))
     for size in (1, 7, n):
         blocks = [_corners(mesh, slice(a, min(n, a + size))) for a in range(0, n, size)]
         for k, part in enumerate(whole):
             assert np.concatenate([b[k] for b in blocks], axis=-1).tobytes() == part.tobytes()
+    order = np.random.default_rng(2).permutation(n)
+    for k, part in enumerate(_corners(mesh, order)):
+        assert part.tobytes() == whole[k][..., order].tobytes()
+
+
+def test_grid_is_found_by_the_triangles():
+    # The grid of bounds and h, with the triangles build_uniform_mesh makes;
+    # moved nodes keep it, other triangles or node counts do not.
+    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
+    assert mesh.grid == (10, 10) and jittered(1 / 4).grid == (10, 10)
+    flipped = mesh.triangles.copy()
+    flipped[[0, 1]] = [[0, 1, 11], [1, 12, 11]]  # cell (0, 0) split along lr-ul
+    for nodes, triangles, h in ((mesh.nodes, flipped, mesh.h),
+                                (mesh.nodes, mesh.triangles[:, [1, 2, 0]], mesh.h),
+                                (mesh.nodes, mesh.triangles, 2 * mesh.h),
+                                (mesh.nodes, mesh.triangles, 0.3),
+                                (np.vstack([mesh.nodes, [[0.0, 0.0]]]), mesh.triangles, mesh.h)):
+        assert TriMesh(nodes, triangles, h, mesh.bounds).grid is None
+    assert one_triangle().grid is None
+
+
+def test_caller_arrays_are_copied_and_package_arrays_kept(monkeypatch):
+    # A mesh or matrix copies an array the caller passes and can still
+    # write, so freezing its own copy leaves the caller's writeable.
+    nodes, tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]])
+    mesh = TriMesh(nodes, tri, 1.0, (0, 0, 1, 1))
+    data = np.ones((1, 3))
+    A = DiaMatrix(3, 3, np.array([0]), data, 3)
+    nodes[0, 0], tri[0, 0], data[0, 0] = 5.0, 1, 2.0
+    assert mesh.nodes[0, 0] == 0.0 and mesh.triangles[0, 0] == 0 and A.data[0, 0] == 1.0
+    for a in (mesh.nodes, mesh.triangles, A.data, A.offsets):
+        assert not a.flags.writeable
+    # Arrays the package makes are read-only before they are handed over,
+    # so none is copied: the mesh, both assembly paths, S and its V-cycle.
+    triangle, given = one_triangle(), []
+
+    def recorded(a, caller, _original=monofem.sparse.frozen):
+        given.append(a.flags.writeable)
+        return _original(a, caller)
+
+    for module in (monofem.mesh, monofem.sparse):
+        monkeypatch.setattr(module, "frozen", recorded)
+    grid = build_uniform_mesh(BOUNDS, 1 / 16)
+    cfg = SolverConfig(k=1 / 16, t_final=1 / 16, ionic=make_model("fhn"))
+    assert len(MonodomainSolver(grid, cfg).multigrid.operators) == 3
+    kept = TriMesh(grid.nodes, grid.triangles, grid.h, grid.bounds)
+    assert kept.nodes is grid.nodes and kept.triangles is grid.triangles
+    assemble_mass(triangle)
+    from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+    # 4 mesh arrays, M, A, S, 2 coarse operators and 2 triplet matrices
+    assert given == [False] * 11

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monofem.assembly
 import monofem.mesh
 import monofem.solver
-import monofem.sparse
 from monofem.assembly import (
     DiffusionTensor,
+    assemble_mass,
     assemble_stiffness,
     interpolate_nodal,
     l2_norm,
@@ -226,9 +227,9 @@ def test_degenerate_triangle_rejected_at_construction(apex):
 
 
 def test_degenerate_triangle_named_by_its_index_in_the_mesh(monkeypatch):
-    # Geometry is computed by blocks of triangles; the message names the
-    # triangle's index in the mesh, not in its block.
-    monkeypatch.setattr(monofem.sparse, "LAYOUT_BLOCK", 1)
+    # The message names the bad triangle with the lowest index in the mesh,
+    # on a mesh that is not the grid and on the grid, where geometry is
+    # computed by blocks of cell rows in (type, row, column) order.
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     tri = TriMesh(nodes=nodes, triangles=np.array([[0, 1, 2], [0, 1, 3]]), h=1.0,
                   bounds=(0, 0, 2, 1))
@@ -236,12 +237,27 @@ def test_degenerate_triangle_named_by_its_index_in_the_mesh(monkeypatch):
         MonodomainSolver(tri, SolverConfig(k=0.1, t_final=0.1, ionic=make_model("fhn")))
     with pytest.raises(DegenerateTriangle, match="triangle 1 "):
         assemble_stiffness(tri)
+    # Node (0, 5) of the 20 x 20 grid moved far right turns clockwise the
+    # type-1 triangle 161 of cell (0, 4) and the type-0 triangle 200 of
+    # cell (0, 5), both in the third block of two cell rows, where the
+    # type-0 triangles come first.
+    monkeypatch.setattr(monofem.assembly, "BLOCK_TRIANGLES", 2 * 20 * 2)
+    grid = build_uniform_mesh(BOUNDS, 1 / 8)
+    nodes = grid.nodes.copy()
+    nodes[5 * 21, 0] = 100.0
+    moved = TriMesh(nodes, grid.triangles, grid.h, grid.bounds)
+    assert moved.grid == (20, 20)
+    for build in (assemble_mass, assemble_stiffness,
+                  lambda mesh: MonodomainSolver(mesh, paper_config())):
+        with pytest.raises(DegenerateTriangle, match="triangle 161 "):
+            build(moved)
 
 
 def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
     # Only the two triangles of the top-right cell (the last two of the
-    # mesh, in the last of 50 blocks) see a tensor that is not SPD.
-    monkeypatch.setattr(monofem.sparse, "LAYOUT_BLOCK", 16)
+    # mesh, in the last of 20 blocks of one cell row) see a tensor that is
+    # not SPD.
+    monkeypatch.setattr(monofem.assembly, "BLOCK_TRIANGLES", 40)
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
     D = DiffusionTensor(lambda x, y: -np.eye(2) if x + y > 2.3 else np.eye(2))
     for build in (lambda: assemble_stiffness(mesh, D),
@@ -251,19 +267,20 @@ def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
     assert len(mesh.operators) == 0
 
 
-def test_set_up_keeps_one_byte_per_triplet_on_the_mesh(monkeypatch):
-    # The mesh builds the DIA layout of its triplets once and keeps only
-    # their diagonal slots (one byte each) besides nodes, triangles and the
-    # operators; assembly computes the geometry by blocks.  Keeping triplet
-    # keys (8 bytes each) and the geometry (56 bytes per triangle) held 14
-    # bytes per triplet.
+def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
+    # Besides nodes, triangles and the operators, the mesh keeps only
+    # whether it is the grid, found once by comparing its triangles with
+    # the grid's; assembly computes the geometry and element values by
+    # blocks and adds them into DIA storage by slices.  A triplet layout
+    # kept one byte per element-matrix entry (9 per triangle), and triplet
+    # keys with the geometry 14 bytes per entry.
     calls = []
 
-    def counted(*args, _original=monofem.mesh.TripletLayout):
-        calls.append(args[0])
+    def counted(*args, _original=monofem.mesh.grid_triangles):
+        calls.append(args)
         return _original(*args)
 
-    monkeypatch.setattr(monofem.mesh, "TripletLayout", counted)
+    monkeypatch.setattr(monofem.mesh, "grid_triangles", counted)
     h, D = 1 / 64, DiffusionTensor.diagonal(2.0, 1.0)
     tracemalloc.start()
     try:
@@ -274,13 +291,12 @@ def test_set_up_keeps_one_byte_per_triplet_on_the_mesh(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert calls == [mesh.n_nodes]
+    assert calls == [(160, 160)] * 2  # built, then compared once
     M, A = mesh.operators[D]
     own = held - sum(a.nbytes for a in (mesh.nodes, mesh.triangles, M.data, A.data))
-    assert mesh.p1_layout.slot.itemsize == 1
-    assert own <= 9 * mesh.n_triangles + 8 * mesh.n_nodes
+    assert own <= 16_000  # about 10 kB of Python objects, the matrices' plans among them
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
-    assert len(calls) == 2
+    assert calls[2:] == [(20, 20)] * 2
 
 
 def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
@@ -323,14 +339,15 @@ def set_up_peak(h):
 def test_set_up_memory_peak():
     # tracemalloc counts numpy's buffers, so the peak repeats to a few kB:
     # 6.9 MB at h = 1/64, bounded here with an 8 % margin.  That is the
-    # mesh, the one-byte triplet slots, M, A and S, and the buffers of one
-    # block of triangles.  With the triplet keys, the geometry and three
-    # (3, 3, triangles) arrays made whole, the peak was 18.5 MB.
+    # mesh, M, A and the buffers of one block of 25 cell rows (8,000
+    # triangles) of assembly.  With the triplet keys, the geometry and
+    # three (3, 3, triangles) arrays made whole, the peak was 18.5 MB.
     assert set_up_peak(1 / 64) <= 7.5e6
 
 
 def test_set_up_memory_peak_fine_mesh():
-    # 27.5 MB at h = 1/128 (8 % margin); 73.8 MB with whole-mesh arrays.
+    # 25.7 MB at h = 1/128; 27.5 MB with a one-byte triplet layout on the
+    # mesh, and 73.8 MB with whole-mesh arrays.
     assert set_up_peak(1 / 128) <= 29.7e6
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from element_geometry import element_geometry
 
+import monofem.assembly
 import monofem.sparse
 from monofem.ionic import make_model
 from monofem.mesh import TriMesh, build_uniform_mesh
@@ -16,6 +18,7 @@ from monofem.sparse import (
     DimensionMismatch,
     IndexOutOfRange,
     NoConvergence,
+    NotBanded,
     VCycle,
     cg_solve,
     from_triplets,
@@ -337,25 +340,71 @@ def test_assembly_bit_identical_on_a_perturbed_mesh():
 
 def test_assembly_bit_identical_with_wide_slots():
     # Relabelling the nodes at random spreads the triplets over thousands
-    # of diagonals, so the layout's slots take two bytes, not one, and
-    # each matrix holds about 2,800 x 1,681 floats (37 MB).
+    # of diagonals: each matrix would store about 2,800 x 1,681 floats
+    # (37 MB) for 11,000 entries.  from_triplets refuses it before the
+    # storage is allocated.
     base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 16)
     perm = np.random.default_rng(5).permutation(base.n_nodes)
     label = np.empty_like(perm)
     label[perm] = np.arange(len(perm))  # old node perm[k] becomes node k
     mesh = TriMesh(base.nodes[perm], label[base.triangles], base.h, base.bounds)
-    assert len(mesh.p1_layout.offsets) > 256 and mesh.p1_layout.slot.dtype == np.uint16
-    n = mesh.n_nodes
+    assert mesh.grid is None
     D = ASSEMBLY_TENSORS[-1]
-    rows, cols, m_vals, a_vals = element_triplets(mesh, D)
-    x = np.random.default_rng(6).standard_normal(n)
-    for assemble, vals in ((assemble_mass, m_vals), (lambda m: assemble_stiffness(m, D), a_vals)):
-        mat, ref = assemble(mesh), from_triplets(n, n, rows, cols, vals)
-        assert np.array_equal(mat.data.view(np.int64), ref.data.view(np.int64))  # bytes, no copy
-        assert np.array_equal(mat.offsets, ref.offsets) and mat.nnz == ref.nnz
-        entries = reference_entries(n, rows, cols, vals)
-        assert spmv(mat, x).tobytes() == reference_spmv(n, entries, x).tobytes()
-        del mat, ref  # before the next pair is built
+    for assemble in (assemble_mass, lambda m: assemble_stiffness(m, D)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotBanded, match="node numbering is not banded"):
+                assemble(mesh)
+            assert tracemalloc.get_traced_memory()[1] < 5e6
+        finally:
+            tracemalloc.stop()
+
+
+def test_from_triplets_refuses_unbanded_storage():
+    # Up to STORAGE_PER_ENTRY floats per entry plus STORAGE_SLACK: a 12 x 12
+    # matrix always fits (at most 23 diagonals, 276 floats), two entries in
+    # the corners of a 2,000 x 2,000 matrix (4,000 floats) do not.
+    corners = from_triplets(12, 12, [0, 11], [11, 0], [1.0, 2.0])
+    assert corners.data.shape == (2, 12) and corners.nnz == 2
+    with pytest.raises(NotBanded, match="2 diagonals of 2000 rows would store 4000 floats for 2"):
+        from_triplets(2000, 2000, [0, 1999], [1999, 0], [1.0, 2.0])
+    band = from_triplets(2000, 2000, np.arange(2000), np.arange(2000), np.ones(2000))
+    assert band.data.shape == (1, 2000)
+
+
+@pytest.mark.parametrize("change", ["flipped cell", "relabelled"])
+def test_meshes_off_the_grid_take_from_triplets(monkeypatch, change):
+    # A mesh whose triangles are not the grid's, here with one cell split
+    # along its other diagonal or with its node numbering reversed, is
+    # summed by from_triplets, gets no V-cycle, and gives the same bytes
+    # as a plain loop over its triplets.
+    base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 4)
+    n = base.n_nodes
+    if change == "flipped cell":
+        nodes, triangles = base.nodes, base.triangles.copy()
+        triangles[[0, 1]] = [[0, 1, 11], [1, 12, 11]]
+    else:
+        nodes, triangles = base.nodes[::-1], (n - 1) - base.triangles
+    mesh = TriMesh(nodes, triangles, base.h, base.bounds)
+    assert mesh.grid is None
+    calls = []
+
+    def counted(*args, _original=monofem.assembly.from_triplets):
+        calls.append(args[0])
+        return _original(*args)
+
+    monkeypatch.setattr(monofem.assembly, "from_triplets", counted)
+    matrices = [assemble_mass(mesh)] + [assemble_stiffness(mesh, D) for D in ASSEMBLY_TENSORS]
+    assert calls == [n] * 4
+    rows, cols, m_vals, _ = element_triplets(mesh, ASSEMBLY_TENSORS[0])
+    values = [m_vals] + [element_triplets(mesh, D)[3] for D in ASSEMBLY_TENSORS]
+    for mat, vals in zip(matrices, values):
+        offsets, data, nnz = reference_dia(n, rows, cols, vals)
+        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
+        assert mat.data.tobytes() == data.tobytes()
+    cfg = SolverConfig(k=1 / 4, t_final=1 / 4, ionic=make_model("fhn"))
+    assert MonodomainSolver(base, cfg).multigrid is not None
+    assert MonodomainSolver(mesh, cfg).multigrid is None
 
 
 def reference_dia(nrows, rows, cols, vals):
@@ -373,50 +422,31 @@ def reference_dia(nrows, rows, cols, vals):
 @pytest.mark.parametrize("jitter", [0.0, 0.2], ids=["uniform", "perturbed"])
 @pytest.mark.parametrize("h", [1 / 4, 1 / 8, 1 / 16])
 def test_assembly_does_not_depend_on_layout_block(monkeypatch, h, jitter):
-    # Blocks of a few triangles split the triangles around a node between
-    # blocks; every entry must still add its triplets in triplet order from
-    # 0.0, as one block and a plain loop do.  Jittered nodes make every
-    # term of the stiffness kernel count.
+    # Grid assembly takes blocks of cell rows.  Blocks of 1, 2 and 5 rows
+    # split the triangles around a node between blocks; every entry must
+    # still add its triplets in triplet order from 0.0, as one block of all
+    # rows and a plain loop do.  Jittered nodes make every term of the
+    # stiffness kernel count.
     base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), h)
     nodes = base.nodes + np.random.default_rng(1).uniform(-jitter, jitter, base.nodes.shape) * h
-    n, n_tri = base.n_nodes, base.n_triangles
+    mesh = TriMesh(nodes, base.triangles, h, base.bounds)
+    (nx, ny), n = mesh.grid, mesh.n_nodes
 
-    def assembled(block):
-        monkeypatch.setattr(monofem.sparse, "LAYOUT_BLOCK", block)
-        mesh = TriMesh(nodes, base.triangles, h, base.bounds)  # a layout built in these blocks
+    def assembled(rows):
+        monkeypatch.setattr(monofem.assembly, "BLOCK_TRIANGLES", 2 * nx * rows)
         return [assemble_mass(mesh)] + [assemble_stiffness(mesh, D) for D in ASSEMBLY_TENSORS]
 
-    whole = assembled(n_tri)
-    mesh = TriMesh(nodes, base.triangles, h, base.bounds)
+    whole = assembled(ny)
     rows, cols, m_vals, _ = element_triplets(mesh, ASSEMBLY_TENSORS[0])
     values = [m_vals] + [element_triplets(mesh, D)[3] for D in ASSEMBLY_TENSORS]
     for mat, vals in zip(whole, values):
         offsets, data, nnz = reference_dia(n, rows, cols, vals)
         assert mat.offsets.tolist() == offsets and mat.nnz == nnz
         assert mat.data.tobytes() == data.tobytes()
-    for block in (1, 2, 5, 13, 2 * n_tri):
-        for mat, one in zip(assembled(block), whole):
+    for block_rows in (1, 2, 5):
+        for mat, one in zip(assembled(block_rows), whole):
             assert mat.data.tobytes() == one.data.tobytes()
             assert np.array_equal(mat.offsets, one.offsets) and mat.nnz == one.nnz
-
-
-@given(coo_and_vector(), st.sampled_from([1, 2, 5, 13]))
-@example(((3, 3, [1, 2, 1, 1, 0, 1], [1, 0, 1, 1, 2, 1], [0.1, 2.0, 0.2, 1e6, -1.0, -1e6]),
-          np.zeros(3)), 2)  # four (1, 1), which a blocked sum would split
-def test_from_triplets_does_not_depend_on_layout_block(case, block):
-    # from_triplets sums its triplets whole; the layout's block size must
-    # not reach it.
-    (nrows, ncols, rows, cols, vals), _ = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", max(1, len(vals)))
-        whole = from_triplets(nrows, ncols, rows, cols, vals)
-        mp.setattr(monofem.sparse, "LAYOUT_BLOCK", block)
-        blocked = from_triplets(nrows, ncols, rows, cols, vals)
-    offsets, data, nnz = reference_dia(nrows, rows, cols, vals)
-    for mat in (whole, blocked):
-        check_dia_invariants(mat)
-        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
-        assert mat.data.tobytes() == data.tobytes()
 
 
 def test_diagonal_storage_of_assembled_operators():

@@ -373,9 +373,11 @@ def test_manufactured_timestep_sweep_has_no_sroc():
 
 
 # Assembly computes the triangle geometry by blocks, once per matrix, so
-# it is not counted here; the mesh keeps only the layout.
-SET_UP = [(monofem.verification, "build_uniform_mesh"), (monofem.mesh, "TripletLayout"),
-          (monofem.solver, "assemble_mass"), (monofem.solver, "assemble_stiffness")]
+# it is not counted here.  Calls per mesh: grid_triangles makes the mesh's
+# triangles, and makes them once more when assembly first asks whether
+# the mesh is the grid.
+SET_UP = [(monofem.verification, "build_uniform_mesh", 1), (monofem.mesh, "grid_triangles", 2),
+          (monofem.solver, "assemble_mass", 1), (monofem.solver, "assemble_stiffness", 1)]
 
 
 @pytest.mark.parametrize("sweep,levels,per_name", [
@@ -384,7 +386,7 @@ SET_UP = [(monofem.verification, "build_uniform_mesh"), (monofem.mesh, "TripletL
 ])
 def test_study_builds_and_assembles_each_mesh_once(monkeypatch, sweep, levels, per_name):
     calls = Counter()
-    for module, name in SET_UP:
+    for module, name, _ in SET_UP:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -392,7 +394,7 @@ def test_study_builds_and_assembles_each_mesh_once(monkeypatch, sweep, levels, p
         monkeypatch.setattr(module, name, counted)
     convergence_study(StudyConfig(model=make_model("fhn"), mode="manufactured", sweep=sweep,
                                   levels=levels, fixed_h=1 / 16, dt_rule=1 / 80, t_final=1 / 20))
-    assert calls == {name: per_name for _, name in SET_UP}
+    assert calls == {name: per_mesh * per_name for _, name, per_mesh in SET_UP}
 
 
 def test_spatial_ladder_frees_each_mesh_before_the_next_solver(monkeypatch):
