@@ -49,10 +49,11 @@ class TriMesh:
     ``grid`` tells whether the triangles are the uniform grid's;
     ``operators`` caches the matrices.  The mesh keeps nothing else per
     triangle and has no geometry API: assembly computes each block's areas
-    and gradients and keeps none.  ``nodes`` and ``triangles`` are read-only, and checked when the
-    mesh is made (DimensionMismatch for another shape, ``index_array`` for
-    the node indices); an array the caller passes is copied unless it is
-    read-only already.  Meshes compare and hash by identity.
+    and gradients and keeps none.  ``nodes`` and ``triangles`` are
+    read-only, and checked when the mesh is made (DimensionMismatch for
+    another shape, ``index_array`` for the node indices); an array the
+    caller passes is copied unless it is read-only already.  Meshes
+    compare and hash by identity.
     """
 
     nodes: np.ndarray
