@@ -5,7 +5,11 @@ stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
 diagonals, and ``grid_matrix`` makes a matrix from them.  A product walks
 the rows in cache-sized blocks and adds each diagonal's shifted-slice
 products into the block through one reused buffer; CG updates its vectors
-in place.  ``from_triplets`` sums COO arrays into DIA storage whole, and
+in place.  A grid operator whose every diagonal holds one value over the
+interior nodes (``DiaMatrix.stencil``; with dyadic h, M, S and the Galerkin
+operators do) is multiplied by those seven scalars instead of its stored
+diagonals, and its boundary rows from the stored values; the result is the
+same to the bit.  ``from_triplets`` sums COO arrays into DIA storage whole, and
 refuses a matrix whose storage would far exceed its entries.  CG solves
 symmetric positive definite systems, optionally preconditioned;
 ``VCycle`` is the preconditioner for P1 operators on nested uniform grids
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -77,6 +82,27 @@ def frozen(a: np.ndarray, given) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class Stencil:
+    """A grid operator as ``spmv``'s scalar path multiplies it.
+
+    ``coefficients`` are the seven interior values, in ascending offset
+    order.  ``blocks`` tiles the rows [m+1, n-m-1) in blocks of SPMV_BLOCK:
+    one ``(rows, xs)`` each, ``xs`` the slice of x that each diagonal's
+    coefficient multiplies.  ``ring`` lists the boundary nodes, in
+    ascending order; entry e of ``values`` is the stored coefficient of
+    row ``ring[slot[e]]`` in column ``cols[e]``, for every diagonal that
+    reaches the row, ordered by diagonal and then by ring node.
+    """
+
+    coefficients: tuple
+    blocks: tuple
+    ring: np.ndarray
+    slot: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class DiaMatrix:
     """Sparse matrix stored by diagonals.
 
@@ -93,7 +119,9 @@ class DiaMatrix:
     block, in ascending offset order.  Row ``rows.start + ys.start + i`` of
     that diagonal holds ``d[i]`` (a read-only view of ``data``) in column
     ``xs.start + i``; ``ts`` is ``slice(0, len(d))``, its span in a
-    block-sized buffer.  Matrices compare and hash by identity.
+    block-sized buffer.  ``stencil``, worked out on the first product, is
+    the scalar path that ``spmv`` takes instead of the plan, or None.
+    Matrices compare and hash by identity.
     """
 
     nrows: int
@@ -136,6 +164,39 @@ class DiaMatrix:
                                   slice(0, b - a), d[a:b]))
             plan.append((slice(r0, r1), tuple(terms)))
         object.__setattr__(self, "plan", tuple(plan))
+
+    @cached_property
+    def stencil(self) -> Stencil | None:
+        """``spmv``'s scalar path, worked out on the first product: a
+        ``Stencil`` if this is a grid operator, else None.
+
+        A grid operator is square, has the offsets (-m-1, -m, -1, 0, 1, m,
+        m+1) of a node grid of n / m rows of m >= 3 nodes, at least three
+        rows, and each diagonal holds one value over the interior nodes
+        (compared bit for bit, as int64).
+        """
+        n, offsets = self.nrows, self.offsets.tolist()
+        m = offsets[-2] if len(offsets) == 7 else 0
+        if not (self.ncols == n and m >= 3 and n % m == 0 and n >= 3 * m
+                and offsets == [-m - 1, -m, -1, 0, 1, m, m + 1]):
+            return None
+        grid = self.data.reshape(7, n // m, m)
+        interior = grid[:, 1:-1, 1:-1].view(np.int64)
+        if not (interior == interior[:, :1, :1]).all():
+            return None
+        starts = range(m + 1, n - m - 1, SPMV_BLOCK)
+        ends = [min(n - m - 1, a + SPMV_BLOCK) for a in starts]
+        blocks = tuple((slice(a, b), tuple(slice(a + o, b + o) for o in offsets))
+                       for a, b in zip(starts, ends))
+        boundary = np.ones((n // m, m), dtype=bool)
+        boundary[1:-1, 1:-1] = False
+        ring = np.flatnonzero(boundary)
+        cols = ring + self.offsets[:, None]
+        diagonal, slot = np.nonzero((cols >= 0) & (cols < n))
+        # 0-d arrays: numpy multiplies by them faster than by scalars.
+        first = grid[:, 1, 1].copy()
+        return Stencil(tuple(first[j, ...] for j in range(7)), blocks, ring, slot,
+                       cols[diagonal, slot], self.data[diagonal, ring[slot]])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols))
@@ -182,6 +243,17 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     for finite x, so the result is bit-identical to summing only the
     stored entries of each row.
 
+    A matrix with a ``stencil`` (a grid operator, one value per diagonal
+    over the interior nodes) reads no diagonal array for the rows
+    [m+1, n-m-1): each block is zeroed and gets the seven coefficients
+    times shifted slices of x added in the same order.  The boundary rows
+    among them, and the first and last m+1 rows, are then overwritten with
+    their stored entries times x, each row's products summed by
+    ``np.bincount`` in ascending column order from 0.0, over the columns
+    the plan reads.  The interior coefficients equal the stored values bit
+    for bit, so every row adds the plan's products in the plan's order,
+    from the same +0.0, and the result is the plan's, byte for byte.
+
     ``out`` must be a float64 array of shape (nrows,) that shares no
     memory with ``x``; DimensionMismatch otherwise.
     """
@@ -194,21 +266,53 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
               and out.shape == (A.nrows,)) or np.shares_memory(out, x):
         raise DimensionMismatch(f"out must be a float64 array of shape ({A.nrows},) "
                                 "that shares no memory with x")
-    # One product buffer for every block, as long as the first (longest)
-    # one and started on a 64-byte boundary: malloc aligns to 16 bytes only,
-    # and numpy's multiply and add run up to 1.5x slower into and out of a
-    # misaligned buffer.
-    m = A.plan[0][0].stop if A.plan else 0
-    t = np.empty(m + 7)
-    t = t[(-t.ctypes.data % 64) // 8:][:m]
-    for rows, terms in A.plan:
-        y = out[rows]
-        y.fill(0.0)
-        for ys, xs, ts, d in terms:
-            yy, tt = y[ys], t[ts]
-            np.multiply(d, x[xs], tt)
-            np.add(yy, tt, yy)
+    stencil = A.stencil
+    blocks = A.plan if stencil is None else stencil.blocks
+    t = _product_buffer(blocks[0][0].stop - blocks[0][0].start if blocks else 0)
+    if stencil is None:
+        for rows, terms in blocks:
+            y = out[rows]
+            y.fill(0.0)
+            for ys, xs, ts, d in terms:
+                yy, tt = y[ys], t[ts]
+                np.multiply(d, x[xs], tt)
+                np.add(yy, tt, yy)
+    else:
+        for rows, xs in blocks:
+            y = out[rows]
+            tt = t[: len(y)]
+            y.fill(0.0)
+            for c, xx in zip(stencil.coefficients, xs):
+                np.multiply(c, x[xx], tt)
+                np.add(y, tt, y)
+        out[stencil.ring] = np.bincount(stencil.slot, weights=stencil.values * x[stencil.cols],
+                                        minlength=len(stencil.ring))
+    _BUFFERS.append(t)
     return out
+
+
+# Product buffers that ``spmv`` takes and puts back, each on a 64-byte
+# boundary: malloc aligns to 16 bytes only, numpy's multiply and add run up
+# to 1.5x slower into and out of a misaligned buffer, and finding the
+# alignment costs about 2 us, as much as a tenth of a product at n = 441.
+# One list for the process rather than one buffer per matrix: it holds a
+# buffer per product running at once (SPMV_BLOCK floats at most), where
+# per-matrix buffers raised sweep_dt's peak RSS by 0.35 MB more.  No result
+# depends on which buffer a product gets.  list.pop and list.append are
+# atomic, so each thread takes its own.
+_BUFFERS: list[np.ndarray] = []
+
+
+def _product_buffer(size: int) -> np.ndarray:
+    """A kept buffer of at least ``size`` floats, else a new one."""
+    try:
+        t = _BUFFERS.pop()
+        if len(t) >= size:
+            return t
+    except IndexError:  # none kept, or each taken by another thread
+        pass
+    t = np.empty(size + 7)
+    return t[(-t.ctypes.data % 64) // 8:][:size]
 
 
 def _preconditioned(precondition, r, rr):

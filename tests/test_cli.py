@@ -1,4 +1,11 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monofem.cli import UsageError, emit_table, main, parse_config
 from monofem.verification import ConvergenceRecord
@@ -302,11 +309,81 @@ GOLDEN = [
         "0,0.0625,0.05,5,0.0205808896014,,\n"
         "1,0.0625,0.025,10,0.010101439464,,1.02674\n",
     ),
+    # h = 1/10 and 1/20 are not dyadic: linspace nodes give each diagonal
+    # several values over the interior, so every product takes the plan path.
+    (
+        ["--model", "fhn", "--levels", "1/10,1/20", "--t-final", "1/20"],
+        "0,0.1,0.01,5,9.34746606963e-06,,\n"
+        "1,0.05,0.0025,20,2.27884441598e-06,2.03627,1.01814\n",
+    ),
 ]
 
 
-@pytest.mark.parametrize("args,rows", GOLDEN, ids=["ap-ladder", "manufactured-mesh", "manufactured-dt"])
+@pytest.mark.parametrize("args,rows", GOLDEN,
+                         ids=["ap-ladder", "manufactured-mesh", "manufactured-dt", "fhn-non-dyadic"])
 def test_golden_csv(tmp_path, args, rows):
     path = tmp_path / "table.csv"
     assert main(["study", *args, "--out", str(path)]) == 0
     assert path.read_bytes() == ("level,h,dt,steps,l2_error,sroc,troc\n" + rows).encode()
+
+
+# Numbers as the CLI reads them: coarse valid values, and hostile ones
+# (not finite, subnormal, huge, zero, negative, empty, unparsable, unicode
+# digits).  Valid levels are 1/2..1/8 and valid times at most 1, so a run
+# takes well under a second.
+HOSTILE = ["nan", "inf", "-inf", "1e-320", "1e308", "1e400", "1/0", "0", "-1/4", "", " ",
+           "x", "1/3", "١/٨", "½"]
+SPACINGS = ["1/2", "1/4", "1/8", "0.25", "0.125"]
+TIMES = ["1/16", "1/8", "0.25", "1/2", "1"]
+PARAMS = ["k", "a", "eps0", "mu1", "mu2", "tau_in", "tau_out", "tau_open", "tau_close",
+          "u_gate", "bogus", ""]
+
+
+def number(valid):
+    return st.sampled_from(valid) | st.sampled_from(HOSTILE)
+
+
+@st.composite
+def study_arguments(draw):
+    """A `monofem study` argument list: flags in any order, each with a
+    valid or hostile value, sometimes a stray token."""
+    levels = st.lists(number(SPACINGS + TIMES), min_size=1, max_size=3).map(",".join)
+    flags = {
+        "--model": st.sampled_from(["fhn", "rm", "ap", "ms", "FHN", "bogus", ""]),
+        "--mode": st.sampled_from(["homogeneous", "manufactured", "bogus"]),
+        "--sweep": st.sampled_from(["mesh", "timestep", "bogus"]),
+        "--levels": levels | st.sampled_from(["1/4;1/8", "1/8,1/4", ","]),
+        "--t-final": number(TIMES),
+        "--dt": st.just("h2") | number(TIMES + ["1/64"]),
+        "--fixed-h": number(SPACINGS),
+        "--diffusion": st.sampled_from(["1", "1,2", "0.5,2", "1e160", "1e308", "1e-320", "0,1",
+                                        "-1", "1,2,3", "nan", ""]),
+        "--param": st.tuples(st.sampled_from(PARAMS), number(["0.1", "2", "150"])).map("=".join)
+                   | st.sampled_from(["nonsense", "=1", ""]),
+        "--format": st.sampled_from(["csv", "md", "xml"]),
+        "--out": st.sampled_from(["table", "missing/table"]),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=6))
+    args = [token for flag in chosen for token in (flag, draw(flags[flag]))]
+    stray = draw(st.sampled_from([None, "--frobnicate", "extra", "-x"]))
+    if stray is not None:
+        args.insert(draw(st.integers(0, len(args))), stray)
+    # The default levels reach h = 1/64; keep every run coarse.
+    if "--levels" not in chosen:
+        args += ["--levels", "1/4"]
+    return args
+
+
+@given(study_arguments())
+@settings(deadline=None)  # each example takes milliseconds, up to about 0.1 s
+def test_main_contract_on_random_arguments(args):
+    # Exit 0, 2 or 3 and never an exception; one stderr line on a non-zero
+    # exit and none on exit 0.  A warning would reach stderr (pytest turns
+    # a RuntimeWarning into an error instead).
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [os.path.join(tmp, a) if a.endswith("table") else a for a in args]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["study", *args])
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") == (code != 0)

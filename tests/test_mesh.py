@@ -250,15 +250,30 @@ def test_geometry_not_kept_and_block_independent():
         assert part.tobytes() == whole[k][..., order].tobytes()
 
 
-def test_grid_is_found_by_the_triangles():
+def test_grid_is_found_by_the_triangles(monkeypatch):
     # The grid of bounds and h, with the triangles build_uniform_mesh makes;
     # moved nodes keep it, other triangles or node counts do not.
+    for block in (monofem.mesh.GRID_CHECK_TRIANGLES, 1, 20, 60):
+        # The comparison goes by blocks of whole cell rows (20 triangles
+        # each at h = 1/4): one block, one row per block, or three rows per
+        # block, the last block short.
+        monkeypatch.setattr(monofem.mesh, "GRID_CHECK_TRIANGLES", block)
+        check_grid_answers()
+
+
+def check_grid_answers():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
     assert mesh.grid == (10, 10) and jittered(1 / 4).grid == (10, 10)
     flipped = mesh.triangles.copy()
     flipped[[0, 1]] = [[0, 1, 11], [1, 12, 11]]  # cell (0, 0) split along lr-ul
+    swapped = mesh.triangles.copy()
+    swapped[[198, 199]] = swapped[[199, 198]]  # the two triangles of the last cell
+    relabelled = np.random.default_rng(0).permutation(mesh.n_nodes)[mesh.triangles]
     for nodes, triangles, h in ((mesh.nodes, flipped, mesh.h),
+                                (mesh.nodes, swapped, mesh.h),
+                                (mesh.nodes, relabelled, mesh.h),
                                 (mesh.nodes, mesh.triangles[:, [1, 2, 0]], mesh.h),
+                                (mesh.nodes, mesh.triangles[:-2], mesh.h),
                                 (mesh.nodes, mesh.triangles, 2 * mesh.h),
                                 (mesh.nodes, mesh.triangles, 0.3),
                                 (np.vstack([mesh.nodes, [[0.0, 0.0]]]), mesh.triangles, mesh.h)):

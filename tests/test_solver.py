@@ -270,7 +270,7 @@ def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
 def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
     # Besides nodes, triangles and the operators, the mesh keeps only
     # whether it is the grid, found once by comparing its triangles with
-    # the grid's; assembly computes the geometry and element values by
+    # the grid's, block by block; assembly computes the geometry and element values by
     # blocks and adds them into DIA storage by slices.  A triplet layout
     # kept one byte per element-matrix entry (9 per triangle), and triplet
     # keys with the geometry 14 bytes per entry.
@@ -291,7 +291,8 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert calls == [(160, 160)] * 2  # built, then compared once
+    # Built, then compared once, by blocks of 51 cell rows (16,320 triangles).
+    assert calls == [(160, 160), (160, 51)]
     M, A = mesh.operators[D]
     own = held - sum(a.nbytes for a in (mesh.nodes, mesh.triangles, M.data, A.data))
     assert own <= 16_000  # about 10 kB of Python objects, the matrices' plans among them

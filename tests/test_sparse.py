@@ -23,6 +23,7 @@ from monofem.sparse import (
     cg_solve,
     from_triplets,
     galerkin,
+    grid_matrix,
     prolong,
     restrict,
     spmv,
@@ -320,6 +321,127 @@ def test_spmv_block_edges_on_assembled_operators(monkeypatch, block):
         got = spmv(S, x)
         assert got.tobytes() == reference_spmv(n, entries, x).tobytes()
         assert got.tobytes() == spmv(single, x).tobytes()
+
+
+def test_spmv_keeps_an_aligned_product_buffer(monkeypatch):
+    # spmv multiplies into a buffer that starts on a 64-byte boundary and is
+    # kept for the next product, unless that one needs a longer buffer.
+    monkeypatch.setattr(monofem.sparse, "_BUFFERS", [])
+    kept = monofem.sparse._BUFFERS
+    bounds = (-1.25, -1.25, 1.25, 1.25)
+    small, large = (assemble_mass(build_uniform_mesh(bounds, h)) for h in (1 / 8, 1 / 16))
+    spmv(small, np.ones(small.ncols))
+    (t,) = kept
+    assert t.ctypes.data % 64 == 0 and len(t) == small.nrows - 2 * 22  # the stencil's rows
+    spmv(small, np.ones(small.ncols))
+    assert len(kept) == 1 and kept[0] is t
+    spmv(large, np.ones(large.ncols))
+    (longer,) = kept
+    assert longer is not t and longer.ctypes.data % 64 == 0 and len(longer) == large.nrows - 2 * 42
+    spmv(small, np.ones(small.ncols))
+    assert len(kept) == 1 and kept[0] is longer
+
+
+def plan_product(A, x):
+    """spmv(A, x) by A's plan, whether A has a stencil or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiaMatrix, "stencil", property(lambda self: None))
+        return spmv(A, x)
+
+
+def with_signed_zeros(rng, a):
+    """``a`` with about a quarter of its entries set to +0.0 or -0.0."""
+    zeros = rng.random(a.shape) < 0.25
+    a[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+    return a
+
+
+def nan_padded(data, nx):
+    """``data`` with NaN where a diagonal leaves the matrix, which no product may read."""
+    n = data.shape[1]
+    for d, (dx, dy) in zip(data, monofem.sparse.GRID_NEIGHBOURS):
+        offset = dx + dy * (nx + 1)
+        d[max(0, n - offset):] = np.nan
+        d[:max(0, -offset)] = np.nan
+    return data
+
+
+@st.composite
+def grid_operator(draw):
+    """Diagonals of an operator on the grid of nx x ny cells (one value per
+    diagonal over the interior nodes, random values with signed zeros on
+    the boundary), a vector with signed zeros and perhaps one inf or NaN,
+    and a block size."""
+    nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n = (nx + 1) * (ny + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = with_signed_zeros(rng, rng.standard_normal((7, n)))
+    interior = draw(st.lists(st.sampled_from([0.0, -0.0]) | finite, min_size=7, max_size=7))
+    data.reshape(7, ny + 1, nx + 1)[:, 1:-1, 1:-1] = np.array(interior)[:, None, None]
+    x = with_signed_zeros(rng, rng.standard_normal(n))
+    bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if bad is not None:
+        x[draw(st.integers(0, n - 1))] = bad
+    block = draw(st.sampled_from([monofem.sparse.SPMV_BLOCK, 1, 2, 3, 7]))
+    return nx, ny, nan_padded(data, nx), x, block
+
+
+@given(grid_operator())
+# Every product -0.0: a row sum that starts from +0.0 ends at +0.0.
+@example((3, 3, nan_padded(-np.ones((7, 16)), 3), np.zeros(16), monofem.sparse.SPMV_BLOCK))
+def test_spmv_paths_agree_on_grid_operators(case):
+    # A grid operator with an interior (nx, ny >= 2) takes the scalar path;
+    # its product is byte-equal to the plan's, and a non-finite entry of x
+    # makes the same rows non-finite, so the ring reads no entry of x that
+    # the plan does not.  Blocks of a few rows split the interior rows.
+    nx, ny, data, x, block = case
+    m, n = nx + 1, len(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monofem.sparse, "SPMV_BLOCK", block)
+        A = grid_matrix(data.copy(), nx, ny)
+        stencil = A.stencil
+    assert (stencil is not None) == (nx >= 2 and ny >= 2)
+    if stencil is not None:
+        assert len(stencil.ring) == 2 * (nx + ny) and len(stencil.values) <= 7 * len(stencil.ring)
+        rows = [r for rows, _ in stencil.blocks for r in range(n)[rows]]
+        assert rows == list(range(m + 1, n - m - 1))
+        assert all(rows.stop - rows.start <= block for rows, _ in stencil.blocks)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, expect = spmv(A, x), plan_product(A, x)
+    finite = np.isfinite(expect)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert got[finite].tobytes() == expect[finite].tobytes()
+    if np.isfinite(x).all():
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_spmv_path_of_assembled_operators():
+    # With dyadic h, every diagonal of M, of S for the identity and the
+    # rotated tensor, and of each Galerkin operator of S's V-cycle holds one
+    # value over the interior nodes, so they take the scalar path.  A
+    # variable tensor, jittered nodes and h = 1/10 (linspace nodes, so the
+    # element areas differ in their last bits) leave the plan path.  The
+    # path is worked out on the first product: set-up multiplies S (the
+    # Galerkin probes) but neither M nor A.
+    def scalar_path(mesh, D):
+        solver = MonodomainSolver(mesh, SolverConfig(k=1 / 16, t_final=1 / 16,
+                                                     ionic=make_model("fhn"), diffusion=D))
+        M, A = mesh.operators[D]
+        assert "stencil" not in vars(M) and "stencil" not in vars(A)
+        coarse = solver.multigrid.operators[1:] if solver.multigrid else []
+        return [op.stencil is not None for op in (M, solver.system, *coarse)]
+
+    bounds = (-1.25, -1.25, 1.25, 1.25)
+    identity, rotated, variable = ASSEMBLY_TENSORS
+    for h, levels in ((1 / 16, 3), (1 / 32, 4)):
+        mesh = build_uniform_mesh(bounds, h)
+        assert scalar_path(mesh, identity) == scalar_path(mesh, rotated) == [True] * (levels + 1)
+        assert scalar_path(mesh, variable) == [True] + [False] * levels
+    base = build_uniform_mesh(bounds, 1 / 16)
+    jitter = np.random.default_rng(0).uniform(-0.2, 0.2, base.nodes.shape) * base.h
+    jittered = TriMesh(base.nodes + jitter, base.triangles, base.h, base.bounds)
+    assert scalar_path(jittered, identity) == [False] * 4
+    assert scalar_path(build_uniform_mesh(bounds, 1 / 10), identity) == [False] * 2
 
 
 def test_assembly_bit_identical_on_a_perturbed_mesh():

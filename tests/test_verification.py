@@ -374,7 +374,7 @@ def test_manufactured_timestep_sweep_has_no_sroc():
 
 # Assembly computes the triangle geometry by blocks, once per matrix, so
 # it is not counted here.  Calls per mesh: grid_triangles makes the mesh's
-# triangles, and makes them once more when assembly first asks whether
+# triangles, and makes one block of them when assembly first asks whether
 # the mesh is the grid.
 SET_UP = [(monofem.verification, "build_uniform_mesh", 1), (monofem.mesh, "grid_triangles", 2),
           (monofem.solver, "assemble_mass", 1), (monofem.solver, "assemble_stiffness", 1)]
