@@ -2,15 +2,17 @@
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
-diagonals, and ``grid_matrix`` makes a matrix from them.  A product walks
-the rows in cache-sized blocks and adds each diagonal's shifted-slice
-products into the block through one reused buffer; CG updates its vectors
-in place.  A grid operator whose every diagonal holds one value over the
-interior nodes (``DiaMatrix.stencil``; with dyadic h, M, S and the Galerkin
-operators do) is multiplied by those seven scalars instead of its stored
-diagonals, and its boundary rows from the stored values; the result is the
-same to the bit.  ``from_triplets`` sums COO arrays into DIA storage whole, and
-refuses a matrix whose storage would far exceed its entries.  CG solves
+diagonals, and ``grid_matrix`` makes a matrix from them.  A product
+(``DiaMatrix.plan``) walks the rows that every diagonal reaches in
+cache-sized blocks, adds each diagonal's coefficient times a shifted slice
+of x into the block through one reused buffer, and recomputes the other
+rows from their stored entries; CG updates its vectors in place.  A grid
+operator whose every diagonal holds one value over the interior nodes
+(with dyadic h, M, S and the Galerkin operators do) is multiplied by those
+seven scalars instead of its stored diagonals, and its boundary rows are
+the ones recomputed; the result is the same to the bit.
+``from_triplets`` sums COO arrays into DIA storage whole, and refuses a
+matrix whose storage would far exceed its entries.  CG solves
 symmetric positive definite systems, optionally preconditioned;
 ``VCycle`` is the preconditioner for P1 operators on nested uniform grids
 (prolongation, restriction and Galerkin coarse operators act on the node
@@ -19,7 +21,7 @@ grid of ``mesh.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -82,27 +84,6 @@ def frozen(a: np.ndarray, given) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Stencil:
-    """A grid operator as ``spmv``'s scalar path multiplies it.
-
-    ``coefficients`` are the seven interior values, in ascending offset
-    order.  ``blocks`` tiles the rows [m+1, n-m-1) in blocks of SPMV_BLOCK:
-    one ``(rows, xs)`` each, ``xs`` the slice of x that each diagonal's
-    coefficient multiplies.  ``ring`` lists the boundary nodes, in
-    ascending order; entry e of ``values`` is the stored coefficient of
-    row ``ring[slot[e]]`` in column ``cols[e]``, for every diagonal that
-    reaches the row, ordered by diagonal and then by ring node.
-    """
-
-    coefficients: tuple
-    blocks: tuple
-    ring: np.ndarray
-    slot: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DiaMatrix:
     """Sparse matrix stored by diagonals.
 
@@ -112,15 +93,7 @@ class DiaMatrix:
     pairs.  Storage is distinct diagonals x nrows floats: 7 n for every
     matrix monofem assembles, but (nrows + ncols - 1) x nrows for a dense one.
     ``data`` is copied unless it is read-only already (``frozen``).
-
-    ``plan`` is built once, here, and walked by ``spmv`` and ``to_dense``:
-    one ``(rows, terms)`` per block of SPMV_BLOCK rows, ``rows`` the block's
-    slice of rows, and one ``(ys, xs, ts, d)`` per diagonal that reaches the
-    block, in ascending offset order.  Row ``rows.start + ys.start + i`` of
-    that diagonal holds ``d[i]`` (a read-only view of ``data``) in column
-    ``xs.start + i``; ``ts`` is ``slice(0, len(d))``, its span in a
-    block-sized buffer.  ``stencil``, worked out on the first product, is
-    the scalar path that ``spmv`` takes instead of the plan, or None.
+    ``plan``, worked out on the first product, is what ``spmv`` walks.
     Matrices compare and hash by identity.
     """
 
@@ -129,7 +102,6 @@ class DiaMatrix:
     offsets: np.ndarray  # (n_diagonals,) int64, strictly ascending
     data: np.ndarray  # (n_diagonals, nrows) float64
     nnz: int
-    plan: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets)
@@ -149,61 +121,63 @@ class DiaMatrix:
         data = frozen(data, self.data)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "data", data)
-        n = self.nrows
-        # Row i in [lo, hi) of a diagonal holds a column i + offset in the matrix.
-        spans = [(offset, max(0, -offset), min(n, self.ncols - offset))
-                 for offset in offsets.tolist()]
-        plan = []
-        for r0 in range(0, n, SPMV_BLOCK):
-            r1 = min(n, r0 + SPMV_BLOCK)
-            terms = []
-            for d, (offset, lo, hi) in zip(data, spans):
-                a, b = max(lo, r0), min(hi, r1)
-                if a < b:
-                    terms.append((slice(a - r0, b - r0), slice(a + offset, b + offset),
-                                  slice(0, b - a), d[a:b]))
-            plan.append((slice(r0, r1), tuple(terms)))
-        object.__setattr__(self, "plan", tuple(plan))
 
     @cached_property
-    def stencil(self) -> Stencil | None:
-        """``spmv``'s scalar path, worked out on the first product: a
-        ``Stencil`` if this is a grid operator, else None.
+    def plan(self) -> tuple:
+        """``(blocks, edge, slot, cols, values)``, what ``spmv`` walks,
+        worked out on the first product.
 
-        A grid operator is square, has the offsets (-m-1, -m, -1, 0, 1, m,
+        ``blocks`` tiles the rows that every diagonal reaches (all rows if
+        there is no diagonal) in blocks of SPMV_BLOCK rows: one
+        ``(rows, terms)`` each, and one ``(c, xs)`` per diagonal in
+        ``terms``, in ascending offset order, its coefficient ``c`` times
+        the slice ``xs`` of x.
+        ``edge`` lists the rows to be recomputed from their stored entries:
+        entry e of ``values`` is the stored coefficient of row
+        ``edge[slot[e]]`` in column ``cols[e]``, for every diagonal that
+        reaches the row, ordered by diagonal and then by edge row.
+
+        On a grid operator, ``c`` is the diagonal's one value over the
+        interior nodes, a 0-d array, and ``edge`` is the boundary ring.  A
+        grid operator is square, has the offsets (-m-1, -m, -1, 0, 1, m,
         m+1) of a node grid of n / m rows of m >= 3 nodes, at least three
         rows, and each diagonal holds one value over the interior nodes
-        (compared bit for bit, as int64).
+        (compared bit for bit, as int64).  On any other matrix, ``c`` is the
+        block's stretch of the diagonal, a read-only view of ``data``, and
+        ``edge`` is every row outside the blocks.
         """
         n, offsets = self.nrows, self.offsets.tolist()
+        lo = max([0] + [-o for o in offsets])
+        hi = max(lo, min([n] + [self.ncols - o for o in offsets]))
+        edge = np.r_[:lo, hi:n]
+        coefficients = None
         m = offsets[-2] if len(offsets) == 7 else 0
-        if not (self.ncols == n and m >= 3 and n % m == 0 and n >= 3 * m
+        if (self.ncols == n and m >= 3 and n % m == 0 and n >= 3 * m
                 and offsets == [-m - 1, -m, -1, 0, 1, m, m + 1]):
-            return None
-        grid = self.data.reshape(7, n // m, m)
-        interior = grid[:, 1:-1, 1:-1].view(np.int64)
-        if not (interior == interior[:, :1, :1]).all():
-            return None
-        starts = range(m + 1, n - m - 1, SPMV_BLOCK)
-        ends = [min(n - m - 1, a + SPMV_BLOCK) for a in starts]
-        blocks = tuple((slice(a, b), tuple(slice(a + o, b + o) for o in offsets))
-                       for a, b in zip(starts, ends))
-        boundary = np.ones((n // m, m), dtype=bool)
-        boundary[1:-1, 1:-1] = False
-        ring = np.flatnonzero(boundary)
-        cols = ring + self.offsets[:, None]
-        diagonal, slot = np.nonzero((cols >= 0) & (cols < n))
-        # 0-d arrays: numpy multiplies by them faster than by scalars.
-        first = grid[:, 1, 1].copy()
-        return Stencil(tuple(first[j, ...] for j in range(7)), blocks, ring, slot,
-                       cols[diagonal, slot], self.data[diagonal, ring[slot]])
+            grid = self.data.reshape(7, n // m, m)
+            interior = grid[:, 1:-1, 1:-1].view(np.int64)
+            if (interior == interior[:, :1, :1]).all():
+                # 0-d arrays: numpy multiplies by them faster than by scalars.
+                first = grid[:, 1, 1].copy()
+                coefficients = [first[j, ...] for j in range(7)]
+                boundary = np.ones((n // m, m), dtype=bool)
+                boundary[1:-1, 1:-1] = False
+                edge = np.flatnonzero(boundary)  # a superset of the rows outside [lo, hi)
+        blocks = []
+        for a in range(lo, hi, SPMV_BLOCK):
+            b = min(hi, a + SPMV_BLOCK)
+            stretches = coefficients or [d[a:b] for d in self.data]
+            blocks.append((slice(a, b), tuple((c, slice(a + o, b + o))
+                                              for c, o in zip(stretches, offsets))))
+        cols = edge + self.offsets[:, None]
+        diagonal, slot = np.nonzero((cols >= 0) & (cols < self.ncols))
+        return tuple(blocks), edge, slot, cols[diagonal, slot], self.data[diagonal, edge[slot]]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols))
-        for rows, terms in self.plan:
-            block = out[rows]
-            for ys, xs, _, d in terms:
-                block[np.arange(ys.start, ys.stop), np.arange(xs.start, xs.stop)] = d
+        for offset, d in zip(self.offsets.tolist(), self.data):
+            rows = np.arange(max(0, -offset), min(self.nrows, self.ncols - offset))
+            out[rows, rows + offset] = d[rows]
         return out
 
 
@@ -236,23 +210,17 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
 def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """y = A @ x, written into ``out`` if given, and returned.
 
-    Each block of ``A.plan`` is zeroed, then its diagonals are added in
-    ascending offset order, so every row sums its products in ascending
-    column order starting from 0.0, whatever the block size.  A
-    zero-padded entry adds 0 * x = +-0, which leaves every sum unchanged
-    for finite x, so the result is bit-identical to summing only the
-    stored entries of each row.
-
-    A matrix with a ``stencil`` (a grid operator, one value per diagonal
-    over the interior nodes) reads no diagonal array for the rows
-    [m+1, n-m-1): each block is zeroed and gets the seven coefficients
-    times shifted slices of x added in the same order.  The boundary rows
-    among them, and the first and last m+1 rows, are then overwritten with
-    their stored entries times x, each row's products summed by
-    ``np.bincount`` in ascending column order from 0.0, over the columns
-    the plan reads.  The interior coefficients equal the stored values bit
-    for bit, so every row adds the plan's products in the plan's order,
-    from the same +0.0, and the result is the plan's, byte for byte.
+    Each block of ``A.plan`` is zeroed, then gets its coefficients times
+    shifted slices of x added in ascending offset order; the edge rows
+    are then overwritten with their stored entries times x, each row's
+    products summed by ``np.bincount`` in ascending column order from
+    0.0.  So every row sums its products in ascending column order from
+    0.0, whatever the block size, and reads no padding.  A slot inside the
+    matrix that holds no entry adds 0 * x = +-0, which leaves every sum
+    unchanged for finite x, so the result is bit-identical to summing only
+    the stored entries of each row.  A grid operator's interior
+    coefficients equal its stored values bit for bit, so multiplying by
+    them changes no bit either.
 
     ``out`` must be a float64 array of shape (nrows,) that shares no
     memory with ``x``; DimensionMismatch otherwise.
@@ -266,27 +234,16 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
               and out.shape == (A.nrows,)) or np.shares_memory(out, x):
         raise DimensionMismatch(f"out must be a float64 array of shape ({A.nrows},) "
                                 "that shares no memory with x")
-    stencil = A.stencil
-    blocks = A.plan if stencil is None else stencil.blocks
+    blocks, edge, slot, cols, values = A.plan
     t = _product_buffer(blocks[0][0].stop - blocks[0][0].start if blocks else 0)
-    if stencil is None:
-        for rows, terms in blocks:
-            y = out[rows]
-            y.fill(0.0)
-            for ys, xs, ts, d in terms:
-                yy, tt = y[ys], t[ts]
-                np.multiply(d, x[xs], tt)
-                np.add(yy, tt, yy)
-    else:
-        for rows, xs in blocks:
-            y = out[rows]
-            tt = t[: len(y)]
-            y.fill(0.0)
-            for c, xx in zip(stencil.coefficients, xs):
-                np.multiply(c, x[xx], tt)
-                np.add(y, tt, y)
-        out[stencil.ring] = np.bincount(stencil.slot, weights=stencil.values * x[stencil.cols],
-                                        minlength=len(stencil.ring))
+    for rows, terms in blocks:
+        y = out[rows]
+        tt = t[: len(y)]
+        y.fill(0.0)
+        for c, xs in terms:
+            np.multiply(c, x[xs], tt)
+            np.add(y, tt, y)
+    out[edge] = np.bincount(slot, weights=values * x[cols], minlength=len(edge))
     _BUFFERS.append(t)
     return out
 

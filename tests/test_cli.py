@@ -310,7 +310,8 @@ GOLDEN = [
         "1,0.0625,0.025,10,0.010101439464,,1.02674\n",
     ),
     # h = 1/10 and 1/20 are not dyadic: linspace nodes give each diagonal
-    # several values over the interior, so every product takes the plan path.
+    # several values over the interior, so every product multiplies by
+    # stretches of the stored diagonals.
     (
         ["--model", "fhn", "--levels", "1/10,1/20", "--t-final", "1/20"],
         "0,0.1,0.01,5,9.34746606963e-06,,\n"

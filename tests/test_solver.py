@@ -295,7 +295,7 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
     assert calls == [(160, 160), (160, 51)]
     M, A = mesh.operators[D]
     own = held - sum(a.nbytes for a in (mesh.nodes, mesh.triangles, M.data, A.data))
-    assert own <= 16_000  # about 10 kB of Python objects, the matrices' plans among them
+    assert own <= 16_000  # about 3 kB of Python objects; M and A build no plan until multiplied
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
     assert calls[2:] == [(20, 20)] * 2
 

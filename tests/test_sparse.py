@@ -46,23 +46,34 @@ def check_dia_invariants(A):
     assert np.all((-A.nrows < A.offsets) & (A.offsets < A.ncols))
     assert A.data.shape == (len(A.offsets), A.nrows)
     assert not A.data.flags.writeable
-    slots = 0
-    for offset, row in zip(A.offsets.tolist(), A.data):
-        lo, hi = max(0, -offset), min(A.nrows, A.ncols - offset)
-        assert not row[:lo].any() and not row[hi:].any()  # padding outside the matrix
-        slots += hi - lo
-    # The plan's blocks tile the rows in order, and each term is one
-    # read-only stretch of a diagonal inside its block.
-    assert [rows.start for rows, _ in A.plan] == list(range(0, A.nrows, monofem.sparse.SPMV_BLOCK))
-    assert sum(rows.stop - rows.start for rows, _ in A.plan) == A.nrows
-    planned = 0
-    for rows, terms in A.plan:
-        for ys, xs, ts, d in terms:
-            assert 0 <= ys.start < ys.stop <= rows.stop - rows.start and 0 <= xs.start
-            assert ys.stop - ys.start == xs.stop - xs.start == ts.stop == len(d) and ts.start == 0
-            assert xs.stop <= A.ncols and not d.flags.writeable and np.shares_memory(d, A.data)
-            planned += len(d)
-    assert planned == slots
+    columns = np.arange(A.nrows) + A.offsets[:, None]
+    inside = (columns >= 0) & (columns < A.ncols)
+    assert not A.data[~inside].any()  # padding outside the matrix
+    slots = np.count_nonzero(inside)
+    # The blocks tile, in order, the rows that every diagonal reaches; each
+    # term is a read-only stretch of its diagonal or a 0-d coefficient.
+    # The edge rows are the rest, or a superset, each in the plan once.
+    blocks, edge, slot, cols, values = A.plan
+    reached = np.flatnonzero(inside.all(axis=0)).tolist()
+    assert [rows.start for rows, _ in blocks] == reached[::monofem.sparse.SPMV_BLOCK]
+    block_rows = [r for rows, _ in blocks for r in range(A.nrows)[rows]]
+    assert block_rows == reached
+    assert sorted(set(block_rows) | set(edge.tolist())) == list(range(A.nrows))
+    assert len(set(edge.tolist())) == len(edge)
+    for rows, terms in blocks:
+        assert [xs for _, xs in terms] == [slice(rows.start + o, rows.stop + o)
+                                           for o in A.offsets.tolist()]
+        for (c, _), d in zip(terms, A.data):
+            assert c.ndim == 0 or (not c.flags.writeable and np.shares_memory(c, A.data)
+                                   and c.tobytes() == d[rows].tobytes())
+    assert len({c.ndim for _, terms in blocks for c, _ in terms}) <= 1  # all 0-d or none
+    # Entry e is the stored value of row edge[slot[e]] in column cols[e]:
+    # every in-range one of each edge row, in ascending column order.
+    assert len(slot) == len(cols) == len(values) == np.count_nonzero(inside[:, edge])
+    row = edge[slot]
+    assert values.tobytes() == A.data[np.searchsorted(A.offsets, cols - row), row].tobytes()
+    order = np.argsort(slot, kind="stable")
+    assert np.all((np.diff(slot[order]) > 0) | (np.diff(cols[order]) > 0))
     assert type(A.nnz) is int  # a plain int, which JSON and the hooks take as is
     assert np.count_nonzero(A.data) <= A.nnz <= slots
 
@@ -182,13 +193,37 @@ def reference_spmv(nrows, entries, x):
     return np.bincount(rows, weights=vals * x[cols], minlength=nrows)
 
 
+def in_range_entries(A):
+    """Every slot of A's diagonals inside the matrix, stored zeros included,
+    as (rows, cols, values) ordered by row, then column."""
+    columns = np.arange(A.nrows) + A.offsets[:, None]
+    rows, diagonal = np.nonzero(((columns >= 0) & (columns < A.ncols)).T)
+    return rows, columns[diagonal, rows], A.data[diagonal, rows]
+
+
+def check_product(A, x, entries):
+    """spmv(A, x), checked against reference_spmv: byte-equal on its finite
+    rows to the sums of the stored ``entries``, and non-finite, or NaN, on
+    the rows where the sums over every in-range slot are (0 * inf is NaN)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = spmv(A, x)
+        slots = reference_spmv(A.nrows, in_range_entries(A), x)
+        expect = reference_spmv(A.nrows, entries, x)
+    finite = np.isfinite(slots)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(np.isnan(got), np.isnan(slots))
+    assert got[finite].tobytes() == expect[finite].tobytes()
+    return got
+
+
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def coo_and_vector(draw):
     """Random COO triplets (possibly none, possibly repeated, rows possibly
-    empty) of a square or rectangular matrix, and a vector to multiply."""
+    empty) of a square or rectangular matrix, and a vector to multiply,
+    perhaps with one inf or NaN."""
     nrows = draw(st.integers(1, 12))
     ncols = draw(st.integers(1, 12))
     triplets = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), finite),
@@ -196,6 +231,9 @@ def coo_and_vector(draw):
     repeats = draw(st.lists(st.sampled_from(triplets), max_size=10)) if triplets else []
     rows, cols, vals = (list(t) for t in zip(*triplets + repeats)) if triplets else ([], [], [])
     x = np.array(draw(st.lists(finite, min_size=ncols, max_size=ncols)))
+    bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if bad is not None:
+        x[draw(st.integers(0, ncols - 1))] = bad
     return (nrows, ncols, rows, cols, vals), x
 
 
@@ -213,27 +251,29 @@ def test_spmv_property_random_coo(case):
     assert A.data.tobytes() == data.tobytes()  # duplicates added in input order
     entries = reference_entries(ncols, rows, cols, vals)
     assert A.nnz == len(entries[2])
-    got = spmv(A, x)
-    assert got.tobytes() == reference_spmv(nrows, entries, x).tobytes()  # bit for bit
+    got = check_product(A, x, entries)  # bit for bit
     dense = np.zeros((nrows, ncols))
     dense[entries[0], entries[1]] = entries[2]
     assert A.to_dense().tobytes() == dense.tobytes()
-    bound = 4 * np.finfo(float).eps * A.ncols * (np.abs(dense) @ np.abs(x))
-    assert np.all(np.abs(got - dense @ x) <= bound)
+    if np.isfinite(x).all():
+        bound = 4 * np.finfo(float).eps * A.ncols * (np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(got - dense @ x) <= bound)
 
 
 @given(coo_and_vector(), st.integers(1, 13))
 def test_spmv_blocks_bit_identical(case, block):
     # Blocks of a few rows put block edges inside every diagonal; each row
-    # must still sum its products in column order from 0.0.
+    # must still sum its products in column order from 0.0.  The plan is
+    # built on first use, so inside the patch.
     (nrows, ncols, rows, cols, vals), x = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monofem.sparse, "SPMV_BLOCK", block)
         A = from_triplets(nrows, ncols, rows, cols, vals)
+        blocks = A.plan[0]
         check_dia_invariants(A)
-    assert len(A.plan) == -(-nrows // block)
+    assert len(blocks) == -(-sum(r.stop - r.start for r, _ in blocks) // block)
     entries = reference_entries(ncols, rows, cols, vals)
-    assert spmv(A, x).tobytes() == reference_spmv(nrows, entries, x).tobytes()
+    check_product(A, x, entries)
     dense = np.zeros((nrows, ncols))
     dense[entries[0], entries[1]] = entries[2]
     assert A.to_dense().tobytes() == dense.tobytes()
@@ -300,17 +340,19 @@ def test_spmv_bit_identical_on_assembled_operators(h):
 
 @pytest.mark.parametrize("block", [1, 20, 100, 1000])
 def test_spmv_block_edges_on_assembled_operators(monkeypatch, block):
-    # h = 1/16 has 1,681 rows, 41 per grid line: blocks of 1 and 20 rows
-    # split a line, 100 and 1,000 span several; every product must equal
-    # the reference row sums and the single-block product.
+    # h = 1/16 has 1,681 rows, 41 per grid line, and the blocks cover rows
+    # [42, 1639): blocks of 1 and 20 rows split a line, 100 and 1,000 span
+    # several; every product must equal the reference row sums and the
+    # single-block product.  Each plan is built on first use.
     mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 16)
     n = mesh.n_nodes
     D = ASSEMBLY_TENSORS[-1]
     rows, cols, m_vals, a_vals = element_triplets(mesh, D)
     single = system(mesh, 1 / 160, D)
+    assert len(single.plan[0]) == 1
     monkeypatch.setattr(monofem.sparse, "SPMV_BLOCK", block)
     S = system(mesh, 1 / 160, D)
-    assert len(single.plan) == 1 and len(S.plan) == -(-n // block)
+    assert len(S.plan[0]) == -(-(n - 2 * 42) // block)
     check_dia_invariants(S)
     m_entries = reference_entries(n, rows, cols, m_vals)
     entries = (m_entries[0], m_entries[1],
@@ -332,7 +374,7 @@ def test_spmv_keeps_an_aligned_product_buffer(monkeypatch):
     small, large = (assemble_mass(build_uniform_mesh(bounds, h)) for h in (1 / 8, 1 / 16))
     spmv(small, np.ones(small.ncols))
     (t,) = kept
-    assert t.ctypes.data % 64 == 0 and len(t) == small.nrows - 2 * 22  # the stencil's rows
+    assert t.ctypes.data % 64 == 0 and len(t) == small.nrows - 2 * 22  # the blocks' rows
     spmv(small, np.ones(small.ncols))
     assert len(kept) == 1 and kept[0] is t
     spmv(large, np.ones(large.ncols))
@@ -342,11 +384,10 @@ def test_spmv_keeps_an_aligned_product_buffer(monkeypatch):
     assert len(kept) == 1 and kept[0] is longer
 
 
-def plan_product(A, x):
-    """spmv(A, x) by A's plan, whether A has a stencil or not."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DiaMatrix, "stencil", property(lambda self: None))
-        return spmv(A, x)
+def coefficient_kinds(A):
+    """{True} if A's plan multiplies its blocks by 0-d coefficients, {False}
+    if by stretches of its diagonals, the empty set if it has no blocks."""
+    return {c.ndim == 0 for _, terms in A.plan[0] for c, _ in terms}
 
 
 def with_signed_zeros(rng, a):
@@ -390,46 +431,45 @@ def grid_operator(draw):
 # Every product -0.0: a row sum that starts from +0.0 ends at +0.0.
 @example((3, 3, nan_padded(-np.ones((7, 16)), 3), np.zeros(16), monofem.sparse.SPMV_BLOCK))
 def test_spmv_paths_agree_on_grid_operators(case):
-    # A grid operator with an interior (nx, ny >= 2) takes the scalar path;
-    # its product is byte-equal to the plan's, and a non-finite entry of x
-    # makes the same rows non-finite, so the ring reads no entry of x that
-    # the plan does not.  Blocks of a few rows split the interior rows.
+    # A grid operator with an interior (nx, ny >= 2) gets scalar
+    # coefficients.  Its product is byte-equal to each row's in-range
+    # stored products summed in column order (never the NaN padding), and
+    # a non-finite entry of x makes the same rows non-finite, so the ring
+    # reads no entry of x that the stored diagonals do not.  Blocks of a
+    # few rows split the interior rows; the plan is built inside the patch.
     nx, ny, data, x, block = case
     m, n = nx + 1, len(x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monofem.sparse, "SPMV_BLOCK", block)
         A = grid_matrix(data.copy(), nx, ny)
-        stencil = A.stencil
-    assert (stencil is not None) == (nx >= 2 and ny >= 2)
-    if stencil is not None:
-        assert len(stencil.ring) == 2 * (nx + ny) and len(stencil.values) <= 7 * len(stencil.ring)
-        rows = [r for rows, _ in stencil.blocks for r in range(n)[rows]]
+        blocks, edge, _, _, values = A.plan
+    if nx >= 2 and ny >= 2:
+        assert coefficient_kinds(A) == {True}
+        assert len(edge) == 2 * (nx + ny) and len(values) <= 7 * len(edge)
+        rows = [r for rows, _ in blocks for r in range(n)[rows]]
         assert rows == list(range(m + 1, n - m - 1))
-        assert all(rows.stop - rows.start <= block for rows, _ in stencil.blocks)
-    with np.errstate(invalid="ignore", over="ignore"):
-        got, expect = spmv(A, x), plan_product(A, x)
-    finite = np.isfinite(expect)
-    assert np.array_equal(np.isfinite(got), finite)
-    assert got[finite].tobytes() == expect[finite].tobytes()
-    if np.isfinite(x).all():
-        assert got.tobytes() == expect.tobytes()
+        assert all(rows.stop - rows.start <= block for rows, _ in blocks)
+        assert len(blocks) == -(-len(rows) // block)
+    else:
+        assert coefficient_kinds(A) <= {False}
+    check_product(A, x, in_range_entries(A))
 
 
 def test_spmv_path_of_assembled_operators():
     # With dyadic h, every diagonal of M, of S for the identity and the
     # rotated tensor, and of each Galerkin operator of S's V-cycle holds one
-    # value over the interior nodes, so they take the scalar path.  A
+    # value over the interior nodes, so they get scalar coefficients.  A
     # variable tensor, jittered nodes and h = 1/10 (linspace nodes, so the
-    # element areas differ in their last bits) leave the plan path.  The
-    # path is worked out on the first product: set-up multiplies S (the
-    # Galerkin probes) but neither M nor A.
+    # element areas differ in their last bits) get stretches of their
+    # diagonals.  The plan is worked out on the first product: set-up
+    # multiplies S (the Galerkin probes) but neither M nor A.
     def scalar_path(mesh, D):
         solver = MonodomainSolver(mesh, SolverConfig(k=1 / 16, t_final=1 / 16,
                                                      ionic=make_model("fhn"), diffusion=D))
         M, A = mesh.operators[D]
-        assert "stencil" not in vars(M) and "stencil" not in vars(A)
+        assert "plan" not in vars(M) and "plan" not in vars(A)
         coarse = solver.multigrid.operators[1:] if solver.multigrid else []
-        return [op.stencil is not None for op in (M, solver.system, *coarse)]
+        return [coefficient_kinds(op) == {True} for op in (M, solver.system, *coarse)]
 
     bounds = (-1.25, -1.25, 1.25, 1.25)
     identity, rotated, variable = ASSEMBLY_TENSORS
