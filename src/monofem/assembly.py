@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh
-from .sparse import GRID_NEIGHBOURS, DiaMatrix, DimensionMismatch, from_triplets, grid_matrix, spmv
+from .sparse import GRID_NEIGHBOURS, DiaMatrix, from_triplets, grid_matrix, spmv
 
 # Reference-triangle integrals of products of the three P1 basis functions,
 # scaled by 1/area: int phi_i phi_j = area/12 * (1 + delta_ij).
@@ -215,7 +215,5 @@ def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:
 
 def l2_norm(M: DiaMatrix, e: np.ndarray) -> float:
     """sqrt(e^T M e), the L2 norm of the P1 function with nodal values e."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (M.ncols,):
-        raise DimensionMismatch(f"expected vector of length {M.ncols}, got shape {e.shape}")
+    e = np.asarray(e, dtype=float)  # spmv checks its length
     return float(np.sqrt(max(e @ spmv(M, e), 0.0)))

@@ -11,12 +11,12 @@ operator whose every diagonal holds one value over the interior nodes
 (with dyadic h, M, S and the Galerkin operators do) is multiplied by those
 seven scalars instead of its stored diagonals, and its boundary rows are
 the ones recomputed; the result is the same to the bit.
-``from_triplets`` sums COO arrays into DIA storage whole, and refuses a
-matrix whose storage would far exceed its entries.  CG solves
-symmetric positive definite systems, optionally preconditioned;
-``VCycle`` is the preconditioner for P1 operators on nested uniform grids
-(prolongation, restriction and Galerkin coarse operators act on the node
-grid of ``mesh.py``).
+``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
+refuses a matrix whose storage would far exceed its entries.  CG solves
+symmetric positive definite systems, optionally preconditioned, and checks
+its true residual at one site; ``VCycle`` is the preconditioner for P1
+operators on nested uniform grids (prolongation, restriction and Galerkin
+coarse operators act on the node grid of ``mesh.py``).
 """
 from __future__ import annotations
 
@@ -39,6 +39,11 @@ SPMV_BLOCK = 1 << 15
 # the grid stores about 1, a dense matrix 2, a randomly relabelled mesh 400.
 STORAGE_PER_ENTRY = 4
 STORAGE_SLACK = 1024
+
+
+# (dx, dy) node steps of the seven P1 couplings on the uniform grid, in
+# ascending DIA offset dx + dy (nx + 1).
+GRID_NEIGHBOURS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 
 
 class IndexOutOfRange(IndexError):
@@ -139,12 +144,12 @@ class DiaMatrix:
 
         On a grid operator, ``c`` is the diagonal's one value over the
         interior nodes, a 0-d array, and ``edge`` is the boundary ring.  A
-        grid operator is square, has the offsets (-m-1, -m, -1, 0, 1, m,
-        m+1) of a node grid of n / m rows of m >= 3 nodes, at least three
-        rows, and each diagonal holds one value over the interior nodes
-        (compared bit for bit, as int64).  On any other matrix, ``c`` is the
-        block's stretch of the diagonal, a read-only view of ``data``, and
-        ``edge`` is every row outside the blocks.
+        grid operator is square, has the offsets dx + dy m of
+        GRID_NEIGHBOURS on a node grid of n / m rows of m >= 3 nodes, at
+        least three rows, and each diagonal holds one value over the
+        interior nodes (compared bit for bit, as int64).  On any other
+        matrix, ``c`` is the block's stretch of the diagonal, a read-only
+        view of ``data``, and ``edge`` is every row outside the blocks.
         """
         n, offsets = self.nrows, self.offsets.tolist()
         lo = max([0] + [-o for o in offsets])
@@ -153,7 +158,7 @@ class DiaMatrix:
         coefficients = None
         m = offsets[-2] if len(offsets) == 7 else 0
         if (self.ncols == n and m >= 3 and n % m == 0 and n >= 3 * m
-                and offsets == [-m - 1, -m, -1, 0, 1, m, m + 1]):
+                and offsets == [dx + dy * m for dx, dy in GRID_NEIGHBOURS]):
             grid = self.data.reshape(7, n // m, m)
             interior = grid[:, 1:-1, 1:-1].view(np.int64)
             if (interior == interior[:, :1, :1]).all():
@@ -184,8 +189,9 @@ class DiaMatrix:
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     """Build a DiaMatrix from parallel COO arrays, summing duplicate (row, col) pairs.
 
-    np.add.at adds each triplet at slot * nrows + row, slot its diagonal's
-    index, in input order from 0.0; ``index_array`` checks rows and cols.
+    Each (row, col) pair has one key, slot * nrows + row, slot its diagonal's
+    index.  ``np.bincount``, which also sums ``spmv``'s edge rows, sums each
+    key's values in input order from 0.0; ``index_array`` checks rows and cols.
 
     NotBanded, before allocating, if diagonals x nrows floats would exceed
     STORAGE_PER_ENTRY per stored entry plus STORAGE_SLACK.
@@ -196,13 +202,14 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
     if not (len(rows) == len(cols) == len(vals)):
         raise DimensionMismatch("triplet arrays must have equal length")
     offsets, slot = np.unique(cols - rows, return_inverse=True)
-    nnz = len(np.unique(rows * ncols + cols))
-    if len(offsets) * nrows > STORAGE_PER_ENTRY * nnz + STORAGE_SLACK:
-        raise NotBanded(f"{len(offsets)} diagonals of {nrows} rows would store "
-                        f"{len(offsets) * nrows} floats for {nnz} entries: the node "
-                        "numbering is not banded")
-    data = np.zeros((len(offsets), nrows))
-    np.add.at(data.reshape(-1), slot * nrows + rows, vals)
+    key = slot * nrows + rows
+    nnz = len(np.unique(key))
+    size = len(offsets) * nrows
+    if size > STORAGE_PER_ENTRY * nnz + STORAGE_SLACK:
+        raise NotBanded(f"{len(offsets)} diagonals of {nrows} rows would store {size} floats "
+                        f"for {nnz} entries: the node numbering is not banded")
+    # int64 if there is no triplet; DiaMatrix makes it float.
+    data = np.bincount(key, weights=vals, minlength=size).reshape(len(offsets), nrows)
     data.setflags(write=False)
     return DiaMatrix(nrows, ncols, offsets, data, nnz)
 
@@ -290,7 +297,9 @@ def cg_solve(
 ) -> tuple[np.ndarray, int]:
     """Solve A x = b for SPD A by conjugate gradients.
 
-    Stops when the true residual satisfies ||b - A x|| <= rel_tol * ||b||;
+    Stops when the true residual r = b - A x, computed at x0 and wherever
+    the recurrence residual meets the tolerance, has ||r|| <= rel_tol * ||b||;
+    otherwise CG restarts from r (or, after a stall, raises).
     rel_tol None means ``DEFAULT_CG_TOL`` as it is when the call starts.
     ``precondition`` maps a residual r to z = B r for a symmetric positive
     definite B ~ A^-1, such as a ``VCycle``; without it, CG is plain and
@@ -308,11 +317,11 @@ def cg_solve(
 
     Raises:
         ValueError: rel_tol is not finite and positive.
-        NoConvergence: tolerance not met within max_iter iterations, a
-            stall (a true-residual check that failed without halving the
-            true residual of the check before, or of x0), b not finite, or
-            breakdown (p.Ap not finite and positive, so A is not SPD);
-            ``iterations`` is then the iteration that stalled or broke down.
+        NoConvergence: "CG did not converge in N iterations (" and its
+            cause: b not finite (N = 0), breakdown (p.Ap not finite and
+            positive, so A is not SPD), a stall (a check after iterating
+            that failed without halving the true residual of the check
+            before) or max_iter reached; N is the iteration it stopped at.
     """
     rel_tol = DEFAULT_CG_TOL if rel_tol is None else rel_tol
     if not 0 < rel_tol < math.inf:
@@ -324,63 +333,60 @@ def cg_solve(
         max_iter = 10 * A.nrows
     bmax = np.abs(b).max()
     if not np.isfinite(bmax):
-        raise NoConvergence(f"right-hand side max |b| is {bmax}", residual=float(bmax), iterations=0)
+        raise NoConvergence(f"CG did not converge in 0 iterations (right-hand side max |b| "
+                            f"is {bmax})", residual=float(bmax), iterations=0)
     if bmax == 0.0:
         return np.zeros_like(b), 0
     e = int(np.frexp(bmax)[1])
     b = np.ldexp(b, -e)
     x = np.zeros_like(b) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -e)
-    r = spmv(A, x)
-    np.subtract(b, r, r)
-    rr = checked = r @ r
     tol = rel_tol * np.linalg.norm(b)
-    if np.sqrt(rr) <= tol:
-        return np.ldexp(x, e, out=x), 0
-    z, rz = _preconditioned(precondition, r, rr)
-    p = z.copy()
-    # Every iterate is updated in place through Ap and one scratch vector.
-    Ap, tmp = np.empty_like(b), np.empty_like(b)
-    for it in range(1, max_iter + 1):
-        spmv(A, p, out=Ap)
-        pAp = p @ Ap
-        if not 0 < pAp < math.inf:
-            raise NoConvergence(f"CG breakdown in iteration {it}: p.Ap = {pAp}",
-                                residual=float(np.ldexp(np.sqrt(rr), e)), iterations=it)
-        alpha = rz / pAp
-        np.multiply(p, alpha, tmp)
-        x += tmp
-        np.multiply(Ap, alpha, tmp)
-        r -= tmp
+    r, it = None, 0
+    while True:
+        # The one true-residual check: the recurrence residual can drift.
+        r = spmv(A, x, out=r)
+        np.subtract(b, r, r)
         rr = r @ r
         if np.sqrt(rr) <= tol:
-            # Recurrence residual can drift; confirm with the true residual.
-            spmv(A, x, out=r)
-            np.subtract(b, r, r)
+            return np.ldexp(x, e, out=x), it
+        # Below the attainable accuracy the recurrence residual keeps
+        # falling while the true one stalls (Greenbaum, SIMAX 18, 1997):
+        # restart only while each check at least halves the true residual.
+        if it and not rr <= 0.25 * checked:
+            raise _not_converged(it, rr, tol, e, "stalled at")
+        checked = rr
+        z, rz = _preconditioned(precondition, r, rr)
+        # x, r and p are updated in place through Ap and tmp, made after the
+        # first product (before it, they raised fine_mesh's peak RSS by
+        # 0.5 MB); a restart, which is rare, makes them anew.
+        p, Ap, tmp = z.copy(), np.empty_like(b), np.empty_like(b)
+        for it in range(it + 1, max_iter + 1):
+            spmv(A, p, out=Ap)
+            pAp = p @ Ap
+            if not 0 < pAp < math.inf:
+                raise _not_converged(it, rr, tol, e, f"breakdown, p.Ap = {pAp}, at")
+            alpha = rz / pAp
+            np.multiply(p, alpha, tmp)
+            x += tmp
+            np.multiply(Ap, alpha, tmp)
+            r -= tmp
             rr = r @ r
             if np.sqrt(rr) <= tol:
-                return np.ldexp(x, e, out=x), it
-            # Below the attainable accuracy the recurrence residual keeps
-            # falling while the true one stalls (Greenbaum, SIMAX 18, 1997):
-            # restart only while each check at least halves the true residual.
-            if not rr <= 0.25 * checked:
-                raise _not_converged(it, rr, tol, e, "stalled at ")
-            checked = rr
-            z, rz = _preconditioned(precondition, r, rr)
-            np.copyto(p, z)
-            continue
-        z, rz_new = _preconditioned(precondition, r, rr)
-        # p = z + beta p, bit for bit: IEEE products and sums commute.
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
-    raise _not_converged(max_iter, rr, tol, e)
+                break
+            z, rz_new = _preconditioned(precondition, r, rr)
+            # p = z + beta p, bit for bit: IEEE products and sums commute.
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
+        else:
+            raise _not_converged(max_iter, rr, tol, e, "max_iter reached at")
 
 
-def _not_converged(it, rr, tol, e, how=""):
-    """NoConvergence after ``it`` iterations, with the unscaled residual and target."""
+def _not_converged(it, rr, tol, e, cause):
+    """NoConvergence after ``it`` iterations: ``cause``, the unscaled residual and target."""
     residual, target = np.ldexp([np.sqrt(rr), tol], e)
     return NoConvergence(
-        f"CG did not converge in {it} iterations ({how}residual {residual:.3e}, "
+        f"CG did not converge in {it} iterations ({cause} residual {residual:.3e}, "
         f"target {target:.3e})",
         residual=float(residual),
         iterations=it,
@@ -429,11 +435,6 @@ def restrict(r: np.ndarray, nx: int, ny: int) -> np.ndarray:
         a += half
         b += half
     return c.ravel()
-
-
-# (dx, dy) node steps of the seven P1 couplings on the uniform grid, in
-# ascending DIA offset dx + dy (nx + 1).
-GRID_NEIGHBOURS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:

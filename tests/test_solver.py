@@ -126,13 +126,9 @@ def test_cg_tolerance_is_read_from_sparse(monkeypatch):
     assert iterations == sorted(iterations) and len(set(iterations)) == 4
 
 
-@pytest.mark.parametrize("multigrid", [True, False], ids=["v-cycle", "plain"])
-def test_cg_stops_when_it_stalls(monkeypatch, multigrid):
-    # 1e-15 is below the attainable accuracy of this stiff first step (the
-    # true residual stalls near 1e-15 of ||b||), so each true-residual check
-    # fails and CG once restarted until 10 n = 259,210 iterations.  It now
-    # raises at the first check that does not halve the true residual:
-    # after 21 iterations with the V-cycle, 455 without.
+def stiff_first_step(multigrid):
+    """The solver of the first manufactured fhn step at h = 1/64, k = 1/40,
+    with its V-cycle or with plain CG."""
     mesh = build_uniform_mesh(BOUNDS, 1 / 64)
     p = ManufacturedProblem(make_model("fhn"))
     v_at = p.v_on(*mesh.nodes.T)
@@ -143,10 +139,50 @@ def test_cg_stops_when_it_stalls(monkeypatch, multigrid):
     assert solver.multigrid is not None
     if not multigrid:
         solver.multigrid = None
+    return solver
+
+
+@pytest.mark.parametrize("multigrid", [True, False], ids=["v-cycle", "plain"])
+def test_cg_stops_when_it_stalls(monkeypatch, multigrid):
+    # 1e-15 is below the attainable accuracy of this stiff first step (the
+    # true residual stalls near 1e-15 of ||b||), so each true-residual check
+    # fails and CG once restarted until 10 n = 259,210 iterations.  It now
+    # raises at the first check that does not halve the true residual:
+    # after 21 iterations with the V-cycle, 455 without.
+    solver = stiff_first_step(multigrid)
     monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", 1e-15)
     with pytest.raises(NoConvergence, match=r"CG did not converge in \d+ iterations \(stalled") as info:
         solver.step()
     assert info.value.iterations <= 1000
+
+
+@pytest.mark.parametrize("tol", [1e-13, 5e-14])
+def test_cg_restart_converges(monkeypatch, tol):
+    # Above the attainable accuracy, plain CG's recurrence residual meets
+    # the tolerance before the true one does: a true-residual check fails,
+    # at least halves the true residual of the check before, and CG
+    # restarts from it and converges (once at 1e-13, after 311 iterations;
+    # twice at 5e-14).  A product that is not an iteration's is a check.
+    solver = stiff_first_step(multigrid=False)
+    monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", tol)
+    products, solves = [], []
+
+    def counted(*args, _original=monofem.sparse.spmv, **kwargs):
+        products.append(None)
+        return _original(*args, **kwargs)
+
+    def recorded(S, b, **kwargs):
+        x, iterations = cg_solve(S, b, **kwargs)
+        solves.append((S, b, x, iterations))
+        return x, iterations
+
+    monkeypatch.setattr(monofem.sparse, "spmv", counted)
+    monkeypatch.setattr(monofem.solver, "cg_solve", recorded)
+    solver.step()
+    [(S, b, x, iterations)] = solves
+    assert np.linalg.norm(b - spmv(S, x)) <= tol * np.linalg.norm(b)
+    checks = len(products) - iterations - 1  # the first product is x0's residual
+    assert checks >= 2
 
 
 def _tensor(kind, a, b, rho):
@@ -281,6 +317,9 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
         return _original(*args)
 
     monkeypatch.setattr(monofem.mesh, "grid_triangles", counted)
+    # The product buffers that spmv keeps belong to the process, not the
+    # mesh: start with none, so that a test run alone counts the same.
+    monkeypatch.setattr(monofem.sparse, "_BUFFERS", [])
     h, D = 1 / 64, DiffusionTensor.diagonal(2.0, 1.0)
     tracemalloc.start()
     try:
@@ -294,8 +333,10 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
     # Built, then compared once, by blocks of 51 cell rows (16,320 triangles).
     assert calls == [(160, 160), (160, 51)]
     M, A = mesh.operators[D]
-    own = held - sum(a.nbytes for a in (mesh.nodes, mesh.triangles, M.data, A.data))
-    assert own <= 16_000  # about 3 kB of Python objects; M and A build no plan until multiplied
+    arrays = (mesh.nodes, mesh.triangles, M.data, A.data)
+    buffers = [t.base for t in monofem.sparse._BUFFERS]
+    own = held - sum(a.nbytes for a in (*arrays, *buffers))
+    assert own <= 16_000  # 4-7 kB of Python objects; M and A build no plan until multiplied
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
     assert calls[2:] == [(20, 20)] * 2
 
