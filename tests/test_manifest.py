@@ -1,5 +1,5 @@
 """Bit manifest: SHA-256 hashes of the meshes, the assembled matrices, one
-``spmv`` and one ``VCycle`` application.
+``spmv`` of M, S and each Galerkin operator, and one ``VCycle`` application.
 
 A change that claims to move no result bit must pass this test unedited.
 CG is left out: its dot products go through BLAS, whose bits can depend
@@ -58,6 +58,18 @@ def manifest():
     table["h=1/64", "S"] = matrix_digest(solver.system)
     table["h=1/64", "spmv S"] = digest(spmv(solver.system, x))
     table["h=1/64", "V-cycle S"] = digest(solver.multigrid(x))
+    for level, op in enumerate(solver.multigrid.operators[1:], 1):
+        x = np.random.default_rng(11 + level).standard_normal(op.nrows)
+        table["h=1/64", f"spmv Galerkin {level}"] = digest(spmv(op, x))
+    # M and S of the identity tensor at h = 1/128, k = h^2: 103,041 rows,
+    # so a product spans several blocks.
+    h = 1 / 128
+    cfg = SolverConfig(k=h * h, t_final=h * h, ionic=make_model("fhn"),
+                       diffusion=TENSORS["identity"])
+    solver = MonodomainSolver(build_uniform_mesh(BOUNDS, h), cfg)
+    x = np.random.default_rng(12).standard_normal(solver.system.nrows)
+    table["h=1/128", "spmv M"] = digest(spmv(solver.mass, x))
+    table["h=1/128", "spmv S"] = digest(spmv(solver.system, x))
     return table
 
 
@@ -90,6 +102,11 @@ MANIFEST = {
     ('h=1/64', 'S'): '56ca03b24d95030ee7a4d3a929160c2a5f8d901780bde3de783e0b35ef8b2c7a',
     ('h=1/64', 'spmv S'): 'dd4289e1329d573f3ff70d49cd6c70ef9ac91fc77e9d406bf115f48060018ddf',
     ('h=1/64', 'V-cycle S'): '6de6c0f1fb98756363747cd97fc3b880b973fa7e534bfcf6813bf911b09b3160',
+    ('h=1/64', 'spmv Galerkin 1'): '8f1f18da5de6fa66af26f45bb02058af2d6ccb010770c722b0e48eacc14707bb',
+    ('h=1/64', 'spmv Galerkin 2'): 'a10585f683ff072eae079b7e1245b7c1af91061729a1e344f1bb4fe0fa0cda6c',
+    ('h=1/64', 'spmv Galerkin 3'): '25e0f878bb36ef9b276ef5a42248045d696e9e7c4b585febc72436c5888e342f',
+    ('h=1/128', 'spmv M'): '189467359b9c6055d523b93a24ace234eda6b0b158f2bd9b222a9aea47347ba1',
+    ('h=1/128', 'spmv S'): 'aaf964833bb4a30c2458642da0e4cafe2f1b5493bba2caee8ccc96e71486506d',
 }
 
 
