@@ -10,7 +10,11 @@ rows from their stored entries; CG updates its vectors in place.  A grid
 operator whose every diagonal holds one value over the interior nodes
 (with dyadic h, M, S and the Galerkin operators do) is multiplied by those
 seven scalars instead of its stored diagonals, and its boundary rows are
-the ones recomputed; the result is the same to the bit.
+the ones recomputed.  Diagonals whose scalars have the same bits share one
+product per block, taken over the block and the rows around it that
+their offsets reach: M holds 2 distinct scalars and S 3 or 4, so a block
+of S takes 3 or 4 multiplies and 7 adds instead of 7 and 7.  The result
+is the same to the bit.
 ``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
 refuses a matrix whose storage would far exceed its entries.  CG solves
 symmetric positive definite systems, optionally preconditioned, and checks
@@ -29,11 +33,16 @@ import numpy as np
 
 DEFAULT_CG_TOL = 1e-10
 
-# Rows per block of ``spmv``.  A block of y and the product buffer take
-# 2 x 256 kB, so they stay in a 1-2 MB L2 cache while every diagonal is
-# added into the block; a whole-length pass per diagonal would stream y
-# through memory seven times once n exceeds L2.
+# Rows per block of ``spmv``.  A block of y and its products take
+# (1 + q) x 256 kB, q the products per block (2 for M, 3 or 4 for S), so
+# they stay in a 2 MB L2 cache while every diagonal is added into the
+# block; a whole-length pass per diagonal would stream y through memory
+# seven times once n exceeds L2.
 SPMV_BLOCK = 1 << 15
+
+# +0.0 as a 0-d array, which numpy adds faster than a Python float.
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
 
 # DIA floats per stored entry (plus a slack) that ``from_triplets`` allows:
 # the grid stores about 1, a dense matrix 2, a randomly relabelled mesh 400.
@@ -129,54 +138,82 @@ class DiaMatrix:
 
     @cached_property
     def plan(self) -> tuple:
-        """``(blocks, edge, slot, cols, values)``, what ``spmv`` walks,
+        """``(blocks, size, edge, slot, cols, values)``, what ``spmv`` walks,
         worked out on the first product.
 
-        ``blocks`` tiles the rows that every diagonal reaches (all rows if
-        there is no diagonal) in blocks of SPMV_BLOCK rows: one
-        ``(rows, terms)`` each, and one ``(c, xs)`` per diagonal in
-        ``terms``, in ascending offset order, its coefficient ``c`` times
-        the slice ``xs`` of x.
+        ``blocks`` tiles the rows that every diagonal reaches in blocks of
+        SPMV_BLOCK rows: one ``(rows, terms)`` each, with one term
+        ``(c, xs, into, ts)`` per diagonal in ascending offset order.  The
+        term adds the slice ``ts`` of a kept buffer, which holds the
+        diagonal's coefficient times x[rows + offset], into the block.  A
+        term whose ``c`` is not None first multiplies ``c`` by the slice
+        ``xs`` of x into the slice ``into`` of the buffer, which starts on a
+        64-byte boundary; a term whose ``c`` is None reads the product of an
+        earlier term.  The buffer holds ``size`` floats.
         ``edge`` lists the rows to be recomputed from their stored entries:
         entry e of ``values`` is the stored coefficient of row
         ``edge[slot[e]]`` in column ``cols[e]``, for every diagonal that
         reaches the row, ordered by diagonal and then by edge row.
 
-        On a grid operator, ``c`` is the diagonal's one value over the
-        interior nodes, a 0-d array, and ``edge`` is the boundary ring.  A
+        On a grid operator, ``c`` is a diagonal's one value over the
+        interior nodes, a 0-d array, and ``edge`` is the boundary ring.
+        Diagonals whose values have the same bits (compared as int64, so
+        +0.0 and -0.0 differ) share one product per block, which spans the
+        x entries all of them read: M has 2 distinct values, S 3 or 4.  A
         grid operator is square, has the offsets dx + dy m of
         GRID_NEIGHBOURS on a node grid of n / m rows of m >= 3 nodes, at
         least three rows, and each diagonal holds one value over the
-        interior nodes (compared bit for bit, as int64).  On any other
-        matrix, ``c`` is the block's stretch of the diagonal, a read-only
-        view of ``data``, and ``edge`` is every row outside the blocks.
+        interior nodes.  On any other matrix, ``c`` is the block's stretch
+        of its diagonal, a read-only view of ``data``, each diagonal has a
+        product of its own, and ``edge`` is every row outside the blocks
+        (all rows if there is no diagonal).
         """
         n, offsets = self.nrows, self.offsets.tolist()
         lo = max([0] + [-o for o in offsets])
-        hi = max(lo, min([n] + [self.ncols - o for o in offsets]))
+        hi = max(lo, min([n] + [self.ncols - o for o in offsets])) if offsets else 0
         edge = np.r_[:lo, hi:n]
-        coefficients = None
+        share, scalars = range(len(offsets)), None  # term j folds the product of term share[j]
         m = offsets[-2] if len(offsets) == 7 else 0
         if (self.ncols == n and m >= 3 and n % m == 0 and n >= 3 * m
                 and offsets == [dx + dy * m for dx, dy in GRID_NEIGHBOURS]):
             grid = self.data.reshape(7, n // m, m)
             interior = grid[:, 1:-1, 1:-1].view(np.int64)
             if (interior == interior[:, :1, :1]).all():
-                # 0-d arrays: numpy multiplies by them faster than by scalars.
-                first = grid[:, 1, 1].copy()
-                coefficients = [first[j, ...] for j in range(7)]
+                first_with = {}
+                share = [first_with.setdefault(bits, j)
+                         for j, bits in enumerate(interior[:, 0, 0].tolist())]
+                scalars = grid[:, 1, 1].copy()
                 boundary = np.ones((n // m, m), dtype=bool)
                 boundary[1:-1, 1:-1] = False
                 edge = np.flatnonzero(boundary)  # a superset of the rows outside [lo, hi)
+        low, high = {}, {}  # the lowest and highest offset that reads each product
+        for o, j in zip(offsets, share):
+            low.setdefault(j, o)
+            high[j] = o
+        # A product that one diagonal reads is folded at once, so all such
+        # share the buffer's first row; the others keep a row each.
+        width = min(SPMV_BLOCK, hi - lo)
+        once = any(low[j] == high[j] for j in low)
+        start, size = {}, -(-width // 8) * 8 if once else 0
+        for j in low:
+            start[j] = 0 if low[j] == high[j] else size
+            size = max(size, -(-(start[j] + width + high[j] - low[j]) // 8) * 8)
         blocks = []
         for a in range(lo, hi, SPMV_BLOCK):
             b = min(hi, a + SPMV_BLOCK)
-            stretches = coefficients or [d[a:b] for d in self.data]
-            blocks.append((slice(a, b), tuple((c, slice(a + o, b + o))
-                                              for c, o in zip(stretches, offsets))))
+            terms = []
+            for j, (o, g) in enumerate(zip(offsets, share)):
+                shift = start[g] - low[g] - a  # the product of x[i] sits at i + shift
+                xs = slice(a + low[g], b + high[g])
+                # 0-d arrays: numpy multiplies by them faster than by scalars.
+                c = None if g < j else self.data[j, a:b] if scalars is None else scalars[j, ...]
+                terms.append((c, xs, slice(xs.start + shift, xs.stop + shift),
+                              slice(a + o + shift, b + o + shift)))
+            blocks.append((slice(a, b), tuple(terms)))
         cols = edge + self.offsets[:, None]
         diagonal, slot = np.nonzero((cols >= 0) & (cols < self.ncols))
-        return tuple(blocks), edge, slot, cols[diagonal, slot], self.data[diagonal, edge[slot]]
+        return (tuple(blocks), size, edge, slot, cols[diagonal, slot],
+                self.data[diagonal, edge[slot]])
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols))
@@ -217,17 +254,20 @@ def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
 def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """y = A @ x, written into ``out`` if given, and returned.
 
-    Each block of ``A.plan`` is zeroed, then gets its coefficients times
-    shifted slices of x added in ascending offset order; the edge rows
-    are then overwritten with their stored entries times x, each row's
-    products summed by ``np.bincount`` in ascending column order from
-    0.0.  So every row sums its products in ascending column order from
-    0.0, whatever the block size, and reads no padding.  A slot inside the
-    matrix that holds no entry adds 0 * x = +-0, which leaves every sum
-    unchanged for finite x, so the result is bit-identical to summing only
-    the stored entries of each row.  A grid operator's interior
-    coefficients equal its stored values bit for bit, so multiplying by
-    them changes no bit either.
+    Each block of ``A.plan`` is set to +0.0 plus its first term, then gets
+    its other terms added in ascending offset order: each term is a
+    coefficient times a shifted slice of x, multiplied into the kept
+    buffer by that term or by an earlier one of the same coefficient.
+    The edge rows are then overwritten with their stored entries times x,
+    each row's products summed by ``np.bincount`` in ascending column
+    order from 0.0.  So every row sums its products in ascending column
+    order from 0.0, whatever the block size, and reads no padding.  A slot
+    inside the matrix that holds no entry adds 0 * x = +-0, which leaves
+    every sum unchanged for finite x, so the result is bit-identical to
+    summing only the stored entries of each row.  A grid operator's
+    interior coefficients equal its stored values bit for bit, and a
+    shared product is the same multiply of the same operands, so neither
+    changes a bit either.
 
     ``out`` must be a float64 array of shape (nrows,) that shares no
     memory with ``x``; DimensionMismatch otherwise.
@@ -241,15 +281,16 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
               and out.shape == (A.nrows,)) or np.shares_memory(out, x):
         raise DimensionMismatch(f"out must be a float64 array of shape ({A.nrows},) "
                                 "that shares no memory with x")
-    blocks, edge, slot, cols, values = A.plan
-    t = _product_buffer(blocks[0][0].stop - blocks[0][0].start if blocks else 0)
+    blocks, size, edge, slot, cols, values = A.plan
+    t = _product_buffer(size)
     for rows, terms in blocks:
-        y = out[rows]
-        tt = t[: len(y)]
-        y.fill(0.0)
-        for c, xs in terms:
-            np.multiply(c, x[xs], tt)
-            np.add(y, tt, y)
+        # The first add writes +0.0 + the first product into y, as a fold
+        # from +0.0 does; each later one adds into y.
+        y, total = out[rows], _ZERO
+        for c, xs, into, ts in terms:
+            if c is not None:
+                np.multiply(c, x[xs], t[into])
+            total = np.add(total, t[ts], y)
     out[edge] = np.bincount(slot, weights=values * x[cols], minlength=len(edge))
     _BUFFERS.append(t)
     return out
@@ -260,10 +301,12 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 # to 1.5x slower into and out of a misaligned buffer, and finding the
 # alignment costs about 2 us, as much as a tenth of a product at n = 441.
 # One list for the process rather than one buffer per matrix: it holds a
-# buffer per product running at once (SPMV_BLOCK floats at most), where
-# per-matrix buffers raised sweep_dt's peak RSS by 0.35 MB more.  No result
-# depends on which buffer a product gets.  list.pop and list.append are
-# atomic, so each thread takes its own.
+# buffer per product running at once, where per-matrix buffers raised
+# sweep_dt's peak RSS by 0.35 MB more.  A buffer holds at most q rows of
+# SPMV_BLOCK + 2m + 2 floats, q the products of a block and m the nodes
+# per grid line (S at h = 1/128: 3 rows, 0.8 MB).  No result depends on
+# which buffer a product gets.
+# list.pop and list.append are atomic, so each thread takes its own.
 _BUFFERS: list[np.ndarray] = []
 
 

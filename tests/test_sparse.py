@@ -50,23 +50,17 @@ def check_dia_invariants(A):
     inside = (columns >= 0) & (columns < A.ncols)
     assert not A.data[~inside].any()  # padding outside the matrix
     slots = np.count_nonzero(inside)
-    # The blocks tile, in order, the rows that every diagonal reaches; each
-    # term is a read-only stretch of its diagonal or a 0-d coefficient.
-    # The edge rows are the rest, or a superset, each in the plan once.
-    blocks, edge, slot, cols, values = A.plan
-    reached = np.flatnonzero(inside.all(axis=0)).tolist()
+    # The blocks tile, in order, the rows that every diagonal reaches (none
+    # if there is no diagonal); the edge rows are the rest, or a superset,
+    # each in the plan once.
+    blocks, size, edge, slot, cols, values = A.plan
+    reached = np.flatnonzero(inside.all(axis=0)).tolist() if len(A.offsets) else []
     assert [rows.start for rows, _ in blocks] == reached[::monofem.sparse.SPMV_BLOCK]
     block_rows = [r for rows, _ in blocks for r in range(A.nrows)[rows]]
     assert block_rows == reached
     assert sorted(set(block_rows) | set(edge.tolist())) == list(range(A.nrows))
     assert len(set(edge.tolist())) == len(edge)
-    for rows, terms in blocks:
-        assert [xs for _, xs in terms] == [slice(rows.start + o, rows.stop + o)
-                                           for o in A.offsets.tolist()]
-        for (c, _), d in zip(terms, A.data):
-            assert c.ndim == 0 or (not c.flags.writeable and np.shares_memory(c, A.data)
-                                   and c.tobytes() == d[rows].tobytes())
-    assert len({c.ndim for _, terms in blocks for c, _ in terms}) <= 1  # all 0-d or none
+    check_block_terms(A)
     # Entry e is the stored value of row edge[slot[e]] in column cols[e]:
     # every in-range one of each edge row, in ascending column order.
     assert len(slot) == len(cols) == len(values) == np.count_nonzero(inside[:, edge])
@@ -76,6 +70,38 @@ def check_dia_invariants(A):
     assert np.all((np.diff(slot[order]) > 0) | (np.diff(cols[order]) > 0))
     assert type(A.nnz) is int  # a plain int, which JSON and the hooks take as is
     assert np.count_nonzero(A.data) <= A.nnz <= slots
+
+
+def check_block_terms(A):
+    """Replays the writes of each block of A's plan into a buffer of
+    (coefficient bits, column of x) pairs: term j must fold, for each row r
+    of the block, diagonal j's coefficient times x[r + offsets[j]].  The
+    coefficient is a read-only stretch of the diagonal, or, on a grid
+    operator, its value at the first interior node as a 0-d array, bit for
+    bit, with one product per distinct value; the products all of one
+    kind.  Each product starts on a 64-byte boundary of the buffer of
+    ``size`` floats."""
+    blocks, size = A.plan[:2]
+    assert size % 8 == 0
+    kinds = {c.ndim == 0 for _, terms in blocks for c, *_ in terms if c is not None}
+    assert len(kinds) <= 1
+    bits = A.data.view(np.int64)
+    interior = bits[:, A.offsets[-2] + 1] if kinds == {True} else None
+    for rows, terms in blocks:
+        assert len(terms) == len(A.offsets)
+        coefficient, column = np.zeros(size, dtype=np.int64), np.full(size, -1)
+        for j, ((c, xs, into, ts), o) in enumerate(zip(terms, A.offsets.tolist())):
+            if c is not None:
+                assert into.start % 8 == 0 and into.stop <= size
+                assert c.ndim == 0 or not c.flags.writeable and np.shares_memory(c, A.data)
+                coefficient[into] = c.view(np.int64)
+                column[into] = np.arange(xs.start, xs.stop)
+            assert ts.stop <= size
+            assert column[ts].tolist() == [r + o for r in range(A.nrows)[rows]]
+            expect = bits[j, rows] if interior is None else interior[j]
+            assert np.array_equal(coefficient[ts], np.broadcast_to(expect, ts.stop - ts.start))
+        products = sum(c is not None for c, *_ in terms)
+        assert products == (len(A.offsets) if interior is None else len(set(interior.tolist())))
 
 
 def test_duplicate_summation():
@@ -367,19 +393,25 @@ def test_spmv_block_edges_on_assembled_operators(monkeypatch, block):
 
 def test_spmv_keeps_an_aligned_product_buffer(monkeypatch):
     # spmv multiplies into a buffer that starts on a 64-byte boundary and is
-    # kept for the next product, unless that one needs a longer buffer.
+    # kept for the next product, unless that one needs a longer buffer.  The
+    # off-diagonals of M share one interior value, so a block of M takes a
+    # row of the block's rows for the main diagonal's product and a row of
+    # the block and m + 1 more rows each side for the shared one, each
+    # rounded up to 8 floats.
     monkeypatch.setattr(monofem.sparse, "_BUFFERS", [])
     kept = monofem.sparse._BUFFERS
     bounds = (-1.25, -1.25, 1.25, 1.25)
     small, large = (assemble_mass(build_uniform_mesh(bounds, h)) for h in (1 / 8, 1 / 16))
     spmv(small, np.ones(small.ncols))
     (t,) = kept
-    assert t.ctypes.data % 64 == 0 and len(t) == small.nrows - 2 * 22  # the blocks' rows
+    # 397 block rows of 441 (m = 21), then 1,597 of 1,681 (m = 41).
+    assert small.plan[1] == 400 + 448 and large.plan[1] == 1600 + 1688
+    assert t.ctypes.data % 64 == 0 and len(t) == small.plan[1]
     spmv(small, np.ones(small.ncols))
     assert len(kept) == 1 and kept[0] is t
     spmv(large, np.ones(large.ncols))
     (longer,) = kept
-    assert longer is not t and longer.ctypes.data % 64 == 0 and len(longer) == large.nrows - 2 * 42
+    assert longer is not t and longer.ctypes.data % 64 == 0 and len(longer) == large.plan[1]
     spmv(small, np.ones(small.ncols))
     assert len(kept) == 1 and kept[0] is longer
 
@@ -387,7 +419,12 @@ def test_spmv_keeps_an_aligned_product_buffer(monkeypatch):
 def coefficient_kinds(A):
     """{True} if A's plan multiplies its blocks by 0-d coefficients, {False}
     if by stretches of its diagonals, the empty set if it has no blocks."""
-    return {c.ndim == 0 for _, terms in A.plan[0] for c, _ in terms}
+    return {c.ndim == 0 for _, terms in A.plan[0] for c, *_ in terms if c is not None}
+
+
+def products_per_block(A):
+    """The set of the numbers of products that the blocks of A's plan make."""
+    return {sum(c is not None for c, *_ in terms) for _, terms in A.plan[0]}
 
 
 def with_signed_zeros(rng, a):
@@ -412,12 +449,21 @@ def grid_operator(draw):
     """Diagonals of an operator on the grid of nx x ny cells (one value per
     diagonal over the interior nodes, random values with signed zeros on
     the boundary), a vector with signed zeros and perhaps one inf or NaN,
-    and a block size."""
+    and a block size.  The interior values repeat across diagonals as the
+    assembled operators' do (symmetric pairs, all seven equal) or at
+    random, and perhaps two diagonals hold +0.0 and -0.0, or NaN."""
     nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     n = (nx + 1) * (ny + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = with_signed_zeros(rng, rng.standard_normal((7, n)))
-    interior = draw(st.lists(st.sampled_from([0.0, -0.0]) | finite, min_size=7, max_size=7))
+    values = draw(st.lists(st.sampled_from([0.0, -0.0]) | finite, min_size=7, max_size=7))
+    share = draw(st.sampled_from([range(7), (0, 1, 2, 3, 2, 1, 0), (0,) * 7])
+                 | st.lists(st.integers(0, 6), min_size=7, max_size=7))
+    interior = [values[i] for i in share]
+    pair = draw(st.sampled_from([None, (0.0, -0.0), (np.nan, np.nan)]))
+    if pair is not None:
+        j, k = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+        interior[j], interior[k] = pair
     data.reshape(7, ny + 1, nx + 1)[:, 1:-1, 1:-1] = np.array(interior)[:, None, None]
     x = with_signed_zeros(rng, rng.standard_normal(n))
     bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
@@ -432,7 +478,8 @@ def grid_operator(draw):
 @example((3, 3, nan_padded(-np.ones((7, 16)), 3), np.zeros(16), monofem.sparse.SPMV_BLOCK))
 def test_spmv_paths_agree_on_grid_operators(case):
     # A grid operator with an interior (nx, ny >= 2) gets scalar
-    # coefficients.  Its product is byte-equal to each row's in-range
+    # coefficients, one product per distinct interior value (by its bits)
+    # in each block.  Its product is byte-equal to each row's in-range
     # stored products summed in column order (never the NaN padding), and
     # a non-finite entry of x makes the same rows non-finite, so the ring
     # reads no entry of x that the stored diagonals do not.  Blocks of a
@@ -442,9 +489,12 @@ def test_spmv_paths_agree_on_grid_operators(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monofem.sparse, "SPMV_BLOCK", block)
         A = grid_matrix(data.copy(), nx, ny)
-        blocks, edge, _, _, values = A.plan
+        blocks, _, edge, _, _, values = A.plan
+    check_block_terms(A)
     if nx >= 2 and ny >= 2:
         assert coefficient_kinds(A) == {True}
+        distinct = set(data[:, m + 1].view(np.int64).tolist())
+        assert products_per_block(A) == {len(distinct)}
         assert len(edge) == 2 * (nx + ny) and len(values) <= 7 * len(edge)
         rows = [r for rows, _ in blocks for r in range(n)[rows]]
         assert rows == list(range(m + 1, n - m - 1))
@@ -458,30 +508,37 @@ def test_spmv_paths_agree_on_grid_operators(case):
 def test_spmv_path_of_assembled_operators():
     # With dyadic h, every diagonal of M, of S for the identity and the
     # rotated tensor, and of each Galerkin operator of S's V-cycle holds one
-    # value over the interior nodes, so they get scalar coefficients.  A
-    # variable tensor, jittered nodes and h = 1/10 (linspace nodes, so the
-    # element areas differ in their last bits) get stretches of their
-    # diagonals.  The plan is worked out on the first product: set-up
+    # value over the interior nodes, so they get scalar coefficients, and
+    # each block makes one product per distinct value: M 2, S 3 (identity)
+    # or 4 (rotated), the Galerkin operators 3 to 5.  A variable tensor,
+    # jittered nodes and h = 1/10 (linspace nodes, so the element areas
+    # differ in their last bits) get stretches of their diagonals, one
+    # product each.  The plan is worked out on the first product: set-up
     # multiplies S (the Galerkin probes) but neither M nor A.
-    def scalar_path(mesh, D):
+    def products(mesh, D):
+        """(scalar coefficients?, products per block) of M, S and each
+        Galerkin operator."""
         solver = MonodomainSolver(mesh, SolverConfig(k=1 / 16, t_final=1 / 16,
                                                      ionic=make_model("fhn"), diffusion=D))
         M, A = mesh.operators[D]
         assert "plan" not in vars(M) and "plan" not in vars(A)
         coarse = solver.multigrid.operators[1:] if solver.multigrid else []
-        return [coefficient_kinds(op) == {True} for op in (M, solver.system, *coarse)]
+        return [(coefficient_kinds(op) == {True}, *products_per_block(op))
+                for op in (M, solver.system, *coarse)]
 
     bounds = (-1.25, -1.25, 1.25, 1.25)
     identity, rotated, variable = ASSEMBLY_TENSORS
-    for h, levels in ((1 / 16, 3), (1 / 32, 4)):
+    for h, identity_counts, rotated_counts in ((1 / 16, [2, 3, 3, 3], [2, 4, 5, 4]),
+                                               (1 / 32, [2, 3, 3, 3, 4], [2, 4, 5, 4, 4])):
         mesh = build_uniform_mesh(bounds, h)
-        assert scalar_path(mesh, identity) == scalar_path(mesh, rotated) == [True] * (levels + 1)
-        assert scalar_path(mesh, variable) == [True] + [False] * levels
+        assert products(mesh, identity) == [(True, count) for count in identity_counts]
+        assert products(mesh, rotated) == [(True, count) for count in rotated_counts]
+        assert products(mesh, variable) == [(True, 2)] + [(False, 7)] * (len(identity_counts) - 1)
     base = build_uniform_mesh(bounds, 1 / 16)
     jitter = np.random.default_rng(0).uniform(-0.2, 0.2, base.nodes.shape) * base.h
     jittered = TriMesh(base.nodes + jitter, base.triangles, base.h, base.bounds)
-    assert scalar_path(jittered, identity) == [False] * 4
-    assert scalar_path(build_uniform_mesh(bounds, 1 / 10), identity) == [False] * 2
+    assert products(jittered, identity) == [(False, 7)] * 4
+    assert products(build_uniform_mesh(bounds, 1 / 10), identity) == [(False, 7)] * 2
 
 
 def test_assembly_bit_identical_on_a_perturbed_mesh():
