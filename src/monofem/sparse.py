@@ -13,8 +13,8 @@ seven scalars instead of its stored diagonals, and its boundary rows are
 the ones recomputed.  Diagonals whose scalars have the same bits share one
 product per block, taken over the block and the rows around it that
 their offsets reach: M holds 2 distinct scalars and S 3 or 4, so a block
-of S takes 3 or 4 multiplies and 7 adds instead of 7 and 7.  The result
-is the same to the bit.
+of S takes 3 or 4 multiplies and 7 adds instead of 7 multiplies, a fill
+and 7 adds.  The result is the same to the bit.
 ``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
 refuses a matrix whose storage would far exceed its entries.  CG solves
 symmetric positive definite systems, optionally preconditioned, and checks
@@ -305,8 +305,8 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 # sweep_dt's peak RSS by 0.35 MB more.  A buffer holds at most q rows of
 # SPMV_BLOCK + 2m + 2 floats, q the products of a block and m the nodes
 # per grid line (S at h = 1/128: 3 rows, 0.8 MB).  No result depends on
-# which buffer a product gets.
-# list.pop and list.append are atomic, so each thread takes its own.
+# which buffer a product gets.  list.pop and list.append are atomic, so
+# each thread takes its own.
 _BUFFERS: list[np.ndarray] = []
 
 
