@@ -4,21 +4,22 @@ Consistent (non-lumped) mass matrix, diffusion stiffness matrix with a
 one-point centroid quadrature for the conductivity tensor, nodal
 interpolation, and the mass-matrix L2 norm.
 
-On the uniform grid (``TriMesh.grid``), a matrix is assembled in blocks
-of cell rows, the blocked element loop of MILAMIN (Dabrowski, Krotkiewski
-& Schmid, G-cubed 9, Q04030, 2008): for each block, ``_corners`` computes
-the geometry, the 3 x 3 element matrices are built from it, and each of
-their 18 entries (triangle type, row vertex, column vertex) is added into
-its diagonal of DIA storage with one sliced add over the block's cells.
-So no array of one value per element-matrix entry, nor any geometry, is
-ever made for the whole mesh.  Any other mesh sums its whole element
-arrays with ``from_triplets``.  The mesh has no geometry API.
+On the uniform grid (``TriMesh.grid``), a matrix is assembled by the
+blocks of cell rows of ``mesh.cell_row_blocks``, in mesh order, as in the
+blocked element loop of MILAMIN (Dabrowski, Krotkiewski & Schmid, G-cubed
+9, Q04030, 2008): each block is one slice of the triangles, ``_corners``
+computes its geometry, the 3 x 3 element matrices are built from it, and
+each of their 18 entries (triangle type, row vertex, column vertex) is
+added into its diagonal of DIA storage with one sliced add over the
+block's cells.  So no array of one value per element-matrix entry, nor any
+geometry, is ever made for the whole mesh.  Any other mesh sums its whole
+element arrays with ``from_triplets``.  The mesh has no geometry API.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh
+from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh, cell_row_blocks
 from .sparse import GRID_NEIGHBOURS, DiaMatrix, from_triplets, grid_matrix, spmv
 
 # Reference-triangle integrals of products of the three P1 basis functions,
@@ -82,12 +83,6 @@ class DiffusionTensor:
 IDENTITY_DIFFUSION = DiffusionTensor.diagonal(1.0, 1.0)
 
 
-# Triangles per block of grid assembly, in whole cell rows (12 at h = 1/128),
-# at about 300 bytes each.  M and A at h = 1/128 took 30, 26 and 25 ms with
-# 4,096, 8,192 and 16,384 (2 cores); 16,384 doubles the 2.4 MB of block
-# buffers in the set-up peak at h = 1/64 that ``test_solver`` bounds.
-BLOCK_TRIANGLES = 1 << 13
-
 # Entry (i, j) of the element matrix of type t (CELL_TRIANGLES) as (i, j, t,
 # d, dx, dy): its row vertex is cell corner (dx, dy), its column vertex that
 # corner's neighbour GRID_NEIGHBOURS[d].  Sorted by (-dy, -dx, t), the order
@@ -99,23 +94,23 @@ _GRID_ENTRIES = sorted(
     key=lambda e: (-e[5], -e[4], e[2]))
 
 
-def _corners(mesh: TriMesh, index):
-    """x and y (3, m) of the vertices of the m triangles ``mesh.triangles[index]``
-    (index a slice or an integer array) and det (m,), twice their signed
-    areas.  Each triangle's values do not depend on the others in index.
+def _corners(mesh: TriMesh, s: slice):
+    """x and y (3, m) of the vertices of the m triangles ``mesh.triangles[s]``
+    and det (m,), twice their signed areas.  Each triangle's values do not
+    depend on the others in the slice.
 
     Raises:
         DegenerateTriangle: some triangle's signed area is not positive
             (clockwise, collinear or non-finite vertices); the message
-            names the one with the lowest index in the mesh.
+            names the first one in the slice.
     """
-    triangles = mesh.triangles[index].T
+    ids = range(mesh.n_triangles)[s]  # TypeError for an index array
+    triangles = mesh.triangles[s].T
     x, y = mesh.nodes[:, 0][triangles], mesh.nodes[:, 1][triangles]
     det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     bad = np.flatnonzero(~(det > 0))
     if len(bad):
-        ids = np.arange(mesh.n_triangles)[index]
-        k = bad[np.argmin(ids[bad])]
+        k = bad[0]
         raise DegenerateTriangle(
             f"triangle {ids[k]} (nodes {mesh.triangles[ids[k]].tolist()}) has signed area "
             f"{0.5 * det[k]!r}; every triangle must be counterclockwise with positive area"
@@ -124,11 +119,14 @@ def _corners(mesh: TriMesh, index):
 
 
 def _assemble(mesh: TriMesh, element) -> DiaMatrix:
-    """The DiaMatrix summing ``element(index)``, the element matrices (3, 3, m)
-    [i, j, p] of triangles ``mesh.triangles[index]``.  On the grid, blocks of
-    cell rows are taken in (type, row, column) order, so that each entry
-    (i, j) of each type is one (rows, nx) array, added by one sliced add.
-    Either path sums every DIA entry from 0.0 in triplet order."""
+    """The DiaMatrix summing ``element(s)``, the element matrices (3, 3, m)
+    [i, j, p] of the triangles ``mesh.triangles[s]``, s a slice.  On the
+    grid, s is each block of ``cell_row_blocks`` in turn, and its element
+    matrices reshape to [i, j, cell row, cell column, type], so that each
+    entry (i, j) of each type is one (rows, nx) view, added by one sliced
+    add.  Either path sums every DIA entry from 0.0 in triplet order and
+    takes the triangles in mesh order, so a DegenerateTriangle names the
+    mesh's lowest bad triangle."""
     if mesh.grid is None:
         n, tri = mesh.n_nodes, mesh.triangles
         vals = element(slice(0, mesh.n_triangles)).transpose(2, 0, 1)  # [p, i, j]
@@ -136,14 +134,10 @@ def _assemble(mesh: TriMesh, element) -> DiaMatrix:
                              np.broadcast_to(tri[:, None, :], vals.shape), vals)
     nx, ny = mesh.grid
     data = np.zeros((len(GRID_NEIGHBOURS), ny + 1, nx + 1))
-    rows = max(1, BLOCK_TRIANGLES // (2 * nx))
-    for r0 in range(0, ny, rows):
-        r1 = min(ny, r0 + rows)
-        # Triangles 2 (cy nx + cx) + t of cell rows r0 to r1, in (t, cy, cx) order.
-        index = np.arange(2 * r0 * nx, 2 * r1 * nx).reshape(-1, 2).T.ravel()
-        vals = element(index).reshape(3, 3, 2, r1 - r0, nx)
+    for r0, r1 in cell_row_blocks(nx, ny):
+        vals = element(slice(2 * r0 * nx, 2 * r1 * nx)).reshape(3, 3, r1 - r0, nx, 2)
         for i, j, t, d, dx, dy in _GRID_ENTRIES:
-            data[d, r0 + dy : r1 + dy, dx : dx + nx] += vals[i, j, t]
+            data[d, r0 + dy : r1 + dy, dx : dx + nx] += vals[i, j, ..., t]
     return grid_matrix(data.reshape(len(GRID_NEIGHBOURS), -1), nx, ny)
 
 
@@ -165,8 +159,8 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
         ValueError: D is not symmetric positive definite at some centroid.
     """
 
-    def element(index):
-        x, y, det = _corners(mesh, index)
+    def element(s):
+        x, y, det = _corners(mesh, s)
         # g[a, i, t]: component a of the gradient of the basis function at
         # vertex i of triangle t, contiguous over the triangles.
         g = np.empty((2, *x.shape))

@@ -8,7 +8,8 @@ the operators assembled on it (``TriMesh.operators``).  It knows whether
 its triangles are those of the uniform grid (``TriMesh.grid``), which
 assembly and the multigrid solver ask.  The mesh has no geometry API:
 assembly computes the areas and basis gradients block by block each time
-it builds a matrix.
+it builds a matrix.  ``cell_row_blocks`` is the one walk over the grid's
+cell rows, in mesh order, that both the grid check and grid assembly take.
 """
 from __future__ import annotations
 
@@ -27,9 +28,12 @@ DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 # from its lower-left corner: the cell is split along its diagonal ll-ur.
 CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
-# Triangles per block of ``TriMesh.grid``'s comparison: a block and its
-# comparison take about 0.5 MB, which stays in a 1-2 MB L2 cache.
-GRID_CHECK_TRIANGLES = 1 << 14
+# Triangles per block of ``cell_row_blocks``, in whole cell rows (12 at
+# h = 1/128), at about 300 bytes each in assembly.  M and A at h = 1/128
+# took 31, 23 and 24 ms with 4,096, 8,192 and 16,384 (best of 15, 2 cores);
+# 16,384 doubles the 2.4 MB of block buffers in the set-up peak at h = 1/64
+# that ``test_solver`` bounds.
+BLOCK_TRIANGLES = 1 << 13
 
 
 class NonDivisibleSpacing(ValueError):
@@ -89,22 +93,22 @@ class TriMesh:
         nx x ny cells of side h in ``bounds`` and there are (nx+1)(ny+1)
         nodes, else None.  The nodes need not lie on the grid.
 
-        The triangles are compared by blocks of whole cell rows, about
-        GRID_CHECK_TRIANGLES each, with one block of the grid's triangles
-        shifted up a block at a time, so no second whole array is built."""
+        The triangles are compared by the blocks of ``cell_row_blocks``,
+        with one block of the grid's triangles shifted up a block at a
+        time, so no second whole array is built."""
         try:
             nx, ny = grid_cells(self.bounds, self.h)
         except NonDivisibleSpacing:
             return None
         if self.n_nodes != (nx + 1) * (ny + 1) or self.n_triangles != 2 * nx * ny:
             return None
-        rows = min(ny, max(1, GRID_CHECK_TRIANGLES // (2 * nx)))
-        block = grid_triangles(nx, rows)
-        for cy in range(0, ny, rows):
-            given = self.triangles[2 * nx * cy : 2 * nx * (cy + rows)]
+        blocks = cell_row_blocks(nx, ny)
+        block = grid_triangles(nx, blocks[0][1])  # no later block is longer
+        for r0, r1 in blocks:
+            given = self.triangles[2 * nx * r0 : 2 * nx * r1]
             if not np.array_equal(given, block[: len(given)]):
                 return None
-            block += rows * (nx + 1)
+            block += (r1 - r0) * (nx + 1)
         return nx, ny
 
     @cached_property
@@ -154,6 +158,14 @@ def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     for a in (nodes, triangles):
         a.setflags(write=False)  # so that TriMesh need not copy them
     return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))
+
+
+def cell_row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
+    """(r0, r1) for each block of whole cell rows r0 to r1 of the nx x ny grid,
+    in mesh order: triangles 2 r0 nx to 2 r1 nx, about BLOCK_TRIANGLES (at
+    least one row); no later block is longer than the first."""
+    rows = max(1, BLOCK_TRIANGLES // (2 * nx))
+    return [(r0, min(ny, r0 + rows)) for r0 in range(0, ny, rows)]
 
 
 def grid_triangles(nx: int, ny: int) -> np.ndarray:

@@ -80,9 +80,9 @@ class MonodomainSolver:
     M and A come from ``mesh.operators`` (see there for when they are
     assembled and dropped); only S = M + k A and its V-cycle are per solver.
 
-    ``multigrid`` is the V-cycle that preconditions CG on S, or None.  Its
-    list of grids, built once by ``_multigrid``, starts at the cells of the
-    uniform mesh and halves them while both cell counts are even and
+    ``multigrid`` is the V-cycle that preconditions CG on S, or None.  S is
+    its finest level; ``_multigrid`` hands it the coarse grids, which halve
+    the cells of the uniform mesh while both cell counts are even and
     k / H^2 >= 1 on the coarse spacing H.  A coarser S is dominated by the
     mass matrix and plain CG needs few iterations on it, so the hierarchy
     has more than one level only for k >= 4 h^2; at k = h^2 CG stays plain.
@@ -136,8 +136,8 @@ def _multigrid(mesh: TriMesh, S: DiaMatrix, k: float) -> VCycle | None:
     if mesh.grid is None:
         return None
     (nx, ny), H = mesh.grid, 2 * mesh.h
-    grids = [(nx, ny)]
+    cells = []
     while nx % 2 == 0 and ny % 2 == 0 and k >= H * H:
         nx, ny, H = nx // 2, ny // 2, 2 * H
-        grids.append((nx, ny))
-    return VCycle(S, grids) if len(grids) > 1 else None
+        cells.append((nx, ny))
+    return VCycle(S, cells) if cells else None

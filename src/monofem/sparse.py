@@ -13,8 +13,8 @@ seven scalars instead of its stored diagonals, and its boundary rows are
 the ones recomputed.  Diagonals whose scalars have the same bits share one
 product per block, taken over the block and the rows around it that
 their offsets reach: M holds 2 distinct scalars and S 3 or 4, so a block
-of S takes 3 or 4 multiplies and 7 adds instead of 7 multiplies, a fill
-and 7 adds.  The result is the same to the bit.
+of S takes 3 or 4 multiplies and 7 adds.  The result is the same to the
+bit as summing each row's stored entries.
 ``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
 refuses a matrix whose storage would far exceed its entries.  CG solves
 symmetric positive definite systems, optionally preconditioned, and checks
@@ -214,13 +214,6 @@ class DiaMatrix:
         diagonal, slot = np.nonzero((cols >= 0) & (cols < self.ncols))
         return (tuple(blocks), size, edge, slot, cols[diagonal, slot],
                 self.data[diagonal, edge[slot]])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        for offset, d in zip(self.offsets.tolist(), self.data):
-            rows = np.arange(max(0, -offset), min(self.nrows, self.ncols - offset))
-            out[rows, rows + offset] = d[rows]
-        return out
 
 
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
@@ -519,18 +512,18 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
 class VCycle:
     """Symmetric V(1,1) multigrid cycle, z = B r with B ~ S^-1 SPD.
 
-    ``grids`` lists the (nx, ny) cells of the nested uniform grids, finest
-    first: S lives on grids[0], and each later grid halves the one before.
-    Coarse operators are the Galerkin products P^T S P.  Each level smooths
+    S is the finest level.  ``cells`` lists the (nx, ny) cells of the
+    coarse grids, finest first, each halving the grid above it; their
+    operators are the Galerkin products P^T S P.  Each level smooths
     once before and once after the coarse correction by damped Jacobi
     (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
     coarsest level does COARSE_SWEEPS Jacobi sweeps.  Every matrix product
     goes through ``spmv``.
     """
 
-    def __init__(self, S: DiaMatrix, grids: list[tuple[int, int]]):
+    def __init__(self, S: DiaMatrix, cells: list[tuple[int, int]]):
         self.operators = [S]
-        self.cells = grids[1:]  # coarse cells below each level but the last
+        self.cells = list(cells)  # coarse cells below each level but the last
         for nx, ny in self.cells:
             self.operators.append(galerkin(self.operators[-1], nx, ny))
         self._weights = []

@@ -15,6 +15,8 @@ from monofem.solver import MonodomainSolver, SolverConfig
 from monofem.sparse import cg_solve, from_triplets, spmv
 from monofem.verification import StudyConfig, compute_rates, convergence_study, discrete_cell_trajectory
 
+from test_sparse import dense
+
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 LEVELS = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
 
@@ -82,10 +84,10 @@ def test_criterion_5_element_matrix_oracles():
         bounds=(0, 0, 1, 1),
     )
     mass_gap = np.abs(
-        assemble_mass(tri).to_dense() - np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
+        dense(assemble_mass(tri)) - np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     ).max()
     stiff_gap = np.abs(
-        assemble_stiffness(tri).to_dense()
+        dense(assemble_stiffness(tri))
         - np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     ).max()
     ok = mass_gap <= 1e-14 and stiff_gap <= 1e-14

@@ -19,6 +19,8 @@ from monofem.assembly import (
 from monofem.mesh import TriMesh, build_uniform_mesh
 from monofem.sparse import DimensionMismatch, spmv
 
+from test_sparse import dense
+
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
 # Degree-2-exact midpoint rule on a triangle: int f = area/3 * sum f(edge midpoints).
@@ -69,13 +71,13 @@ def unit_right_triangle():
 def test_local_mass_matrix():
     # Symbolic integration of P1 products over the reference triangle:
     # area/12 * [[2,1,1],[1,2,1],[1,1,2]] with area 1/2.
-    M = assemble_mass(unit_right_triangle()).to_dense()
+    M = dense(assemble_mass(unit_right_triangle()))
     expect = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     np.testing.assert_allclose(M, expect, atol=1e-15)
 
 
 def test_local_stiffness_matrix():
-    A = assemble_stiffness(unit_right_triangle()).to_dense()
+    A = dense(assemble_stiffness(unit_right_triangle()))
     expect = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     np.testing.assert_allclose(A, expect, atol=1e-15)
 
@@ -103,8 +105,8 @@ def test_assembly_invariants_on_random_meshes(cells_per_unit, nx, ny, corner, dx
     M = assemble_mass(mesh)
     A = assemble_stiffness(mesh, DiffusionTensor.diagonal(dxx, dyy))
     for mat in (M, A):
-        dense = mat.to_dense()
-        assert np.array_equal(dense, dense.T)  # bit for bit
+        full = dense(mat)
+        assert np.array_equal(full, full.T)  # bit for bit
     assert np.abs(spmv(A, np.ones(mesh.n_nodes))).max() <= 1e-12
     assert abs(M.data.sum() - (xmax - xmin) * (ymax - ymin)) <= 1e-12
 
@@ -139,17 +141,15 @@ def test_stiffness_kernel_is_constants():
 
 def test_stiffness_linear_in_diffusion():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    A1 = assemble_stiffness(mesh, DiffusionTensor.diagonal(1.0, 1.0)).to_dense()
-    A2 = assemble_stiffness(mesh, DiffusionTensor.diagonal(2.0, 2.0)).to_dense()
+    A1 = dense(assemble_stiffness(mesh, DiffusionTensor.diagonal(1.0, 1.0)))
+    A2 = dense(assemble_stiffness(mesh, DiffusionTensor.diagonal(2.0, 2.0)))
     np.testing.assert_allclose(A2, 2.0 * A1, rtol=1e-14)
 
 
 def test_variable_diffusion_centroid_rule_exact_for_constant():
     mesh = build_uniform_mesh(BOUNDS, 1 / 4)
-    const = assemble_stiffness(mesh, DiffusionTensor.diagonal(3.0, 1.0)).to_dense()
-    fn = assemble_stiffness(
-        mesh, DiffusionTensor(lambda x, y: np.diag([3.0, 1.0]))
-    ).to_dense()
+    const = dense(assemble_stiffness(mesh, DiffusionTensor.diagonal(3.0, 1.0)))
+    fn = dense(assemble_stiffness(mesh, DiffusionTensor(lambda x, y: np.diag([3.0, 1.0]))))
     np.testing.assert_allclose(fn, const, atol=1e-13)
 
 

@@ -19,6 +19,8 @@ from monofem.mesh import (
 from monofem.solver import MonodomainSolver, SolverConfig
 from monofem.sparse import DiaMatrix, DimensionMismatch, IndexOutOfRange, from_triplets, spmv
 
+from test_sparse import dense
+
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
 ANISOTROPIC = ROTATION @ np.diag([2.0, 0.5]) @ ROTATION.T
@@ -175,7 +177,7 @@ def jittered(h, seed=1):
 
 def element_stiffness(mesh, D):
     """(T, 3, 3) element stiffness matrices of ``mesh`` as assembly builds them."""
-    A = assemble_stiffness(unglued(mesh), DiffusionTensor(D)).to_dense()
+    A = dense(assemble_stiffness(unglued(mesh), DiffusionTensor(D)))
     n = mesh.n_triangles
     blocks = A.reshape(n, 3, n, 3)
     return blocks[np.arange(n), :, np.arange(n)]
@@ -197,7 +199,7 @@ def test_unit_right_triangle_geometry():
 def test_equilateral_area():
     tri = one_triangle((1.0, 0.0), (0.5, math.sqrt(3) / 2))
     assert 0.5 * _corners(tri, slice(0, 1))[2][0] == pytest.approx(math.sqrt(3) / 4)
-    assert assemble_mass(tri).to_dense().sum() == pytest.approx(math.sqrt(3) / 4)
+    assert dense(assemble_mass(tri)).sum() == pytest.approx(math.sqrt(3) / 4)
 
 
 def test_gradients_sum_to_zero():
@@ -230,9 +232,8 @@ def test_vectorized_matches_single():
 
 def test_geometry_not_kept_and_block_independent():
     # The mesh has no geometry API and keeps only whether it is the grid
-    # after assembly, which computes the geometry by blocks of triangles,
-    # on the grid in (type, cell row, cell column) order; each triangle's
-    # values do not depend on the block or the order.
+    # after assembly, which computes the geometry by slices of triangles
+    # in mesh order; each triangle's values do not depend on the slice.
     mesh = jittered(1 / 4)
     assemble_mass(mesh)
     assemble_stiffness(mesh)
@@ -245,19 +246,16 @@ def test_geometry_not_kept_and_block_independent():
         blocks = [_corners(mesh, slice(a, min(n, a + size))) for a in range(0, n, size)]
         for k, part in enumerate(whole):
             assert np.concatenate([b[k] for b in blocks], axis=-1).tobytes() == part.tobytes()
-    order = np.random.default_rng(2).permutation(n)
-    for k, part in enumerate(_corners(mesh, order)):
-        assert part.tobytes() == whole[k][..., order].tobytes()
 
 
 def test_grid_is_found_by_the_triangles(monkeypatch):
     # The grid of bounds and h, with the triangles build_uniform_mesh makes;
     # moved nodes keep it, other triangles or node counts do not.
-    for block in (monofem.mesh.GRID_CHECK_TRIANGLES, 1, 20, 60):
+    for block in (monofem.mesh.BLOCK_TRIANGLES, 1, 20, 60):
         # The comparison goes by blocks of whole cell rows (20 triangles
         # each at h = 1/4): one block, one row per block, or three rows per
         # block, the last block short.
-        monkeypatch.setattr(monofem.mesh, "GRID_CHECK_TRIANGLES", block)
+        monkeypatch.setattr(monofem.mesh, "BLOCK_TRIANGLES", block)
         check_grid_answers()
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import monofem.assembly
 import monofem.mesh
 import monofem.solver
 from monofem.assembly import (
@@ -26,6 +25,8 @@ from monofem.solver import (
 )
 from monofem.sparse import DEFAULT_CG_TOL, NoConvergence, cg_solve, spmv
 from monofem.verification import ManufacturedProblem, discrete_cell_trajectory
+
+from test_sparse import dense
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
@@ -72,7 +73,7 @@ def test_system_shares_mass_pattern():
         np.testing.assert_array_equal(mat.offsets, M.offsets)
         assert mat.nnz == M.nnz
     assert np.array_equal(S.data, M.data + k * A.data)
-    assert np.array_equal(S.to_dense(), M.to_dense() + k * A.to_dense())
+    assert np.array_equal(dense(S), dense(M) + k * dense(A))
 
 
 def first_step_cg_iterations(monkeypatch, mesh, cfg):
@@ -212,8 +213,8 @@ def test_step_matches_dense_solve(nx, ny, h, factor, kind, a, b, rho, model, see
     solver = MonodomainSolver(mesh, cfg)
     assert (solver.multigrid is None) == (factor == 1)
     f, g = ionic(v, w)
-    S = solver.system.to_dense()
-    expect = np.linalg.solve(S, solver.mass.to_dense() @ (v + k * f))
+    S = dense(solver.system)
+    expect = np.linalg.solve(S, dense(solver.mass) @ (v + k * f))
     state = solver.step()
     bound = np.linalg.cond(S) * (monofem.sparse.DEFAULT_CG_TOL + 8 * np.finfo(float).eps)
     assert np.linalg.norm(state.v - expect) <= bound * np.linalg.norm(expect)
@@ -265,7 +266,7 @@ def test_degenerate_triangle_rejected_at_construction(apex):
 def test_degenerate_triangle_named_by_its_index_in_the_mesh(monkeypatch):
     # The message names the bad triangle with the lowest index in the mesh,
     # on a mesh that is not the grid and on the grid, where geometry is
-    # computed by blocks of cell rows in (type, row, column) order.
+    # computed by blocks of cell rows in mesh order.
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     tri = TriMesh(nodes=nodes, triangles=np.array([[0, 1, 2], [0, 1, 3]]), h=1.0,
                   bounds=(0, 0, 2, 1))
@@ -275,9 +276,8 @@ def test_degenerate_triangle_named_by_its_index_in_the_mesh(monkeypatch):
         assemble_stiffness(tri)
     # Node (0, 5) of the 20 x 20 grid moved far right turns clockwise the
     # type-1 triangle 161 of cell (0, 4) and the type-0 triangle 200 of
-    # cell (0, 5), both in the third block of two cell rows, where the
-    # type-0 triangles come first.
-    monkeypatch.setattr(monofem.assembly, "BLOCK_TRIANGLES", 2 * 20 * 2)
+    # cell (0, 5), both in the third block of two cell rows.
+    monkeypatch.setattr(monofem.mesh, "BLOCK_TRIANGLES", 2 * 20 * 2)
     grid = build_uniform_mesh(BOUNDS, 1 / 8)
     nodes = grid.nodes.copy()
     nodes[5 * 21, 0] = 100.0
@@ -293,7 +293,7 @@ def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
     # Only the two triangles of the top-right cell (the last two of the
     # mesh, in the last of 20 blocks of one cell row) see a tensor that is
     # not SPD.
-    monkeypatch.setattr(monofem.assembly, "BLOCK_TRIANGLES", 40)
+    monkeypatch.setattr(monofem.mesh, "BLOCK_TRIANGLES", 40)
     mesh = build_uniform_mesh(BOUNDS, 1 / 8)
     D = DiffusionTensor(lambda x, y: -np.eye(2) if x + y > 2.3 else np.eye(2))
     for build in (lambda: assemble_stiffness(mesh, D),
@@ -330,8 +330,8 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # Built, then compared once, by blocks of 51 cell rows (16,320 triangles).
-    assert calls == [(160, 160), (160, 51)]
+    # Built, then compared once, by blocks of 25 cell rows (8,000 triangles).
+    assert calls == [(160, 160), (160, 25)]
     M, A = mesh.operators[D]
     arrays = (mesh.nodes, mesh.triangles, M.data, A.data)
     buffers = [t.base for t in monofem.sparse._BUFFERS]
