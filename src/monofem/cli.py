@@ -8,8 +8,9 @@ final time, a time step too large for the explicit reaction step along
 the homogeneous or the manufactured trajectory, an unwritable ``--out``);
 3 the solver failed (CG did not converge, stalled or broke down, the
 homogeneous reference did not converge, or the state became
-non-finite).  Every usage error except an unwritable ``--out`` is
-reported before any computation starts.
+non-finite) or the run did not fit in memory (a ``MemoryError``, which
+numpy raises when it cannot allocate an array).  Every usage error except
+an unwritable ``--out`` is reported before any computation starts.
 """
 from __future__ import annotations
 
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         return 2
     except (NoConvergence, NonFiniteState, NonFiniteValue, SingularDenominator) as exc:
         print(f"solver did not converge or went non-finite: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"the run does not fit in memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 3
     text = emit_table(records, fmt)
     if out is None:

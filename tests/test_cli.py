@@ -139,6 +139,26 @@ def test_main_no_convergence_exit_code(capsys, monkeypatch):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 4.6 GiB for an array with shape (7, 10241, 10241) "
+                "and data type float64"),
+    MemoryError()], ids=["numpy", "bare"])
+def test_main_out_of_memory_exit_code(capsys, monkeypatch, error):
+    # A legal level such as 1/4096 asks for several GB of arrays; the run
+    # ends with exit 3 and one stderr line, not a traceback.
+    import monofem.cli as cli
+
+    def too_large(cfg):
+        raise error
+
+    monkeypatch.setattr(cli, "convergence_study", too_large)
+    assert main(["study", "--levels", "1/4096", "--t-final", "1/16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("the run does not fit in memory: ")
+    assert captured.err.count("\n") == 1
+
+
 EXIT_PATHS = {
     "non-divisible-h": (["--levels", "1/3"], 2),
     "t-final-not-multiple-of-dt": (["--t-final", "0.1", "--dt", "0.03", "--levels", "1/8"], 2),
@@ -290,7 +310,11 @@ def test_csv_deterministic_across_runs(tmp_path):
 
 
 # Byte-exact tables: any change to the arithmetic of assembly, the system
-# matrix or CG, or to the formatting, shows up here.
+# matrix or CG, or to the formatting, shows up here.  They were recorded on
+# OpenBLAS's SkylakeX kernel (numpy 2.4.6 with scipy-openblas 0.3.31).
+# Under other kernels (OPENBLAS_CORETYPE=Haswell, for one) ap-ladder and
+# fhn-non-dyadic change in the 12th digit of their finest l2_error: both
+# are homogeneous studies, and where CG stops follows how BLAS ddot rounds.
 GOLDEN = [
     (
         ["--model", "ap", "--levels", "1/8,1/16,1/32", "--t-final", "1/16"],
