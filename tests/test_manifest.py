@@ -1,5 +1,6 @@
 """Bit manifest: SHA-256 hashes of the meshes, the assembled matrices, one
-``spmv`` of M, S and each Galerkin operator, and one ``VCycle`` application.
+``spmv`` of M, S and each Galerkin operator, and one ``VCycle`` application;
+on a non-square grid, each Galerkin operator and one ``VCycle`` application.
 
 A change that claims to move no result bit must pass this test unedited.
 CG is left out: its dot products go through BLAS, whose bits can depend
@@ -61,6 +62,17 @@ def manifest():
     for level, op in enumerate(solver.multigrid.operators[1:], 1):
         x = np.random.default_rng(11 + level).standard_normal(op.nrows)
         table["h=1/64", f"spmv Galerkin {level}"] = digest(spmv(op, x))
+    # S = M + k A of the variable tensor on a non-square grid at h = 1/32,
+    # k = 1: 80 x 40 cells, then 40 x 20, 20 x 10 and 10 x 5, so a transfer
+    # that swaps nx and ny changes these rows.
+    h, k = 1 / 32, 1.0
+    cfg = SolverConfig(k=k, t_final=k, ionic=make_model("fhn"), diffusion=TENSORS["variable"])
+    solver = MonodomainSolver(build_uniform_mesh((-1.25, -0.625, 1.25, 0.625), h), cfg)
+    assert solver.multigrid.cells == [(40, 20), (20, 10), (10, 5)]
+    x = np.random.default_rng(13).standard_normal(solver.system.nrows)
+    table["80x40", "V-cycle S"] = digest(solver.multigrid(x))
+    for level, op in enumerate(solver.multigrid.operators[1:], 1):
+        table["80x40", f"Galerkin {level}"] = matrix_digest(op)
     # M and S of the identity tensor at h = 1/128, k = h^2: 103,041 rows,
     # so a product spans several blocks.
     h = 1 / 128
@@ -105,6 +117,10 @@ MANIFEST = {
     ('h=1/64', 'spmv Galerkin 1'): '8f1f18da5de6fa66af26f45bb02058af2d6ccb010770c722b0e48eacc14707bb',
     ('h=1/64', 'spmv Galerkin 2'): 'a10585f683ff072eae079b7e1245b7c1af91061729a1e344f1bb4fe0fa0cda6c',
     ('h=1/64', 'spmv Galerkin 3'): '25e0f878bb36ef9b276ef5a42248045d696e9e7c4b585febc72436c5888e342f',
+    ('80x40', 'V-cycle S'): '93d9491eb4f134747af79572cbae1df5cd0922f4acbf4be731f381c2517047d9',
+    ('80x40', 'Galerkin 1'): '2d0e8b64d6638e0685e4a1efdc03705a4716053457dcfad432165020bf94e3f5',
+    ('80x40', 'Galerkin 2'): '46b9f5d7860d6acdc776f1001ed6550a96d5d05bf3b584c4ea437e8b28348fb1',
+    ('80x40', 'Galerkin 3'): 'a9217277ca247b278f8e726b525394011ebedbc7a433153d37f9e826271c8195',
     ('h=1/128', 'spmv M'): '189467359b9c6055d523b93a24ace234eda6b0b158f2bd9b222a9aea47347ba1',
     ('h=1/128', 'spmv S'): 'aaf964833bb4a30c2458642da0e4cafe2f1b5493bba2caee8ccc96e71486506d',
 }
