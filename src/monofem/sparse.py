@@ -17,10 +17,10 @@ of S takes 3 or 4 multiplies and 7 adds.  The result is the same to the
 bit as summing each row's stored entries.
 ``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
 refuses a matrix whose storage would far exceed its entries.  CG solves
-symmetric positive definite systems, optionally preconditioned, and checks
-its true residual at one site; ``VCycle`` is the preconditioner for P1
-operators on nested uniform grids (prolongation, restriction and Galerkin
-coarse operators act on the node grid of ``mesh.py``).
+SPD systems, optionally preconditioned, and checks its true residual at
+one site; ``VCycle`` is the preconditioner for P1 operators on nested
+uniform grids, whose transfers act on the node grid of ``mesh.py`` as a
+few contiguous 1-D passes per family of edge midpoints.
 """
 from __future__ import annotations
 
@@ -446,31 +446,41 @@ def prolong(u: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
     Exact for the lower-left to upper-right diagonal split of ``mesh.py``:
     a coarse node keeps its value, and the midpoint of a horizontal,
-    vertical or diagonal coarse edge takes the mean of its two ends.
+    vertical or diagonal coarse edge takes the mean of its two ends.  With
+    u in rows of nx + 2 that end in +0.0, each family of midpoints is one
+    contiguous sum of u and u shifted by 1, nx + 2 or nx + 3 (a sum across
+    a row end adds +0.0, which cannot overflow); the three are halved in
+    one pass and copied into their slots of the fine grid.
     """
-    u = u.reshape(ny + 1, nx + 1)
-    f = np.empty((2 * ny + 1, 2 * nx + 1))
-    f[::2, ::2] = u
-    for mid, a, b in ((f[::2, 1::2], u[:, :-1], u[:, 1:]),
-                      (f[1::2, ::2], u[:-1], u[1:]),
-                      (f[1::2, 1::2], u[:-1, :-1], u[1:, 1:])):
-        np.add(a, b, out=mid)
-        mid *= 0.5
+    m, n = nx + 2, (ny + 1) * (nx + 2)
+    f, p, s = np.empty((2 * ny + 1, 2 * nx + 1)), np.zeros(n + m + 1), np.empty((3, ny + 1, m))
+    p[:n].reshape(ny + 1, m)[:, :-1] = f[::2, ::2] = u.reshape(ny + 1, nx + 1)
+    for t, k in zip(s.reshape(3, n), (1, m, m + 1)):
+        np.add(p[:n], p[k : n + k], t)
+    s *= 0.5
+    f[::2, 1::2], f[1::2, ::2], f[1::2, 1::2] = s[0, :, :nx], s[1, :-1, :-1], s[2, :-1, :nx]
     return f.ravel()
 
 
 def restrict(r: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """P^T r for the ``prolong`` of the same coarse grid: each edge
-    midpoint of the fine grid passes half its value to both ends."""
+    midpoint of the fine grid passes half its value to both ends.
+
+    Each family of midpoints is halved into rows of nx + 1 and added to
+    the coarse nodes as two shifted 1-D slices, in ``prolong``'s order.  A
+    family of nx per row ends each row in -0.0, which lands only on nodes
+    that end no such edge: x + -0.0 is x bit for bit, x = -0.0 included.
+    """
     r = r.reshape(2 * ny + 1, 2 * nx + 1)
-    c = r[::2, ::2].copy()
-    for mid, a, b in ((r[::2, 1::2], c[:, :-1], c[:, 1:]),
-                      (r[1::2, ::2], c[:-1], c[1:]),
-                      (r[1::2, 1::2], c[:-1, :-1], c[1:, 1:])):
-        half = 0.5 * mid
-        a += half
-        b += half
-    return c.ravel()
+    c, t = r[::2, ::2].flatten(), np.empty((3 * ny + 1, nx + 1))
+    t[:, nx] = -0.0
+    h, v, d = t[: ny + 1], t[ny + 1 : 2 * ny + 1], t[2 * ny + 1 :]
+    for half, mid in ((h[:, :nx], r[::2, 1::2]), (v, r[1::2, ::2]), (d[:, :nx], r[1::2, 1::2])):
+        np.multiply(mid, 0.5, half)
+    for a, k in ((h.ravel(), 1), (v.ravel(), nx + 1), (d.ravel(), nx + 2)):
+        c[: len(a)] += a
+        c[k:] += a[: len(c) - k]
+    return c
 
 
 def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:
@@ -537,12 +547,17 @@ class VCycle:
 
     def _cycle(self, level, r):
         S, w = self.operators[level], self._weights[level]
+        coarsest = level == len(self.cells)
+        # x = w r; each pass forms y = r - S x and adds w y to x, or on a
+        # finer level's first pass, the prolonged coarse correction.
         x = w * r
-        if level == len(self.cells):
-            for _ in range(COARSE_SWEEPS - 1):
-                x += w * (r - spmv(S, x))
-            return x
-        nx, ny = self.cells[level]
-        x += prolong(self._cycle(level + 1, restrict(r - spmv(S, x), nx, ny)), nx, ny)
-        x += w * (r - spmv(S, x))
+        for sweep in range(COARSE_SWEEPS - 1 if coarsest else 2):
+            y = spmv(S, x)
+            np.subtract(r, y, y)
+            if coarsest or sweep:
+                y *= w
+                x += y
+            else:
+                y = restrict(y, *self.cells[level])  # frees the fine y for the coarser levels
+                x += prolong(self._cycle(level + 1, y), *self.cells[level])
         return x

@@ -910,6 +910,61 @@ def test_restrict_is_transpose_of_prolong(cells, seed):
     assert abs(x @ Py - Rx @ y) <= 1e-14 * (np.abs(x) @ np.abs(Py) + np.abs(Rx) @ np.abs(y))
 
 
+def strided_prolong(u, nx, ny):
+    """``prolong`` on 2-D strided views, its oracle: each midpoint family
+    is summed into its slot of the fine grid and halved there."""
+    u = u.reshape(ny + 1, nx + 1)
+    f = np.empty((2 * ny + 1, 2 * nx + 1))
+    f[::2, ::2] = u
+    for mid, a, b in ((f[::2, 1::2], u[:, :-1], u[:, 1:]),
+                      (f[1::2, ::2], u[:-1], u[1:]),
+                      (f[1::2, 1::2], u[:-1, :-1], u[1:, 1:])):
+        np.add(a, b, out=mid)
+        mid *= 0.5
+    return f.ravel()
+
+
+def strided_restrict(r, nx, ny):
+    """``restrict`` on 2-D strided views, its oracle: each midpoint family
+    is halved and added to the coarse nodes at its lower or left ends,
+    then at its upper or right ends."""
+    r = r.reshape(2 * ny + 1, 2 * nx + 1)
+    c = r[::2, ::2].copy()
+    for mid, a, b in ((r[::2, 1::2], c[:, :-1], c[:, 1:]),
+                      (r[1::2, ::2], c[:-1], c[1:]),
+                      (r[1::2, 1::2], c[:-1, :-1], c[1:, 1:])):
+        half = 0.5 * mid
+        a += half
+        b += half
+    return c.ravel()
+
+
+# Signed zeros, subnormals and magnitudes up to 1e300, whose sums do not
+# overflow.  A grid of one value, such as all -0.0, sends that value
+# through every sum, pads included.
+transfer_values = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e300, 1e300]),
+)
+
+
+def nodal_values(n):
+    return st.one_of(st.lists(transfer_values, min_size=n, max_size=n).map(np.array),
+                     transfer_values.map(lambda value: np.full(n, value)))
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_transfers_match_strided_oracles_bit_for_bit(nx, ny, data):
+    u = data.draw(nodal_values((nx + 1) * (ny + 1)))
+    r = data.draw(nodal_values((2 * nx + 1) * (2 * ny + 1)))
+    u_bits, r_bits = u.view(np.int64).copy(), r.view(np.int64).copy()
+    for got, expect in ((prolong(u, nx, ny), strided_prolong(u, nx, ny)),
+                        (restrict(r, nx, ny), strided_restrict(r, nx, ny))):
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.array_equal(u.view(np.int64), u_bits)
+    assert np.array_equal(r.view(np.int64), r_bits)
+
+
 @given(coarse_cells, stiff_k, diffusion())
 def test_galerkin_probing_equals_dense_triple_product(cells, k, D):
     cx, cy = cells
