@@ -12,8 +12,13 @@ computes its geometry, the 3 x 3 element matrices are built from it, and
 each of their 18 entries (triangle type, row vertex, column vertex) is
 added into its diagonal of DIA storage with one sliced add over the
 block's cells.  So no array of one value per element-matrix entry, nor any
-geometry, is ever made for the whole mesh.  Any other mesh sums its whole
-element arrays with ``from_triplets``.  The mesh has no geometry API.
+geometry, is ever made for the whole mesh.  When the grid's cells are
+congruent (``TriMesh.congruent``, as on ``build_uniform_mesh``'s grids at
+dyadic h) and the element matrices depend on the geometry alone (M, and
+A for a constant tensor), the same adds run once over all cell rows,
+broadcasting the element matrices of the first cell, the only ones
+built.  Any other mesh sums its whole element arrays with
+``from_triplets``.  The mesh has no geometry API.
 """
 from __future__ import annotations
 
@@ -118,24 +123,31 @@ def _corners(mesh: TriMesh, s: slice):
     return x, y, det
 
 
-def _assemble(mesh: TriMesh, element) -> DiaMatrix:
+def _assemble(mesh: TriMesh, element, geometric: bool) -> DiaMatrix:
     """The DiaMatrix summing ``element(s)``, the element matrices (3, 3, m)
-    [i, j, p] of the triangles ``mesh.triangles[s]``, s a slice.  On the
-    grid, s is each block of ``cell_row_blocks`` in turn, and its element
-    matrices reshape to [i, j, cell row, cell column, type], so that each
-    entry (i, j) of each type is one (rows, nx) view, added by one sliced
-    add.  Either path sums every DIA entry from 0.0 in triplet order and
-    takes the triangles in mesh order, so a DegenerateTriangle names the
-    mesh's lowest bad triangle."""
+    [i, j, p] of the triangles ``mesh.triangles[s]``, s a slice; ``geometric``
+    says that they depend on nothing but their triangles' node-coordinate
+    differences.  On the grid, s is each block of ``cell_row_blocks`` in
+    turn, and its element matrices reshape to [i, j, cell row, cell column,
+    type], so that each entry (i, j) of each type is one (rows, nx) view,
+    added by one sliced add.  If they are geometric and the cells congruent
+    (``TriMesh.congruent``), every cell's are the first cell's, bit for bit:
+    s is then that cell's two triangles, and one block of all rows adds
+    their values, broadcast over its cells.  Either path sums every DIA
+    entry from 0.0 in triplet order and takes the triangles in mesh order,
+    so a DegenerateTriangle names the mesh's lowest bad triangle."""
     if mesh.grid is None:
         n, tri = mesh.n_nodes, mesh.triangles
         vals = element(slice(0, mesh.n_triangles)).transpose(2, 0, 1)  # [p, i, j]
         return from_triplets(n, n, np.broadcast_to(tri[:, :, None], vals.shape),
                              np.broadcast_to(tri[:, None, :], vals.shape), vals)
     nx, ny = mesh.grid
+    one_cell = geometric and mesh.congruent
     data = np.zeros((len(GRID_NEIGHBOURS), ny + 1, nx + 1))
-    for r0, r1 in cell_row_blocks(nx, ny):
-        vals = element(slice(2 * r0 * nx, 2 * r1 * nx)).reshape(3, 3, r1 - r0, nx, 2)
+    for r0, r1 in [(0, ny)] if one_cell else cell_row_blocks(nx, ny):
+        rows, cols = (1, 1) if one_cell else (r1 - r0, nx)
+        first = 2 * r0 * nx  # the block's first triangle
+        vals = element(slice(first, first + 2 * rows * cols)).reshape(3, 3, rows, cols, 2)
         for i, j, t, d, dx, dy in _GRID_ENTRIES:
             data[d, r0 + dy : r1 + dy, dx : dx + nx] += vals[i, j, ..., t]
     return grid_matrix(data.reshape(len(GRID_NEIGHBOURS), -1), nx, ny)
@@ -144,7 +156,8 @@ def _assemble(mesh: TriMesh, element) -> DiaMatrix:
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:
     """Consistent P1 mass matrix M_ij = int phi_i phi_j (DegenerateTriangle
     as in ``_corners``)."""
-    return _assemble(mesh, lambda s: np.multiply.outer(_LOCAL_MASS, 0.5 * _corners(mesh, s)[2]))
+    return _assemble(mesh, lambda s: np.multiply.outer(_LOCAL_MASS, 0.5 * _corners(mesh, s)[2]),
+                     geometric=True)
 
 
 def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -> DiaMatrix:
@@ -187,7 +200,7 @@ def assemble_stiffness(mesh: TriMesh, D: DiffusionTensor = IDENTITY_DIFFUSION) -
             row *= area
         return local
 
-    return _assemble(mesh, element)
+    return _assemble(mesh, element, geometric=D.constant is not None)
 
 
 def interpolate_nodal(mesh: TriMesh, f) -> np.ndarray:

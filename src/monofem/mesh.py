@@ -6,10 +6,13 @@ row-major by (y, x) so that matrix sparsity patterns are reproducible.
 A mesh keeps only ``nodes`` and ``triangles`` per node and triangle, and
 the operators assembled on it (``TriMesh.operators``).  It knows whether
 its triangles are those of the uniform grid (``TriMesh.grid``), which
-assembly and the multigrid solver ask.  The mesh has no geometry API:
-assembly computes the areas and basis gradients block by block each time
-it builds a matrix.  ``cell_row_blocks`` is the one walk over the grid's
-cell rows, in mesh order, that both the grid check and grid assembly take.
+assembly and the multigrid solver ask, and whether all the grid's cells
+have the same coordinate differences (``TriMesh.congruent``), which
+assembly asks.  The mesh has no geometry API: assembly computes the areas
+and basis gradients block by block each time it builds a matrix, or, on
+congruent cells, those of the first cell only.  ``cell_row_blocks`` is
+the one walk over the grid's cell rows, in mesh order, that both the grid
+check and grid assembly take.
 """
 from __future__ import annotations
 
@@ -29,10 +32,11 @@ DEFAULT_BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 CELL_TRIANGLES = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 # Triangles per block of ``cell_row_blocks``, in whole cell rows (12 at
-# h = 1/128), at about 300 bytes each in assembly.  M and A at h = 1/128
-# took 31, 23 and 24 ms with 4,096, 8,192 and 16,384 (best of 15, 2 cores);
-# 16,384 doubles the 2.4 MB of block buffers in the set-up peak at h = 1/64
-# that ``test_solver`` bounds.
+# h = 1/128), at about 300 bytes each in assembly, which takes blocks where
+# the cells are not congruent or the tensor is not constant.  M and A on a
+# jittered h = 1/128 grid took 26-27, 21-22 and 20-21 ms with 4,096, 8,192
+# and 16,384 (best of 15, three rounds, 2 cores); 16,384 doubles the
+# 2.3 MB of block buffers that A holds there at h = 1/64.
 BLOCK_TRIANGLES = 1 << 13
 
 
@@ -54,10 +58,11 @@ class TriMesh:
         h: grid spacing of the underlying square cells.
         bounds: (xmin, ymin, xmax, ymax).
 
-    ``grid`` tells whether the triangles are the uniform grid's;
-    ``operators`` caches the matrices.  The mesh keeps nothing else per
-    triangle and has no geometry API: assembly computes each block's areas
-    and gradients and keeps none.  ``nodes`` and ``triangles`` are
+    ``grid`` tells whether the triangles are the uniform grid's, and
+    ``congruent`` whether its cells all have the same coordinate
+    differences; ``operators`` caches the matrices.  The mesh keeps
+    nothing else per triangle and has no geometry API: assembly computes
+    each block's areas and gradients and keeps none.  ``nodes`` and ``triangles`` are
     read-only, and checked when the mesh is made (DimensionMismatch for
     another shape, ``index_array`` for the node indices); an array the
     caller passes is copied unless it is read-only already.  Meshes
@@ -110,6 +115,26 @@ class TriMesh:
                 return None
             block += (r1 - r0) * (nx + 1)
         return nx, ny
+
+    @cached_property
+    def congruent(self) -> bool:
+        """True if the mesh is the grid and every cell's node-coordinate
+        differences are the first cell's, bit for bit, so every cell has the
+        first cell's element matrices: the x spacings along the first node
+        row are one float, as int64 bits, and so are the y spacings up the
+        first node column (O(nx + ny), which rules out non-dyadic spacings
+        at once); then every node has its column's x and its row's y (O(n)).
+        A difference b - a is then one value per cell, as a - b = -(b - a)
+        exactly."""
+        if self.grid is None:
+            return False
+        nx, ny = self.grid
+        for spacing in (np.diff(self.nodes[: nx + 1, 0]), np.diff(self.nodes[:: nx + 1, 1])):
+            bits = spacing.view(np.int64)
+            if np.any(bits != bits[0]):
+                return False
+        bits = self.nodes.view(np.int64).reshape(ny + 1, nx + 1, 2)
+        return bool(np.all(bits[..., 0] == bits[:1, :, 0]) and np.all(bits[..., 1] == bits[:, :1, 1]))
 
     @cached_property
     def operators(self) -> weakref.WeakKeyDictionary:

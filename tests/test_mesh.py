@@ -232,14 +232,15 @@ def test_vectorized_matches_single():
 
 def test_geometry_not_kept_and_block_independent():
     # The mesh has no geometry API and keeps only whether it is the grid
-    # after assembly, which computes the geometry by slices of triangles
-    # in mesh order; each triangle's values do not depend on the slice.
+    # and whether its cells are congruent after assembly, which computes
+    # the geometry by slices of triangles in mesh order; each triangle's
+    # values do not depend on the slice.
     mesh = jittered(1 / 4)
     assemble_mass(mesh)
     assemble_stiffness(mesh)
-    assert set(vars(mesh)) == {"nodes", "triangles", "h", "bounds", "grid"}
+    assert set(vars(mesh)) == {"nodes", "triangles", "h", "bounds", "grid", "congruent"}
     assert {a for a in dir(TriMesh) if not a.startswith("_")} == {
-        "n_nodes", "n_triangles", "grid", "operators"}
+        "n_nodes", "n_triangles", "grid", "congruent", "operators"}
     n = mesh.n_triangles
     whole = _corners(mesh, slice(0, n))
     for size in (1, 7, n):

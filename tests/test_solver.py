@@ -306,8 +306,9 @@ def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
 def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
     # Besides nodes, triangles and the operators, the mesh keeps only
     # whether it is the grid, found once by comparing its triangles with
-    # the grid's, block by block; assembly computes the geometry and element values by
-    # blocks and adds them into DIA storage by slices.  A triplet layout
+    # the grid's, block by block, and whether its cells are congruent;
+    # assembly computes the geometry and element values by blocks, or of
+    # one cell, and adds them into DIA storage by slices.  A triplet layout
     # kept one byte per element-matrix entry (9 per triangle), and triplet
     # keys with the geometry 14 bytes per entry.
     calls = []
@@ -380,11 +381,12 @@ def set_up_peak(h):
 
 def test_set_up_memory_peak():
     # tracemalloc counts numpy's buffers, so the peak repeats to a few kB:
-    # 6.9 MB at h = 1/64, bounded here with an 8 % margin.  That is the
-    # mesh, M, A and the buffers of one block of 25 cell rows (8,000
-    # triangles) of assembly.  With the triplet keys, the geometry and
-    # three (3, 3, triangles) arrays made whole, the peak was 18.5 MB.
-    assert set_up_peak(1 / 64) <= 7.5e6
+    # 6.45 MB at h = 1/64, bounded here with an 8 % margin.  The cells are
+    # congruent, so M and A are built from one cell's element matrices and
+    # assembly holds no block buffers; with blocks of 25 cell rows (8,000
+    # triangles) the peak was 6.86 MB.  With the triplet keys, the geometry
+    # and three (3, 3, triangles) arrays made whole, it was 18.5 MB.
+    assert set_up_peak(1 / 64) <= 7.0e6
 
 
 def test_set_up_memory_peak_fine_mesh():

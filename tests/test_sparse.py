@@ -655,7 +655,10 @@ def test_assembly_does_not_depend_on_layout_block(monkeypatch, h, jitter):
     # split the triangles around a node between blocks; every entry must
     # still add its triplets in triplet order from 0.0, as one block of all
     # rows and a plain loop do.  Jittered nodes make every term of the
-    # stiffness kernel count.
+    # stiffness kernel count.  The uniform meshes have congruent cells, so
+    # there M and A for the two constant tensors come from one cell's
+    # element matrices whatever the block size, and this checks that path
+    # against the plain loop; only the variable tensor takes the blocks.
     base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), h)
     nodes = base.nodes + np.random.default_rng(1).uniform(-jitter, jitter, base.nodes.shape) * h
     mesh = TriMesh(nodes, base.triangles, h, base.bounds)
@@ -676,6 +679,56 @@ def test_assembly_does_not_depend_on_layout_block(monkeypatch, h, jitter):
         for mat, one in zip(assembled(block_rows), whole):
             assert mat.data.tobytes() == one.data.tobytes()
             assert np.array_equal(mat.offsets, one.offsets) and mat.nnz == one.nnz
+
+
+def moved(mesh, node, by):
+    """``mesh`` with the coordinates ``node``, an index into the nodes as a
+    (node row, node column, axis) array, moved by ``by`` * h."""
+    nodes = mesh.nodes.reshape(mesh.grid[1] + 1, mesh.grid[0] + 1, 2).copy()
+    nodes[node] += by * mesh.h
+    return TriMesh(nodes.reshape(-1, 2), mesh.triangles, mesh.h, mesh.bounds)
+
+
+SQUARE = (-1.25, -1.25, 1.25, 1.25)
+CONGRUENCE_CASES = {
+    # 80 x 40 cells of side 1/32: dyadic, so every spacing is one float.
+    "dyadic-80x40": (build_uniform_mesh((-1.25, -0.625, 1.25, 0.625), 1 / 32), True),
+    # Still a tensor grid, but one y spacing differs from the others.
+    "row-moved-in-y": (moved(build_uniform_mesh(SQUARE, 1 / 16), (5, slice(None), 1), 0.25), False),
+    # The first node row and column keep their spacings; one node moves in x.
+    "node-moved": (moved(build_uniform_mesh(SQUARE, 1 / 16), (7, 9, 0), 0.125), False),
+    # linspace spacings that are not one float.
+    "h-1/10": (build_uniform_mesh(SQUARE, 1 / 10), False),
+}
+
+
+@pytest.mark.parametrize("case", CONGRUENCE_CASES, ids=CONGRUENCE_CASES)
+def test_congruent_cells_assemble_from_one_cell(monkeypatch, case):
+    # A grid whose cells all have the first cell's node-coordinate
+    # differences, bit for bit, builds the element matrices of M, and of A
+    # for a constant tensor, from that cell's two triangles only; any other
+    # grid, and A for a variable tensor, takes the blocks of cell rows.  On
+    # either path M and A equal the plain loop over the element triplets
+    # byte for byte.
+    mesh, congruent = CONGRUENCE_CASES[case]
+    (nx, ny), n = mesh.grid, mesh.n_nodes
+    slices = []
+
+    def recorded(mesh, s, _original=monofem.assembly._corners):
+        slices.append((s.start, s.stop))
+        return _original(mesh, s)
+
+    monkeypatch.setattr(monofem.assembly, "_corners", recorded)
+    blocks = [(2 * r0 * nx, 2 * r1 * nx) for r0, r1 in monofem.mesh.cell_row_blocks(nx, ny)]
+    matrices = [assemble_mass(mesh)] + [assemble_stiffness(mesh, D) for D in ASSEMBLY_TENSORS]
+    assert mesh.congruent is congruent
+    assert slices == ([(0, 2)] * 3 if congruent else blocks * 3) + blocks
+    rows, cols, m_vals, _ = element_triplets(mesh, ASSEMBLY_TENSORS[0])
+    values = [m_vals] + [element_triplets(mesh, D)[3] for D in ASSEMBLY_TENSORS]
+    for mat, vals in zip(matrices, values):
+        offsets, data, nnz = reference_dia(n, rows, cols, vals)
+        assert mat.offsets.tolist() == offsets and mat.nnz == nnz
+        assert mat.data.tobytes() == data.tobytes()
 
 
 def test_diagonal_storage_of_assembled_operators():
