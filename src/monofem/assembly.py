@@ -15,17 +15,19 @@ block's cells.  So no array of one value per element-matrix entry, nor any
 geometry, is ever made for the whole mesh.  When the grid's cells are
 congruent (``TriMesh.congruent``, as on ``build_uniform_mesh``'s grids at
 dyadic h) and the element matrices depend on the geometry alone (M, and
-A for a constant tensor), the same adds run once over all cell rows,
-broadcasting the element matrices of the first cell, the only ones
-built.  Any other mesh sums its whole element arrays with
-``from_triplets``.  The mesh has no geometry API.
+A for a constant tensor), only the first cell's element matrices are
+built.  The same adds then run once on a model grid of at most 2 x 2
+cells, whose nodes are one of each class (corner, edge run, interior),
+and ``sparse._expand`` writes each class's entries over the grid.  Any
+other mesh sums its whole element arrays with ``from_triplets``.  The
+mesh has no geometry API.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh, cell_row_blocks
-from .sparse import GRID_NEIGHBOURS, DiaMatrix, from_triplets, grid_matrix, spmv
+from .sparse import GRID_NEIGHBOURS, DiaMatrix, _expand, from_triplets, grid_matrix, spmv
 
 # Reference-triangle integrals of products of the three P1 basis functions,
 # scaled by 1/area: int phi_i phi_j = area/12 * (1 + delta_ij).
@@ -132,10 +134,14 @@ def _assemble(mesh: TriMesh, element, geometric: bool) -> DiaMatrix:
     type], so that each entry (i, j) of each type is one (rows, nx) view,
     added by one sliced add.  If they are geometric and the cells congruent
     (``TriMesh.congruent``), every cell's are the first cell's, bit for bit:
-    s is then that cell's two triangles, and one block of all rows adds
-    their values, broadcast over its cells.  Either path sums every DIA
-    entry from 0.0 in triplet order and takes the triangles in mesh order,
-    so a DegenerateTriangle names the mesh's lowest bad triangle."""
+    s is then that cell's two triangles, and their values are added,
+    broadcast, into a model grid of min(nx, 2) x min(ny, 2) cells.  Each of
+    its nodes is one class of the grid's nodes (a corner, an edge run or
+    the interior), which meets the same element entries in the same order
+    wherever it sits, so ``_expand`` writes the model's entries over each
+    class.  Either path sums every DIA entry from 0.0 in triplet order and
+    takes the triangles in mesh order, so a DegenerateTriangle names the
+    mesh's lowest bad triangle."""
     if mesh.grid is None:
         n, tri = mesh.n_nodes, mesh.triangles
         vals = element(slice(0, mesh.n_triangles)).transpose(2, 0, 1)  # [p, i, j]
@@ -143,14 +149,16 @@ def _assemble(mesh: TriMesh, element, geometric: bool) -> DiaMatrix:
                              np.broadcast_to(tri[:, None, :], vals.shape), vals)
     nx, ny = mesh.grid
     one_cell = geometric and mesh.congruent
-    data = np.zeros((len(GRID_NEIGHBOURS), ny + 1, nx + 1))
-    for r0, r1 in [(0, ny)] if one_cell else cell_row_blocks(nx, ny):
+    mx, my = (min(nx, 2), min(ny, 2)) if one_cell else (nx, ny)  # the cells added into
+    data = np.zeros((len(GRID_NEIGHBOURS), my + 1, mx + 1))
+    for r0, r1 in [(0, my)] if one_cell else cell_row_blocks(nx, ny):
         rows, cols = (1, 1) if one_cell else (r1 - r0, nx)
         first = 2 * r0 * nx  # the block's first triangle
         vals = element(slice(first, first + 2 * rows * cols)).reshape(3, 3, rows, cols, 2)
         for i, j, t, d, dx, dy in _GRID_ENTRIES:
-            data[d, r0 + dy : r1 + dy, dx : dx + nx] += vals[i, j, ..., t]
-    return grid_matrix(data.reshape(len(GRID_NEIGHBOURS), -1), nx, ny)
+            data[d, r0 + dy : r1 + dy, dx : dx + mx] += vals[i, j, ..., t]
+    data = _expand(data, nx, ny) if one_cell else data.reshape(len(GRID_NEIGHBOURS), -1)
+    return grid_matrix(data, nx, ny)
 
 
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:

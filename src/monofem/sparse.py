@@ -21,6 +21,14 @@ SPD systems, optionally preconditioned, and checks its true residual at
 one site; ``VCycle`` is the preconditioner for P1 operators on nested
 uniform grids, whose transfers act on the node grid of ``mesh.py`` as a
 few contiguous 1-D passes per family of edge midpoints.
+On congruent cells with a constant tensor, every node of M, A and S, and
+of every Galerkin operator of S, holds the entries of its class: one of
+four corners, four edge runs or the interior.  ``_classes`` finds that
+table of nine nodes in a grid operator's data, and ``_expand`` writes a
+grid from a table with one slice assignment per class.  So assembly adds
+element matrices into a grid of at most 3 x 3 nodes, and ``VCycle``
+probes its Galerkin operators on a model grid of at most 2 x 2 coarse
+cells and takes its smoother weights per class, bit for bit.
 """
 from __future__ import annotations
 
@@ -495,16 +503,45 @@ def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:
                      data, nnz)
 
 
-def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
-    """Coarse operator P^T S P of an operator S on the grid of 2 nx x 2 ny
-    cells, for the coarse grid of nx x ny cells.
+def _runs(nodes: int) -> list[slice]:
+    """The node classes along a grid line of ``nodes`` >= 2 nodes: the
+    first node, the run between the ends (if there is one) and the last."""
+    cuts = sorted({0, 1, nodes - 1, nodes})
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
-    P^T S P couples only coarse neighbours, so probing it with the nine
-    vectors that are 1 on one class of a 3 x 3 colouring of the coarse
-    nodes finds every entry: two nodes within one step of each other never
-    share a colour.  A row's probe for a colour none of its neighbours has
-    is exactly zero, which is also the padding outside the matrix.
-    """
+
+def _classes(data: np.ndarray, nx: int, ny: int) -> np.ndarray | None:
+    """The class table (7, a, b) of a grid operator's ``data`` (7, n) on the
+    grid of nx x ny cells, if every node holds its class's entries, compared
+    as int64 (so +0.0 and -0.0 differ); else None.
+
+    The classes are the corners, the four edge runs and the interior: row
+    class i and column class j of ``_runs`` (a, b <= 3), each represented
+    by its first node.  The classes are compared smallest first, so a grid
+    whose edge runs differ is refused after O(nx + ny) compares."""
+    bits = data.view(np.int64).reshape(len(data), ny + 1, nx + 1)
+    rows, cols = _runs(ny + 1), _runs(nx + 1)
+    classes = sorted((bits[:, r, c] for r in rows for c in cols), key=np.size)
+    # The four corners, one node each, come first and hold their own entries.
+    if not all((nodes == nodes[:, :1, :1]).all() for nodes in classes[4:]):
+        return None
+    return bits[:, [[r.start] for r in rows], [c.start for c in cols]].view(np.float64)
+
+
+def _expand(table: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """The (..., (ny + 1)(nx + 1)) nodal arrays on the grid of nx x ny cells
+    whose every node holds its class's entry of ``table`` (..., a, b), the
+    classes of ``_classes``: one broadcast slice assignment per class."""
+    grid = np.empty((*table.shape[:-2], ny + 1, nx + 1))
+    for i, r in enumerate(_runs(ny + 1)):
+        for j, c in enumerate(_runs(nx + 1)):
+            grid[..., r, c] = table[..., i, j, None, None]
+    return grid.reshape(*table.shape[:-2], -1)
+
+
+def _probe(S: DiaMatrix, nx: int, ny: int) -> np.ndarray:
+    """The data (7, n) of P^T S P, S on the grid of 2 nx x 2 ny cells, by
+    nine probes (see ``galerkin``)."""
     n = (nx + 1) * (ny + 1)
     # Colours of the coarse nodes and of one ring of nodes around the grid.
     colours = np.arange(-1, nx + 2) % 3 + 3 * (np.arange(-1, ny + 2) % 3)[:, None]
@@ -516,7 +553,44 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
     data = np.empty((len(GRID_NEIGHBOURS), n))
     for d, (dx, dy) in zip(data, GRID_NEIGHBOURS):
         d[:] = probes[colours[1 + dy : ny + 2 + dy, 1 + dx : nx + 2 + dx].ravel(), rows]
-    return grid_matrix(data, nx, ny)
+    return data
+
+
+def _coarse(S: DiaMatrix, classes: np.ndarray | None, nx: int,
+            ny: int) -> tuple[DiaMatrix, np.ndarray | None]:
+    """(P^T S P, its class table), given S's class table; None for a
+    table that is not known, as a probed operator's is not."""
+    if classes is None:
+        return grid_matrix(_probe(S, nx, ny), nx, ny), None
+    mx, my = min(nx, 2), min(ny, 2)
+    model = grid_matrix(_expand(classes, 2 * mx, 2 * my), 2 * mx, 2 * my)
+    table = _probe(model, mx, my).reshape(len(GRID_NEIGHBOURS), my + 1, mx + 1)
+    return grid_matrix(_expand(table, nx, ny), nx, ny), table
+
+
+def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
+    """Coarse operator P^T S P of an operator S on the grid of 2 nx x 2 ny
+    cells, for the coarse grid of nx x ny cells.
+
+    P^T S P couples only coarse neighbours, so probing it with the nine
+    vectors that are 1 on one class of a 3 x 3 colouring of the coarse
+    nodes finds every entry: two nodes within one step of each other never
+    share a colour.  A row's probe for a colour none of its neighbours has
+    is exactly zero, which is also the padding outside the matrix.
+
+    A coarse node's probes read only the rows of S within one fine step of
+    it.  So if every node of S holds the entries of its class
+    (``_classes``: corners, edge runs, interior), as M, A and S do on
+    congruent cells with a constant tensor, P^T S P does too, bit for bit:
+    a coarse node d >= 1 cells from an edge reads only fine rows at least
+    2d - 1 >= 1 steps from that edge, which are of S's interior class
+    across it, and it sees the same pattern of probe colours around itself
+    wherever it sits.  The probes then run on a model of S with at most
+    2 x 2 coarse cells, whose coarse nodes are one of each class, and the
+    result is expanded to the coarse grid (``_expand``).  Any other S is
+    probed on the whole grid.
+    """
+    return _coarse(S, _classes(S.data, 2 * nx, 2 * ny), nx, ny)[0]
 
 
 class VCycle:
@@ -524,23 +598,36 @@ class VCycle:
 
     S is the finest level.  ``cells`` lists the (nx, ny) cells of the
     coarse grids, finest first, each halving the grid above it; their
-    operators are the Galerkin products P^T S P.  Each level smooths
-    once before and once after the coarse correction by damped Jacobi
-    (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
+    operators are the Galerkin products P^T S P (``galerkin``).  Each level
+    smooths once before and once after the coarse correction by damped
+    Jacobi (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
     coarsest level does COARSE_SWEEPS Jacobi sweeps.  Every matrix product
-    goes through ``spmv``.
+    goes through ``spmv``, and builds its operator's plan on the first
+    cycle.
+
+    S's class table (``_classes``) is sought once; where it exists, each
+    coarse operator comes from a model grid with its own table, and each
+    level's weight, a function of each node's entries alone, is computed
+    per class and expanded.  Elsewhere, every coarse operator is probed on
+    the whole grid: an S that differs from its classes at some node passes
+    that difference to the coarse nodes around it.
     """
 
     def __init__(self, S: DiaMatrix, cells: list[tuple[int, int]]):
-        self.operators = [S]
         self.cells = list(cells)  # coarse cells below each level but the last
+        grids = [(2 * nx, 2 * ny) for nx, ny in self.cells[:1]] + self.cells
+        self.operators, tables = [S], [_classes(S.data, *grids[0]) if grids else None]
         for nx, ny in self.cells:
-            self.operators.append(galerkin(self.operators[-1], nx, ny))
-        self._weights = []
-        for op in self.operators:
-            diagonal = op.data[np.searchsorted(op.offsets, 0)]
-            g = (np.abs(op.data).sum(axis=0) / diagonal).max()
-            self._weights.append(min(JACOBI_WEIGHT, MAX_DAMPED_RADIUS / g) / diagonal)
+            coarse, table = _coarse(self.operators[-1], tables[-1], nx, ny)
+            self.operators.append(coarse)
+            tables.append(table)
+        self._weights = []  # grids is empty for a V-cycle of one level
+        for op, table, grid in zip(self.operators, tables, grids or [None]):
+            data = op.data if table is None else table
+            diagonal = data[np.searchsorted(op.offsets, 0)]
+            g = (np.abs(data).sum(axis=0) / diagonal).max()
+            w = min(JACOBI_WEIGHT, MAX_DAMPED_RADIUS / g) / diagonal
+            self._weights.append(w if table is None else _expand(w, *grid))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)

@@ -308,5 +308,6 @@ def test_caller_arrays_are_copied_and_package_arrays_kept(monkeypatch):
     assert kept.nodes is grid.nodes and kept.triangles is grid.triangles
     assemble_mass(triangle)
     from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
-    # 4 mesh arrays, M, A, S, 2 coarse operators and 2 triplet matrices
-    assert given == [False] * 11
+    # 4 mesh arrays, M, A, S, 2 coarse operators, the 2 model grids they
+    # are probed on (one per coarse grid) and 2 triplet matrices
+    assert given == [False] * 13

@@ -369,11 +369,11 @@ def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
     assert calls == ["assemble_mass", "assemble_stiffness"] * 2
 
 
-def set_up_peak(h):
+def set_up_peak(h, **kw):
     """tracemalloc peak of building the mesh and solver at spacing h."""
     tracemalloc.start()
     try:
-        MonodomainSolver(build_uniform_mesh(BOUNDS, h), paper_config(h=h))
+        MonodomainSolver(build_uniform_mesh(BOUNDS, h), paper_config(h=h, **kw))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -387,6 +387,10 @@ def test_set_up_memory_peak():
     # triangles) the peak was 6.86 MB.  With the triplet keys, the geometry
     # and three (3, 3, triangles) arrays made whole, it was 18.5 MB.
     assert set_up_peak(1 / 64) <= 7.0e6
+    # At k = 1/40 the solver also builds a V-cycle over four grids: 7.21 MB.
+    # Its Galerkin operators are probed on a model grid of 2 x 2 coarse
+    # cells; probed on the whole grid of each level, the peak was 9.01 MB.
+    assert set_up_peak(1 / 64, k=1 / 40) <= 7.8e6
 
 
 def test_set_up_memory_peak_fine_mesh():

@@ -1037,6 +1037,90 @@ def test_galerkin_probing_equals_dense_triple_product(cells, k, D):
         assert np.abs(dense(G) - dense(rediscretised)).max() <= 1e-15 * scale
 
 
+def halvings(mesh):
+    """The coarse cells that halve the grid of ``mesh`` while both counts are even."""
+    (nx, ny), cells = mesh.grid, []
+    while nx % 2 == 0 and ny % 2 == 0:
+        nx, ny = nx // 2, ny // 2
+        cells.append((nx, ny))
+    return cells
+
+
+def jittered(mesh):
+    jitter = np.random.default_rng(0).uniform(-0.2, 0.2, mesh.nodes.shape) * mesh.h
+    return TriMesh(mesh.nodes + jitter, mesh.triangles, mesh.h, mesh.bounds)
+
+
+def edge_run_moved(S, nx, ny):
+    """S on the grid of nx x ny cells with the diagonal entry of one node of
+    its bottom edge run, and of no other, scaled by 1.5."""
+    data = S.data.copy()
+    data[3, 5] *= 1.5
+    return grid_matrix(data, nx, ny)
+
+
+# name: (mesh, a change made to S or None, whether the coarse operators
+# come from a model grid).  The first five have congruent cells; with a
+# constant tensor they take the model.  24 x 8 and 4 x 12 fine cells reach
+# coarse grids of 1, 2 and 3 cells on each axis.
+HIERARCHY_CASES = {
+    "h-1/16": (build_uniform_mesh(SQUARE, 1 / 16), None, True),
+    "h-1/32": (build_uniform_mesh(SQUARE, 1 / 32), None, True),
+    "80x40": (build_uniform_mesh((-1.25, -0.625, 1.25, 0.625), 1 / 32), None, True),
+    "24x8": (build_uniform_mesh((0.0, 0.0, 1.5, 0.5), 1 / 16), None, True),
+    "4x12": (build_uniform_mesh((0.0, 0.0, 0.25, 0.75), 1 / 16), None, True),
+    "jittered": (jittered(build_uniform_mesh(SQUARE, 1 / 16)), None, False),
+    "h-1/20": (build_uniform_mesh(SQUARE, 1 / 20), None, False),
+    "edge-run-moved": (build_uniform_mesh(SQUARE, 1 / 16), edge_run_moved, False),
+}
+
+
+@pytest.mark.parametrize("k", [1e-3, 1 / 40, 1.0])
+@pytest.mark.parametrize("case", HIERARCHY_CASES, ids=HIERARCHY_CASES)
+def test_hierarchy_on_a_model_grid_equals_full_probing(monkeypatch, case, k):
+    # Where every node of S holds its class's entries (corners, edge runs,
+    # interior), each Galerkin operator is probed on a model grid of at
+    # most 2 x 2 coarse cells and expanded; elsewhere, on the whole grid.
+    # Each coarse operator and each level's smoother weight must equal,
+    # as int64, those of probing every level on the whole grid, the oracle
+    # that _classes returning None forces.  The variable tensor, and S
+    # with one edge-run node off its class, probe the whole grid.
+    mesh, change, model = HIERARCHY_CASES[case]
+    cells = halvings(mesh)
+    classes, probed = monofem.sparse._classes, []
+
+    def recorded(u, nx, ny, _original=monofem.sparse.prolong):
+        probed.append((nx, ny))
+        return _original(u, nx, ny)
+
+    monkeypatch.setattr(monofem.sparse, "prolong", recorded)
+    for D in ASSEMBLY_TENSORS:
+        S = system(mesh, k, D)
+        if change is not None:
+            S = change(S, *mesh.grid)
+        monkeypatch.setattr(monofem.sparse, "_classes", lambda data, nx, ny: None)
+        oracle = VCycle(S, cells)
+        monkeypatch.setattr(monofem.sparse, "_classes", classes)
+        probed.clear()
+        B = VCycle(S, cells)
+        # Nine probes per coarse grid: of the model's cells or the grid's.
+        sizes = probed[::9]
+        assert len(probed) == 9 * len(cells)
+        if model and D.constant is not None:
+            assert sizes == [(min(nx, 2), min(ny, 2)) for nx, ny in cells]
+        else:
+            assert sizes == cells
+        assert len(B.operators) == len(oracle.operators) == len(cells) + 1
+        for level, (got, expect) in enumerate(zip(B.operators, oracle.operators)):
+            assert np.array_equal(got.data.view(np.int64), expect.data.view(np.int64))
+            assert np.array_equal(got.offsets, expect.offsets) and got.nnz == expect.nnz
+            weight, expect_weight = B._weights[level], oracle._weights[level]
+            assert np.array_equal(weight.view(np.int64), expect_weight.view(np.int64))
+        for (nx, ny), fine, coarse in zip(cells, oracle.operators, oracle.operators[1:]):
+            assert np.array_equal(galerkin(fine, nx, ny).data.view(np.int64),
+                                  coarse.data.view(np.int64))
+
+
 @st.composite
 def hierarchy(draw):
     cx, cy = draw(coarse_cells)
