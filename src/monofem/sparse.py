@@ -1,34 +1,23 @@
 """Minimal sparse matrices, conjugate gradients and a multigrid cycle.
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
-stored by diagonals (DIA): the P1 operators on the uniform mesh have seven
-diagonals, and ``grid_matrix`` makes a matrix from them.  A product
-(``DiaMatrix.plan``) walks the rows that every diagonal reaches in
-cache-sized blocks, adds each diagonal's coefficient times a shifted slice
-of x into the block through one reused buffer, and recomputes the other
-rows from their stored entries; CG updates its vectors in place.  A grid
-operator whose every diagonal holds one value over the interior nodes
-(with dyadic h, M, S and the Galerkin operators do) is multiplied by those
-seven scalars instead of its stored diagonals, and its boundary rows are
-the ones recomputed.  Diagonals whose scalars have the same bits share one
-product per block, taken over the block and the rows around it that
-their offsets reach: M holds 2 distinct scalars and S 3 or 4, so a block
-of S takes 3 or 4 multiplies and 7 adds.  The result is the same to the
-bit as summing each row's stored entries.
+stored by diagonals (DIA); ``grid_matrix`` makes the seven-diagonal P1
+operator of the uniform mesh.  A product (``DiaMatrix.plan``) adds each
+diagonal's coefficient times a shifted slice of x into cache-sized blocks
+of rows through one reused buffer, and recomputes the other rows from
+their stored entries.  On congruent cells with a constant tensor (dyadic
+h), every node of M, A, S and each Galerkin operator of S holds the
+entries of its class (a corner, an edge run or the interior), and
+``DiaMatrix.classes`` holds that table: the plan then multiplies by the
+interior class's scalars, ``galerkin`` probes a model grid of at most
+2 x 2 coarse cells, and ``VCycle`` weights each class, all bit for bit.
 ``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
 refuses a matrix whose storage would far exceed its entries.  CG solves
-SPD systems, optionally preconditioned, and checks its true residual at
-one site; ``VCycle`` is the preconditioner for P1 operators on nested
-uniform grids, whose transfers act on the node grid of ``mesh.py`` as a
-few contiguous 1-D passes per family of edge midpoints.
-On congruent cells with a constant tensor, every node of M, A and S, and
-of every Galerkin operator of S, holds the entries of its class: one of
-four corners, four edge runs or the interior.  ``_classes`` finds that
-table of nine nodes in a grid operator's data, and ``_expand`` writes a
-grid from a table with one slice assignment per class.  So assembly adds
-element matrices into a grid of at most 3 x 3 nodes, and ``VCycle``
-probes its Galerkin operators on a model grid of at most 2 x 2 coarse
-cells and takes its smoother weights per class, bit for bit.
+SPD systems to ``DEFAULT_CG_TOL``, optionally preconditioned, checks its
+true residual at one site and updates its vectors in place; ``VCycle`` is
+the preconditioner for P1 operators on nested uniform grids, whose
+transfers act on the node grid of ``mesh.py`` as a few contiguous 1-D
+passes per family of edge midpoints.
 """
 from __future__ import annotations
 
@@ -61,6 +50,11 @@ STORAGE_SLACK = 1024
 # (dx, dy) node steps of the seven P1 couplings on the uniform grid, in
 # ascending DIA offset dx + dy (nx + 1).
 GRID_NEIGHBOURS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _grid_offsets(m: int) -> list[int]:
+    """The offsets of GRID_NEIGHBOURS on a grid of m nodes per row."""
+    return [dx + dy * m for dx, dy in GRID_NEIGHBOURS]
 
 
 class IndexOutOfRange(IndexError):
@@ -145,6 +139,33 @@ class DiaMatrix:
         object.__setattr__(self, "data", data)
 
     @cached_property
+    def classes(self) -> np.ndarray | None:
+        """The read-only class table (7, a, b) of a grid operator whose every
+        node holds its class's entries, compared as int64 with the padding
+        (so +0.0 and -0.0 differ); else None.
+
+        A grid operator is square with the offsets dx + dy m of
+        GRID_NEIGHBOURS (so n / m >= 2 rows of m >= 2 nodes).  Row class i
+        and column class j of ``_runs`` (a, b <= 3) are represented by their
+        first node.  Edge runs are compared before the interior, so a grid
+        whose edge runs differ is refused after O(n / m + m) compares.
+        """
+        n, offsets = self.nrows, self.offsets.tolist()
+        m = offsets[-2] if len(offsets) == 7 else 0
+        if not (offsets == _grid_offsets(m) and self.ncols == n and n % m == 0):
+            return None
+        bits = self.data.view(np.int64).reshape(7, n // m, m)
+        first_last_row, first_last_col = slice(None, None, n // m - 1), slice(None, None, m - 1)
+        if not ((bits[:, first_last_row, 1:-1] == bits[:, first_last_row, 1:2]).all()
+                and (bits[:, 1:-1, first_last_col] == bits[:, 1:2, first_last_col]).all()
+                and (bits[:, 1:-1, 1:-1] == bits[:, 1:2, 1:2]).all()):
+            return None
+        rows, cols = _runs(n // m), _runs(m)
+        table = bits[:, [[r.start] for r in rows], [c.start for c in cols]].view(np.float64)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def plan(self) -> tuple:
         """``(blocks, size, edge, slot, cols, values)``, what ``spmv`` walks,
         worked out on the first product.
@@ -163,37 +184,29 @@ class DiaMatrix:
         ``edge[slot[e]]`` in column ``cols[e]``, for every diagonal that
         reaches the row, ordered by diagonal and then by edge row.
 
-        On a grid operator, ``c`` is a diagonal's one value over the
-        interior nodes, a 0-d array, and ``edge`` is the boundary ring.
-        Diagonals whose values have the same bits (compared as int64, so
-        +0.0 and -0.0 differ) share one product per block, which spans the
-        x entries all of them read: M has 2 distinct values, S 3 or 4.  A
-        grid operator is square, has the offsets dx + dy m of
-        GRID_NEIGHBOURS on a node grid of n / m rows of m >= 3 nodes, at
-        least three rows, and each diagonal holds one value over the
-        interior nodes.  On any other matrix, ``c`` is the block's stretch
-        of its diagonal, a read-only view of ``data``, each diagonal has a
-        product of its own, and ``edge`` is every row outside the blocks
-        (all rows if there is no diagonal).
+        If ``classes`` has an interior class (a grid of at least 3 x 3
+        nodes), ``c`` is a diagonal's entry of that class, a 0-d array, and
+        ``edge`` is the boundary ring.  Diagonals whose entries have the
+        same bits (so +0.0 and -0.0 differ) share one product per block,
+        which spans the x entries all of them read: M has 2 distinct
+        values, S 3 or 4.  On any other matrix, ``c`` is the block's
+        stretch of its diagonal, a read-only view of ``data``, each
+        diagonal has a product of its own, and ``edge`` is every row
+        outside the blocks (all rows if there is no diagonal).
         """
         n, offsets = self.nrows, self.offsets.tolist()
         lo = max([0] + [-o for o in offsets])
         hi = max(lo, min([n] + [self.ncols - o for o in offsets])) if offsets else 0
         edge = np.r_[:lo, hi:n]
         share, scalars = range(len(offsets)), None  # term j folds the product of term share[j]
-        m = offsets[-2] if len(offsets) == 7 else 0
-        if (self.ncols == n and m >= 3 and n % m == 0 and n >= 3 * m
-                and offsets == [dx + dy * m for dx, dy in GRID_NEIGHBOURS]):
-            grid = self.data.reshape(7, n // m, m)
-            interior = grid[:, 1:-1, 1:-1].view(np.int64)
-            if (interior == interior[:, :1, :1]).all():
-                first_with = {}
-                share = [first_with.setdefault(bits, j)
-                         for j, bits in enumerate(interior[:, 0, 0].tolist())]
-                scalars = grid[:, 1, 1].copy()
-                boundary = np.ones((n // m, m), dtype=bool)
-                boundary[1:-1, 1:-1] = False
-                edge = np.flatnonzero(boundary)  # a superset of the rows outside [lo, hi)
+        table = self.classes
+        if table is not None and table.shape[1:] == (3, 3):
+            scalars = table[:, 1, 1].copy()
+            first_with = {}
+            share = [first_with.setdefault(c.tobytes(), j) for j, c in enumerate(scalars)]
+            boundary = np.ones((n // offsets[-2], offsets[-2]), dtype=bool)
+            boundary[1:-1, 1:-1] = False
+            edge = np.flatnonzero(boundary)  # a superset of the rows outside [lo, hi)
         low, high = {}, {}  # the lowest and highest offset that reads each product
         for o, j in zip(offsets, share):
             low.setdefault(j, o)
@@ -335,16 +348,16 @@ def cg_solve(
     A: DiaMatrix,
     b: np.ndarray,
     x0: np.ndarray | None = None,
-    rel_tol: float | None = None,
     max_iter: int | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Solve A x = b for SPD A by conjugate gradients.
 
     Stops when the true residual r = b - A x, computed at x0 and wherever
-    the recurrence residual meets the tolerance, has ||r|| <= rel_tol * ||b||;
-    otherwise CG restarts from r (or, after a stall, raises).
-    rel_tol None means ``DEFAULT_CG_TOL`` as it is when the call starts.
+    the recurrence residual meets the tolerance, has ||r|| <= tol * ||b||,
+    tol being ``DEFAULT_CG_TOL`` as it is when the call starts; otherwise
+    CG restarts from r (or, after a stall, raises).  ``max_iter`` (default
+    10 n) caps the iterations.
     ``precondition`` maps a residual r to z = B r for a symmetric positive
     definite B ~ A^-1, such as a ``VCycle``; without it, CG is plain and
     z is r itself.  Either way the stopping test and the residual reported
@@ -360,16 +373,18 @@ def cg_solve(
         (x, iterations)
 
     Raises:
-        ValueError: rel_tol is not finite and positive.
+        ValueError: DEFAULT_CG_TOL is not finite and positive, or max_iter < 1.
         NoConvergence: "CG did not converge in N iterations (" and its
             cause: b not finite (N = 0), breakdown (p.Ap not finite and
             positive, so A is not SPD), a stall (a check after iterating
             that failed without halving the true residual of the check
             before) or max_iter reached; N is the iteration it stopped at.
     """
-    rel_tol = DEFAULT_CG_TOL if rel_tol is None else rel_tol
+    rel_tol = DEFAULT_CG_TOL
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"CG tolerance must be finite and positive, got {rel_tol!r}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     b = np.asarray(b, dtype=float)
     if A.nrows != A.ncols or b.shape != (A.nrows,):
         raise DimensionMismatch("cg_solve needs a square matrix and matching rhs")
@@ -499,9 +514,7 @@ def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:
     n = (nx + 1) * (ny + 1)
     nnz = sum((nx + 1 - abs(dx)) * (ny + 1 - abs(dy)) for dx, dy in GRID_NEIGHBOURS)
     data.setflags(write=False)
-    return DiaMatrix(n, n, np.array([dx + dy * (nx + 1) for dx, dy in GRID_NEIGHBOURS]),
-                     data, nnz)
-
+    return DiaMatrix(n, n, np.array(_grid_offsets(nx + 1)), data, nnz)
 
 def _runs(nodes: int) -> list[slice]:
     """The node classes along a grid line of ``nodes`` >= 2 nodes: the
@@ -510,33 +523,24 @@ def _runs(nodes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _classes(data: np.ndarray, nx: int, ny: int) -> np.ndarray | None:
-    """The class table (7, a, b) of a grid operator's ``data`` (7, n) on the
-    grid of nx x ny cells, if every node holds its class's entries, compared
-    as int64 (so +0.0 and -0.0 differ); else None.
-
-    The classes are the corners, the four edge runs and the interior: row
-    class i and column class j of ``_runs`` (a, b <= 3), each represented
-    by its first node.  The classes are compared smallest first, so a grid
-    whose edge runs differ is refused after O(nx + ny) compares."""
-    bits = data.view(np.int64).reshape(len(data), ny + 1, nx + 1)
-    rows, cols = _runs(ny + 1), _runs(nx + 1)
-    classes = sorted((bits[:, r, c] for r in rows for c in cols), key=np.size)
-    # The four corners, one node each, come first and hold their own entries.
-    if not all((nodes == nodes[:, :1, :1]).all() for nodes in classes[4:]):
-        return None
-    return bits[:, [[r.start] for r in rows], [c.start for c in cols]].view(np.float64)
-
-
 def _expand(table: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """The (..., (ny + 1)(nx + 1)) nodal arrays on the grid of nx x ny cells
     whose every node holds its class's entry of ``table`` (..., a, b), the
-    classes of ``_classes``: one broadcast slice assignment per class."""
+    classes of ``DiaMatrix.classes``: one broadcast slice assignment per class."""
     grid = np.empty((*table.shape[:-2], ny + 1, nx + 1))
     for i, r in enumerate(_runs(ny + 1)):
         for j, c in enumerate(_runs(nx + 1)):
             grid[..., r, c] = table[..., i, j, None, None]
     return grid.reshape(*table.shape[:-2], -1)
+
+
+def _from_table(table: np.ndarray, nx: int, ny: int) -> DiaMatrix:
+    """The operator on the grid of nx x ny cells expanded from the class
+    table (7, a, b), made read-only and cached as its ``classes``."""
+    A = grid_matrix(_expand(table, nx, ny), nx, ny)
+    table.setflags(write=False)
+    vars(A)["classes"] = table  # what a scan of A would find, bit for bit
+    return A
 
 
 def _probe(S: DiaMatrix, nx: int, ny: int) -> np.ndarray:
@@ -556,18 +560,6 @@ def _probe(S: DiaMatrix, nx: int, ny: int) -> np.ndarray:
     return data
 
 
-def _coarse(S: DiaMatrix, classes: np.ndarray | None, nx: int,
-            ny: int) -> tuple[DiaMatrix, np.ndarray | None]:
-    """(P^T S P, its class table), given S's class table; None for a
-    table that is not known, as a probed operator's is not."""
-    if classes is None:
-        return grid_matrix(_probe(S, nx, ny), nx, ny), None
-    mx, my = min(nx, 2), min(ny, 2)
-    model = grid_matrix(_expand(classes, 2 * mx, 2 * my), 2 * mx, 2 * my)
-    table = _probe(model, mx, my).reshape(len(GRID_NEIGHBOURS), my + 1, mx + 1)
-    return grid_matrix(_expand(table, nx, ny), nx, ny), table
-
-
 def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
     """Coarse operator P^T S P of an operator S on the grid of 2 nx x 2 ny
     cells, for the coarse grid of nx x ny cells.
@@ -579,18 +571,28 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
     is exactly zero, which is also the padding outside the matrix.
 
     A coarse node's probes read only the rows of S within one fine step of
-    it.  So if every node of S holds the entries of its class
-    (``_classes``: corners, edge runs, interior), as M, A and S do on
-    congruent cells with a constant tensor, P^T S P does too, bit for bit:
-    a coarse node d >= 1 cells from an edge reads only fine rows at least
-    2d - 1 >= 1 steps from that edge, which are of S's interior class
-    across it, and it sees the same pattern of probe colours around itself
-    wherever it sits.  The probes then run on a model of S with at most
-    2 x 2 coarse cells, whose coarse nodes are one of each class, and the
-    result is expanded to the coarse grid (``_expand``).  Any other S is
-    probed on the whole grid.
+    it.  So if S has a class table (``DiaMatrix.classes``: every node holds
+    the entries of its corner, edge run or interior), P^T S P has one too,
+    bit for bit: a coarse node d >= 1 cells from an edge reads only fine
+    rows at least 2d - 1 >= 1 steps from that edge, which are of S's
+    interior class across it, and it sees the same pattern of probe colours
+    around itself wherever it sits.  The probes then run on a model of S
+    with at most 2 x 2 coarse cells, whose coarse nodes are one of each
+    class, and the result is expanded to the coarse grid, which keeps it
+    as its ``classes`` (``_from_table``).  Any other S is probed on the
+    whole grid.
+
+    DimensionMismatch unless S has the rows and offsets of 2 nx x 2 ny cells.
     """
-    return _coarse(S, _classes(S.data, 2 * nx, 2 * ny), nx, ny)[0]
+    n = (2 * nx + 1) * (2 * ny + 1)
+    if S.nrows != n or S.ncols != n or S.offsets.tolist() != _grid_offsets(2 * nx + 1):
+        raise DimensionMismatch(f"galerkin needs an operator on the grid of {2 * nx} x "
+                                f"{2 * ny} cells, got {S.nrows} rows, offsets {S.offsets}")
+    if S.classes is None:
+        return grid_matrix(_probe(S, nx, ny), nx, ny)
+    mx, my = min(nx, 2), min(ny, 2)
+    model = _from_table(S.classes, 2 * mx, 2 * my)
+    return _from_table(_probe(model, mx, my).reshape(7, my + 1, mx + 1), nx, ny)
 
 
 class VCycle:
@@ -603,26 +605,21 @@ class VCycle:
     Jacobi (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
     coarsest level does COARSE_SWEEPS Jacobi sweeps.  Every matrix product
     goes through ``spmv``, and builds its operator's plan on the first
-    cycle.
-
-    S's class table (``_classes``) is sought once; where it exists, each
-    coarse operator comes from a model grid with its own table, and each
-    level's weight, a function of each node's entries alone, is computed
-    per class and expanded.  Elsewhere, every coarse operator is probed on
-    the whole grid: an S that differs from its classes at some node passes
-    that difference to the coarse nodes around it.
+    cycle.  A level's weight is a function of each node's entries alone, so
+    where its operator has a class table (``DiaMatrix.classes``) it is
+    computed per class and expanded.  ValueError if ``cells`` is empty.
     """
 
     def __init__(self, S: DiaMatrix, cells: list[tuple[int, int]]):
+        if not cells:
+            raise ValueError("a V-cycle needs at least one coarse grid")
         self.cells = list(cells)  # coarse cells below each level but the last
-        grids = [(2 * nx, 2 * ny) for nx, ny in self.cells[:1]] + self.cells
-        self.operators, tables = [S], [_classes(S.data, *grids[0]) if grids else None]
+        self.operators = [S]
         for nx, ny in self.cells:
-            coarse, table = _coarse(self.operators[-1], tables[-1], nx, ny)
-            self.operators.append(coarse)
-            tables.append(table)
-        self._weights = []  # grids is empty for a V-cycle of one level
-        for op, table, grid in zip(self.operators, tables, grids or [None]):
+            self.operators.append(galerkin(self.operators[-1], nx, ny))
+        (nx, ny), self._weights = self.cells[0], []
+        for op, grid in zip(self.operators, [(2 * nx, 2 * ny)] + self.cells):
+            table = op.classes
             data = op.data if table is None else table
             diagonal = data[np.searchsorted(op.offsets, 0)]
             g = (np.abs(data).sum(axis=0) / diagonal).max()

@@ -437,6 +437,9 @@ def products_per_block(A):
     return {sum(c is not None for c, *_ in terms) for _, terms in A.plan[0]}
 
 
+SIGN_BIT = np.iinfo(np.int64).min  # the bits of -0.0
+
+
 def with_signed_zeros(rng, a):
     """``a`` with about a quarter of its entries set to +0.0 or -0.0."""
     zeros = rng.random(a.shape) < 0.25
@@ -445,27 +448,41 @@ def with_signed_zeros(rng, a):
 
 
 def nan_padded(data, nx):
-    """``data`` with NaN where a diagonal leaves the matrix, which no product may read."""
-    n = data.shape[1]
+    """``data`` with NaN where a diagonal leaves the matrix, which no product
+    may read, but for two slots that keep their class's value so that every
+    class stays one value: node (1, 0) on diagonal -m - 1 and node
+    (ny - 1, nx) on m + 1, whose side edge runs are otherwise inside."""
+    n, m = data.shape[1], nx + 1
+    kept = data[0, m], data[6, n - m - 1]
     for d, (dx, dy) in zip(data, monofem.sparse.GRID_NEIGHBOURS):
-        offset = dx + dy * (nx + 1)
+        offset = dx + dy * m
         d[max(0, n - offset):] = np.nan
         d[:max(0, -offset)] = np.nan
+    data[0, m], data[6, n - m - 1] = kept
     return data
+
+
+def edge_run_nodes(nx, ny):
+    """The nodes of the edge runs of at least two nodes on the grid of
+    nx x ny cells: a change at one of them leaves its class."""
+    grid = np.arange((ny + 1) * (nx + 1)).reshape(ny + 1, nx + 1)
+    runs = [grid[[0, -1], 1:-1]] * (nx >= 3) + [grid[1:-1, [0, -1]]] * (ny >= 3)
+    return [node for run in runs for node in run.ravel().tolist()]
 
 
 @st.composite
 def grid_operator(draw):
-    """Diagonals of an operator on the grid of nx x ny cells (one value per
-    diagonal over the interior nodes, random values with signed zeros on
-    the boundary), a vector with signed zeros and perhaps one inf or NaN,
-    and a block size.  The interior values repeat across diagonals as the
-    assembled operators' do (symmetric pairs, all seven equal) or at
-    random, and perhaps two diagonals hold +0.0 and -0.0, or NaN."""
+    """Diagonals of an operator on the grid of nx x ny cells expanded from a
+    random class table with signed zeros, NaN-padded; perhaps one edge-run
+    node off its class by its sign bit; a vector with signed zeros and
+    perhaps one inf or NaN; and a block size.  The interior class's values
+    repeat across diagonals as the assembled operators' do (symmetric
+    pairs, all seven equal) or at random, and perhaps two diagonals hold
+    +0.0 and -0.0, or NaN."""
     nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     n = (nx + 1) * (ny + 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    data = with_signed_zeros(rng, rng.standard_normal((7, n)))
+    table = with_signed_zeros(rng, rng.standard_normal((7, min(ny + 1, 3), min(nx + 1, 3))))
     values = draw(st.lists(st.sampled_from([0.0, -0.0]) | finite, min_size=7, max_size=7))
     share = draw(st.sampled_from([range(7), (0, 1, 2, 3, 2, 1, 0), (0,) * 7])
                  | st.lists(st.integers(0, 6), min_size=7, max_size=7))
@@ -474,34 +491,43 @@ def grid_operator(draw):
     if pair is not None:
         j, k = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
         interior[j], interior[k] = pair
-    data.reshape(7, ny + 1, nx + 1)[:, 1:-1, 1:-1] = np.array(interior)[:, None, None]
+    if nx >= 2 and ny >= 2:
+        table[:, 1, 1] = interior
+    data = nan_padded(monofem.sparse._expand(table, nx, ny), nx)
+    nodes = edge_run_nodes(nx, ny)
+    moved = bool(nodes) and draw(st.booleans())
+    if moved:
+        data.view(np.int64)[draw(st.integers(0, 6)), draw(st.sampled_from(nodes))] ^= SIGN_BIT
     x = with_signed_zeros(rng, rng.standard_normal(n))
     bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
     if bad is not None:
         x[draw(st.integers(0, n - 1))] = bad
     block = draw(st.sampled_from([monofem.sparse.SPMV_BLOCK, 1, 2, 3, 7]))
-    return nx, ny, nan_padded(data, nx), x, block
+    return nx, ny, data, moved, x, block
 
 
 @given(grid_operator())
 # Every product -0.0: a row sum that starts from +0.0 ends at +0.0.
-@example((3, 3, nan_padded(-np.ones((7, 16)), 3), np.zeros(16), monofem.sparse.SPMV_BLOCK))
+@example((3, 3, nan_padded(-np.ones((7, 16)), 3), False, np.zeros(16), monofem.sparse.SPMV_BLOCK))
 def test_spmv_paths_agree_on_grid_operators(case):
-    # A grid operator with an interior (nx, ny >= 2) gets scalar
-    # coefficients, one product per distinct interior value (by its bits)
-    # in each block.  Its product is byte-equal to each row's in-range
-    # stored products summed in column order (never the NaN padding), and
-    # a non-finite entry of x makes the same rows non-finite, so the ring
-    # reads no entry of x that the stored diagonals do not.  Blocks of a
-    # few rows split the interior rows; the plan is built inside the patch.
-    nx, ny, data, x, block = case
+    # A grid operator with a class table (``DiaMatrix.classes``) and an
+    # interior (nx, ny >= 2) gets scalar coefficients, one product per
+    # distinct interior value (by its bits) in each block; one edge-run node
+    # off its class gets stretches of the diagonals.  Either product is
+    # byte-equal to each row's in-range stored products summed in column
+    # order (never the NaN padding), and a non-finite entry of x makes the
+    # same rows non-finite, so the ring reads no entry of x that the stored
+    # diagonals do not.  Blocks of a few rows split the interior rows; the
+    # plan is built inside the patch.
+    nx, ny, data, moved, x, block = case
     m, n = nx + 1, len(x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monofem.sparse, "SPMV_BLOCK", block)
         A = grid_matrix(data.copy(), nx, ny)
         blocks, _, edge, _, _, values = A.plan
     check_block_terms(A)
-    if nx >= 2 and ny >= 2:
+    assert (A.classes is None) == moved
+    if nx >= 2 and ny >= 2 and not moved:
         assert coefficient_kinds(A) == {True}
         distinct = set(data[:, m + 1].view(np.int64).tolist())
         assert products_per_block(A) == {len(distinct)}
@@ -513,6 +539,67 @@ def test_spmv_paths_agree_on_grid_operators(case):
     else:
         assert coefficient_kinds(A) <= {False}
     check_product(A, x, in_range_entries(A))
+
+
+# Class entries: signed zeros, NaN, subnormals and normal values.
+class_entries = st.sampled_from([0.0, -0.0, np.nan, 5e-324, -5e-324, 2.225e-308]) | finite
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.data())
+def test_classes_of_expanded_data(nx, ny, data):
+    # The oracle of DiaMatrix.classes is the table that _expand writes over
+    # the grid: given back as int64, read-only.  One sign bit flipped at one
+    # node of a class of two or more nodes takes the table away; at a
+    # corner it flips that entry of the table.  Any other layout has none.
+    m, n = nx + 1, (nx + 1) * (ny + 1)
+    shape = (7, min(ny + 1, 3), min(nx + 1, 3))
+    entries = data.draw(st.lists(class_entries, min_size=math.prod(shape),
+                                 max_size=math.prod(shape)))
+    table = np.array(entries).reshape(shape)
+    A = grid_matrix(monofem.sparse._expand(table, nx, ny), nx, ny)
+    assert np.array_equal(A.classes.view(np.int64), table.view(np.int64))
+    assert not A.classes.flags.writeable
+    d, node = data.draw(st.integers(0, 6)), data.draw(st.integers(0, n - 1))
+    flipped = A.data.copy()
+    flipped.view(np.int64)[d, node] ^= SIGN_BIT
+    (i, rows), (j, cols) = ([(k, run) for k, run in enumerate(monofem.sparse._runs(nodes))
+                             if run.start <= at < run.stop][0]
+                            for nodes, at in ((ny + 1, node // m), (m, node % m)))
+    got = grid_matrix(flipped, nx, ny).classes
+    if rows.stop - rows.start == cols.stop - cols.start == 1:
+        table.view(np.int64)[d, i, j] ^= SIGN_BIT
+        assert np.array_equal(got.view(np.int64), table.view(np.int64))
+    else:
+        assert got is None
+    offsets, wide = A.offsets.tolist(), np.pad(A.data, ((0, 0), (0, 1)))
+    for other in (DiaMatrix(n, n + 1, offsets, A.data, A.nnz),  # not square
+                  DiaMatrix(n + 1, n + 1, offsets, wide, A.nnz),  # n + 1 not a multiple of m
+                  DiaMatrix(n, n, offsets[:-1], A.data[:-1], A.nnz),  # six diagonals
+                  DiaMatrix(2 * n, 2 * n, offsets[:-1] + [m + 2], np.tile(A.data, 2), A.nnz)):
+        assert other.classes is None
+
+
+def test_galerkin_needs_the_fine_grid():
+    # On both paths.  S on 10 x 10 cells has a class table, and once gave a
+    # 9-row operator for galerkin(S, 2, 2) from its model grid; S with a
+    # node off its class is probed.  S on 8 x 4 cells has the 45 rows of
+    # the grid of 4 x 8 cells, but not its offsets.
+    for cx, cy, wrong in ((5, 5, [(2, 2), (5, 4), (6, 6)]), (4, 2, [(2, 4)])):
+        S = system(fine_mesh(cx, cy), 1.0, DiffusionTensor.diagonal(1.0, 1.0))
+        moved = edge_run_moved(S, 2 * cx, 2 * cy)
+        assert S.classes is not None and moved.classes is None
+        for op in (S, moved):
+            assert galerkin(op, cx, cy).nrows == (cx + 1) * (cy + 1)
+            for nx, ny in wrong:
+                with pytest.raises(DimensionMismatch):
+                    galerkin(op, nx, ny)
+
+
+def test_vcycle_needs_a_coarse_grid():
+    # A V-cycle of one level once raised IndexError in its first cycle.
+    S = system(fine_mesh(2, 2), 1.0, DiffusionTensor.diagonal(1.0, 1.0))
+    with pytest.raises(ValueError, match="coarse grid"):
+        VCycle(S, [])
 
 
 def test_spmv_path_of_assembled_operators():
@@ -743,6 +830,13 @@ def test_diagonal_storage_of_assembled_operators():
         assert mat.data.shape == (7, mesh.n_nodes)
 
 
+def cg_at(tol, *args, **kwargs):
+    """``cg_solve`` with ``DEFAULT_CG_TOL``, its one tolerance, set to ``tol``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monofem.sparse, "DEFAULT_CG_TOL", tol)
+        return cg_solve(*args, **kwargs)
+
+
 def test_cg_diagonal():
     A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
     x, iters = cg_solve(A, np.array([2.0, 1.0]))
@@ -762,7 +856,7 @@ def test_cg_against_dense_oracle():
     dense = random_spd(rng, 20)
     b = rng.standard_normal(20)
     expect = np.linalg.solve(dense, b)
-    x, _ = cg_solve(to_dia(dense), b, rel_tol=1e-12)
+    x, _ = cg_at(1e-12, to_dia(dense), b)
     np.testing.assert_allclose(x, expect, atol=1e-8)
 
 
@@ -772,7 +866,7 @@ def test_cg_residual_contract():
         dense = random_spd(rng, n)
         A = to_dia(dense)
         b = rng.standard_normal(n)
-        x, _ = cg_solve(A, b, rel_tol=1e-10)
+        x, _ = cg_at(1e-10, A, b)
         assert np.linalg.norm(b - dense @ x) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -802,7 +896,7 @@ def sparse_spd_system(draw):
 def test_cg_property_random_sparse_spd(system):
     A, b = system
     rel_tol = 1e-10
-    x, _ = cg_solve(A, b, rel_tol=rel_tol)
+    x, _ = cg_at(rel_tol, A, b)
     bnorm = np.linalg.norm(b)
     assert np.linalg.norm(b - spmv(A, x)) <= rel_tol * bnorm
     # Every eigenvalue of B^T B + I is >= 1, so |x - x*| <= |A (x - x*)|,
@@ -817,8 +911,16 @@ def test_cg_property_random_sparse_spd(system):
 @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
 def test_cg_rejects_bad_tolerance(tol):
     A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
-    with pytest.raises(ValueError):
-        cg_solve(A, np.array([2.0, 1.0]), rel_tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        cg_at(tol, A, np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_cg_rejects_max_iter_below_one(max_iter):
+    # max_iter=-1 once reported "CG did not converge in -1 iterations".
+    A = from_triplets(2, 2, [0, 1], [0, 1], [2.0, 1.0])
+    with pytest.raises(ValueError, match="max_iter"):
+        cg_solve(A, np.array([2.0, 1.0]), max_iter=max_iter)
 
 
 def test_cg_no_convergence():
@@ -826,7 +928,7 @@ def test_cg_no_convergence():
     dense = random_spd(rng, 30)
     b = rng.standard_normal(30)
     with pytest.raises(NoConvergence) as info:
-        cg_solve(to_dia(dense), b, rel_tol=1e-14, max_iter=2)
+        cg_at(1e-14, to_dia(dense), b, max_iter=2)
     assert info.value.residual > 0
     assert info.value.iterations == 2
 
@@ -900,7 +1002,7 @@ def test_cg_failure_reports_preconditioned_residual_norm():
     b = rng.standard_normal(12)
     scale = 1 / np.arange(1.0, 13.0)  # B = diag(scale), SPD and far from I
     with pytest.raises(NoConvergence) as info:
-        cg_solve(to_dia(dense), b, rel_tol=1e-14, max_iter=1, precondition=lambda r: scale * r)
+        cg_at(1e-14, to_dia(dense), b, max_iter=1, precondition=lambda r: scale * r)
     z = scale * b  # the one step from x0 = 0
     x = (b @ z) / (z @ dense @ z) * z
     true = np.linalg.norm(b - dense @ x)
@@ -1083,11 +1185,11 @@ def test_hierarchy_on_a_model_grid_equals_full_probing(monkeypatch, case, k):
     # most 2 x 2 coarse cells and expanded; elsewhere, on the whole grid.
     # Each coarse operator and each level's smoother weight must equal,
     # as int64, those of probing every level on the whole grid, the oracle
-    # that _classes returning None forces.  The variable tensor, and S
-    # with one edge-run node off its class, probe the whole grid.
+    # that DiaMatrix.classes returning None forces.  The variable tensor,
+    # and S with one edge-run node off its class, probe the whole grid.
     mesh, change, model = HIERARCHY_CASES[case]
     cells = halvings(mesh)
-    classes, probed = monofem.sparse._classes, []
+    classes, probed = DiaMatrix.classes, []
 
     def recorded(u, nx, ny, _original=monofem.sparse.prolong):
         probed.append((nx, ny))
@@ -1098,9 +1200,9 @@ def test_hierarchy_on_a_model_grid_equals_full_probing(monkeypatch, case, k):
         S = system(mesh, k, D)
         if change is not None:
             S = change(S, *mesh.grid)
-        monkeypatch.setattr(monofem.sparse, "_classes", lambda data, nx, ny: None)
+        monkeypatch.setattr(DiaMatrix, "classes", property(lambda self: None))
         oracle = VCycle(S, cells)
-        monkeypatch.setattr(monofem.sparse, "_classes", classes)
+        monkeypatch.setattr(DiaMatrix, "classes", classes)
         probed.clear()
         B = VCycle(S, cells)
         # Nine probes per coarse grid: of the model's cells or the grid's.
@@ -1116,6 +1218,13 @@ def test_hierarchy_on_a_model_grid_equals_full_probing(monkeypatch, case, k):
             assert np.array_equal(got.offsets, expect.offsets) and got.nnz == expect.nnz
             weight, expect_weight = B._weights[level], oracle._weights[level]
             assert np.array_equal(weight.view(np.int64), expect_weight.view(np.int64))
+            # A coarse operator caches the table it was expanded from; a scan
+            # of its data must find the same one.
+            scanned, cached = DiaMatrix.classes.func(got), got.classes
+            assert (scanned is None) == (cached is None)
+            assert (cached is not None) == (model and D.constant is not None)
+            if cached is not None:
+                assert np.array_equal(scanned.view(np.int64), cached.view(np.int64))
         for (nx, ny), fine, coarse in zip(cells, oracle.operators, oracle.operators[1:]):
             assert np.array_equal(galerkin(fine, nx, ny).data.view(np.int64),
                                   coarse.data.view(np.int64))
@@ -1160,7 +1269,7 @@ def test_multigrid_pcg_property(B, seed):
     S = B.operators[0]
     b = np.random.default_rng(seed).uniform(-1e3, 1e3, S.nrows)
     rel_tol = 1e-10
-    x, _ = cg_solve(S, b, rel_tol=rel_tol, precondition=B)
+    x, _ = cg_at(rel_tol, S, b, precondition=B)
     bnorm = np.linalg.norm(b)
     assert np.linalg.norm(b - spmv(S, x)) <= rel_tol * bnorm
     # |x - x*| <= |S^-1| (|b - S x| + |b - S x*|), S's smallest eigenvalue
