@@ -7,27 +7,24 @@ interpolation, and the mass-matrix L2 norm.
 On the uniform grid (``TriMesh.grid``), a matrix is assembled by the
 blocks of cell rows of ``mesh.cell_row_blocks``, in mesh order, as in the
 blocked element loop of MILAMIN (Dabrowski, Krotkiewski & Schmid, G-cubed
-9, Q04030, 2008): each block is one slice of the triangles, ``_corners``
-computes its geometry, the 3 x 3 element matrices are built from it, and
-each of their 18 entries (triangle type, row vertex, column vertex) is
-added into its diagonal of DIA storage with one sliced add over the
-block's cells.  So no array of one value per element-matrix entry, nor any
-geometry, is ever made for the whole mesh.  When the grid's cells are
-congruent (``TriMesh.congruent``, as on ``build_uniform_mesh``'s grids at
-dyadic h) and the element matrices depend on the geometry alone (M, and
-A for a constant tensor), only the first cell's element matrices are
-built.  The same adds then run once on a model grid of at most 2 x 2
-cells, whose nodes are one of each class (corner, edge run, interior),
-and ``sparse._expand`` writes each class's entries over the grid.  Any
-other mesh sums its whole element arrays with ``from_triplets``.  The
-mesh has no geometry API.
+9, Q04030, 2008): ``_corners`` computes each block's geometry, and each of
+the 18 entries (triangle type, row vertex, column vertex) of the 3 x 3
+element matrices is added into its diagonal of DIA storage with one
+sliced add over the block's cells.  No array of one value per
+element-matrix entry, nor any geometry, is made for the whole mesh.  When
+the cells are congruent (``TriMesh.congruent``, as at dyadic h) and the
+element matrices depend on the geometry alone (M, and A for a constant
+tensor), the first cell's are added once on a model grid of at most 2 x 2
+cells, whose nodes are one of each class (corner, edge run, interior):
+its entries are the class table the matrix is made from.  Any other mesh
+sums its whole element arrays with ``from_triplets``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh, cell_row_blocks
-from .sparse import GRID_NEIGHBOURS, DiaMatrix, _expand, from_triplets, grid_matrix, spmv
+from .mesh import CELL_TRIANGLES, DegenerateTriangle, TriMesh, cell_row_blocks, grid_triangles
+from .sparse import GRID_NEIGHBOURS, DiaMatrix, from_triplets, grid_matrix, spmv
 
 # Reference-triangle integrals of products of the three P1 basis functions,
 # scaled by 1/area: int phi_i phi_j = area/12 * (1 + delta_ij).
@@ -112,14 +109,15 @@ def _corners(mesh: TriMesh, s: slice):
             names the first one in the slice.
     """
     ids = range(mesh.n_triangles)[s]  # TypeError for an index array
-    triangles = mesh.triangles[s].T
+    stored = vars(mesh).get("triangles")  # else the grid's, of the cell rows that hold them
+    triangles = (grid_triangles(mesh.grid[0], ids) if stored is None else stored[s]).T
     x, y = mesh.nodes[:, 0][triangles], mesh.nodes[:, 1][triangles]
     det = (x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0])
     bad = np.flatnonzero(~(det > 0))
     if len(bad):
         k = bad[0]
         raise DegenerateTriangle(
-            f"triangle {ids[k]} (nodes {mesh.triangles[ids[k]].tolist()}) has signed area "
+            f"triangle {ids[k]} (nodes {triangles[:, k].tolist()}) has signed area "
             f"{0.5 * det[k]!r}; every triangle must be counterclockwise with positive area"
         )
     return x, y, det
@@ -138,10 +136,10 @@ def _assemble(mesh: TriMesh, element, geometric: bool) -> DiaMatrix:
     broadcast, into a model grid of min(nx, 2) x min(ny, 2) cells.  Each of
     its nodes is one class of the grid's nodes (a corner, an edge run or
     the interior), which meets the same element entries in the same order
-    wherever it sits, so ``_expand`` writes the model's entries over each
-    class.  Either path sums every DIA entry from 0.0 in triplet order and
-    takes the triangles in mesh order, so a DegenerateTriangle names the
-    mesh's lowest bad triangle."""
+    wherever it sits, so the model's entries are the matrix's class table
+    (``DiaMatrix.classes``).  Either path sums every DIA entry from 0.0 in
+    triplet order and takes the triangles in mesh order, so a
+    DegenerateTriangle names the mesh's lowest bad triangle."""
     if mesh.grid is None:
         n, tri = mesh.n_nodes, mesh.triangles
         vals = element(slice(0, mesh.n_triangles)).transpose(2, 0, 1)  # [p, i, j]
@@ -157,8 +155,7 @@ def _assemble(mesh: TriMesh, element, geometric: bool) -> DiaMatrix:
         vals = element(slice(first, first + 2 * rows * cols)).reshape(3, 3, rows, cols, 2)
         for i, j, t, d, dx, dy in _GRID_ENTRIES:
             data[d, r0 + dy : r1 + dy, dx : dx + mx] += vals[i, j, ..., t]
-    data = _expand(data, nx, ny) if one_cell else data.reshape(len(GRID_NEIGHBOURS), -1)
-    return grid_matrix(data, nx, ny)
+    return grid_matrix(data if one_cell else data.reshape(len(GRID_NEIGHBOURS), -1), nx, ny)
 
 
 def assemble_mass(mesh: TriMesh) -> DiaMatrix:

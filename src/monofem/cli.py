@@ -5,12 +5,13 @@ as CSV or markdown.  Exit codes: 0 success; 2 usage error (bad flags or
 values, ``--dt`` outside a mesh sweep or ``--fixed-h`` outside a timestep
 sweep, a spacing or time step that does not divide the domain or the
 final time, a time step too large for the explicit reaction step along
-the homogeneous or the manufactured trajectory, an unwritable ``--out``);
-3 the solver failed (CG did not converge, stalled or broke down, the
-homogeneous reference did not converge, or the state became
-non-finite) or the run did not fit in memory (a ``MemoryError``, which
-numpy raises when it cannot allocate an array).  Every usage error except
-an unwritable ``--out`` is reported before any computation starts.
+the homogeneous or the manufactured trajectory, or so small that no array
+holds the homogeneous trajectory's steps, an unwritable ``--out``); 3 the
+solver failed (CG did not converge, stalled or broke down, the
+homogeneous reference did not converge, or the state became non-finite)
+or the run did not fit in memory (a ``MemoryError``, which numpy raises
+when it cannot allocate an array).  Every usage error except an
+unwritable ``--out`` is reported before any computation starts.
 """
 from __future__ import annotations
 

@@ -3,16 +3,13 @@
 Each square cell of an N x N grid is split into two triangles along the
 diagonal from its lower-left to its upper-right corner.  Nodes are ordered
 row-major by (y, x) so that matrix sparsity patterns are reproducible.
-A mesh keeps only ``nodes`` and ``triangles`` per node and triangle, and
-the operators assembled on it (``TriMesh.operators``).  It knows whether
-its triangles are those of the uniform grid (``TriMesh.grid``), which
-assembly and the multigrid solver ask, and whether all the grid's cells
-have the same coordinate differences (``TriMesh.congruent``), which
-assembly asks.  The mesh has no geometry API: assembly computes the areas
-and basis gradients block by block each time it builds a matrix, or, on
-congruent cells, those of the first cell only.  ``cell_row_blocks`` is
-the one walk over the grid's cell rows, in mesh order, that both the grid
-check and grid assembly take.
+``build_uniform_mesh`` keeps the nodes and its grid (``TriMesh.grid``), not
+the triangles: ``grid_triangles`` builds any range of them from the cell
+rows that hold them.  A mesh also knows whether the grid's cells all have
+the same coordinate differences (``TriMesh.congruent``), and caches its
+operators.  It has no geometry API: assembly computes areas and gradients
+by the blocks of ``cell_row_blocks``, the one walk over the cell rows in
+mesh order, or, on congruent cells, of the first cell only.
 """
 from __future__ import annotations
 
@@ -54,23 +51,21 @@ class TriMesh:
 
     Attributes:
         nodes: (n_nodes, 2) array of vertex coordinates.
-        triangles: (n_triangles, 3) integer array of node indices, counterclockwise.
+        triangles: (n_triangles, 3) integer array of node indices,
+            counterclockwise; None for the grid of ``bounds`` and ``h``, whose
+            triangles are then built anew where read.
         h: grid spacing of the underlying square cells.
         bounds: (xmin, ymin, xmax, ymax).
 
-    ``grid`` tells whether the triangles are the uniform grid's, and
-    ``congruent`` whether its cells all have the same coordinate
-    differences; ``operators`` caches the matrices.  The mesh keeps
-    nothing else per triangle and has no geometry API: assembly computes
-    each block's areas and gradients and keeps none.  ``nodes`` and ``triangles`` are
-    read-only, and checked when the mesh is made (DimensionMismatch for
-    another shape, ``index_array`` for the node indices); an array the
-    caller passes is copied unless it is read-only already.  Meshes
-    compare and hash by identity.
+    The mesh keeps nothing else but ``grid``, ``congruent`` and
+    ``operators``.  ``nodes`` and ``triangles`` are read-only and checked
+    when the mesh is made (DimensionMismatch for another shape or node
+    count, ``index_array``, ``grid_cells``); a caller's array is copied
+    unless it is read-only already.  Meshes compare and hash by identity.
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
+    triangles: np.ndarray | None
     h: float
     bounds: tuple[float, float, float, float]
 
@@ -78,11 +73,24 @@ class TriMesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.shape[1:] != (2,):
             raise DimensionMismatch(f"nodes must be (n, 2), got shape {nodes.shape}")
+        object.__setattr__(self, "nodes", frozen(nodes, self.nodes))
+        if self.triangles is None:  # the grid, known by construction
+            del vars(self)["triangles"]
+            nx, ny = vars(self)["grid"] = grid_cells(self.bounds, self.h)
+            if len(nodes) != (nx + 1) * (ny + 1):
+                raise DimensionMismatch(f"{nx} x {ny} cells need {(nx + 1) * (ny + 1)} nodes, "
+                                        f"got {len(nodes)}")
+            return
         triangles = index_array(self.triangles, "triangles", len(nodes))
         if triangles.shape[1:] != (3,):
             raise DimensionMismatch(f"triangles must be (m, 3), got shape {triangles.shape}")
-        object.__setattr__(self, "nodes", frozen(nodes, self.nodes))
         object.__setattr__(self, "triangles", frozen(triangles, self.triangles))
+
+    def __getattr__(self, name):
+        """``triangles`` of a mesh made without them: the grid's, built anew."""
+        if name != "triangles" or "grid" not in vars(self):
+            raise AttributeError(name)
+        return grid_triangles(self.grid[0], range(self.n_triangles))
 
     @property
     def n_nodes(self) -> int:
@@ -90,30 +98,24 @@ class TriMesh:
 
     @property
     def n_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return len(self.triangles) if "triangles" in vars(self) else 2 * math.prod(self.grid)
 
     @cached_property
     def grid(self) -> tuple[int, int] | None:
-        """(nx, ny) if the triangles are ``grid_triangles(nx, ny)`` for the
-        nx x ny cells of side h in ``bounds`` and there are (nx+1)(ny+1)
-        nodes, else None.  The nodes need not lie on the grid.
-
-        The triangles are compared by the blocks of ``cell_row_blocks``,
-        with one block of the grid's triangles shifted up a block at a
-        time, so no second whole array is built."""
+        """(nx, ny) if the triangles are ``grid_triangles`` of the nx x ny
+        cells of side h in ``bounds`` and there are (nx+1)(ny+1) nodes (the
+        nodes need not lie on the grid), else None; compared by the blocks
+        of ``cell_row_blocks``, so no second whole array is built."""
         try:
             nx, ny = grid_cells(self.bounds, self.h)
         except NonDivisibleSpacing:
             return None
         if self.n_nodes != (nx + 1) * (ny + 1) or self.n_triangles != 2 * nx * ny:
             return None
-        blocks = cell_row_blocks(nx, ny)
-        block = grid_triangles(nx, blocks[0][1])  # no later block is longer
-        for r0, r1 in blocks:
-            given = self.triangles[2 * nx * r0 : 2 * nx * r1]
-            if not np.array_equal(given, block[: len(given)]):
+        for r0, r1 in cell_row_blocks(nx, ny):
+            ids = range(2 * nx * r0, 2 * nx * r1)
+            if not np.array_equal(self.triangles[ids.start : ids.stop], grid_triangles(nx, ids)):
                 return None
-            block += (r1 - r0) * (nx + 1)
         return nx, ny
 
     @cached_property
@@ -122,10 +124,9 @@ class TriMesh:
         differences are the first cell's, bit for bit, so every cell has the
         first cell's element matrices: the x spacings along the first node
         row are one float, as int64 bits, and so are the y spacings up the
-        first node column (O(nx + ny), which rules out non-dyadic spacings
-        at once); then every node has its column's x and its row's y (O(n)).
-        A difference b - a is then one value per cell, as a - b = -(b - a)
-        exactly."""
+        first node column (O(nx + ny), which rules out non-dyadic spacings);
+        then every node has its column's x and its row's y (O(n)), so a
+        difference b - a is one value per cell, as a - b = -(b - a) exactly."""
         if self.grid is None:
             return False
         nx, ny = self.grid
@@ -171,18 +172,17 @@ def grid_cells(bounds, h: float) -> tuple[int, int]:
 
 def build_uniform_mesh(bounds=DEFAULT_BOUNDS, h: float = 1 / 8) -> TriMesh:
     """Triangulate the rectangle ``bounds`` with square cells of side ``h``
-    (NonDivisibleSpacing as in ``grid_cells``)."""
+    (NonDivisibleSpacing as in ``grid_cells``); the mesh stores its nodes
+    and its grid, not its triangles."""
     nx, ny = grid_cells(bounds, h)
     xmin, ymin, xmax, ymax = map(float, bounds)
 
     nodes = np.empty((ny + 1, nx + 1, 2))  # row-major by (y, x)
     nodes[..., 0] = np.linspace(xmin, xmax, nx + 1)
     nodes[..., 1] = np.linspace(ymin, ymax, ny + 1)[:, None]
-
-    nodes, triangles = nodes.reshape(-1, 2), grid_triangles(nx, ny)
-    for a in (nodes, triangles):
-        a.setflags(write=False)  # so that TriMesh need not copy them
-    return TriMesh(nodes=nodes, triangles=triangles, h=h, bounds=(xmin, ymin, xmax, ymax))
+    nodes = nodes.reshape(-1, 2)
+    nodes.setflags(write=False)  # so that TriMesh need not copy it
+    return TriMesh(nodes=nodes, triangles=None, h=h, bounds=(xmin, ymin, xmax, ymax))
 
 
 def cell_row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
@@ -193,12 +193,14 @@ def cell_row_blocks(nx: int, ny: int) -> list[tuple[int, int]]:
     return [(r0, min(ny, r0 + rows)) for r0 in range(0, ny, rows)]
 
 
-def grid_triangles(nx: int, ny: int) -> np.ndarray:
-    """Triangles of the grid of nx x ny cells with row-major nodes: cell
-    (cx, cy) holds triangles 2 (cy nx + cx) + t, t = 0, 1, on the corners
-    CELL_TRIANGLES[t] of the cell."""
-    ll = np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)  # lower-left nodes
+def grid_triangles(nx: int, ids: range) -> np.ndarray:
+    """Triangles ``ids`` (a range of step 1) of the grid of nx cells per row
+    with row-major nodes, read-only, built from the cell rows that hold
+    them: cell (cx, cy) holds triangles 2 (cy nx + cx) + t, t = 0, 1, on the
+    corners CELL_TRIANGLES[t] of the cell."""
+    r0, r1 = ids.start // (2 * nx), -(-ids.stop // (2 * nx))
+    ll = np.arange(r0, r1)[:, None] * (nx + 1) + np.arange(nx)  # lower-left nodes
     corners = [[dx + dy * (nx + 1) for dx, dy in t] for t in CELL_TRIANGLES]
-    triangles = np.empty((ny, nx, 2, 3), dtype=np.int64)
-    np.add(ll[..., None, None], corners, out=triangles)
-    return triangles.reshape(-1, 3)
+    triangles = np.add(ll[..., None, None], corners, dtype=np.int64).reshape(-1, 3)
+    triangles.setflags(write=False)
+    return triangles[ids.start - 2 * nx * r0 :][: len(ids)]

@@ -8,7 +8,7 @@ and cancels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -79,27 +79,28 @@ class MonodomainSolver:
 
     M and A come from ``mesh.operators`` (see there for when they are
     assembled and dropped); only S = M + k A and its V-cycle are per solver.
-
-    ``multigrid`` is the V-cycle that preconditions CG on S, or None.  S is
-    its finest level; ``_multigrid`` hands it the coarse grids, which halve
-    the cells of the uniform mesh while both cell counts are even and
-    k / H^2 >= 1 on the coarse spacing H.  A coarser S is dominated by the
-    mass matrix and plain CG needs few iterations on it, so the hierarchy
-    has more than one level only for k >= 4 h^2; at k = h^2 CG stays plain.
+    S is summed entry by entry, of M's and A's class tables where both have
+    one (``DiaMatrix.classes``): S then stores its table, with the bits of
+    the sum of their data.  ``multigrid`` is the V-cycle that preconditions
+    CG on S, or None.  S is its finest level; ``_multigrid`` hands it the
+    coarse grids, which halve the cells of the uniform mesh while both cell
+    counts are even and k / H^2 >= 1 on the coarse spacing H.  A coarser S
+    is dominated by the mass matrix and plain CG needs few iterations on it,
+    so the hierarchy has more than one level only for k >= 4 h^2.
     """
 
     def __init__(self, mesh: TriMesh, cfg: SolverConfig):
         self.cfg = cfg
-        # M and A are scattered from the same triangles, so they share their
-        # diagonals and S = M + k A is a sum of data arrays.
+        # M and A are scattered from the same triangles: they share their diagonals.
         ops = mesh.operators
         if cfg.diffusion not in ops:
             ops[cfg.diffusion] = assemble_mass(mesh), assemble_stiffness(mesh, cfg.diffusion)
-        self.mass, A = ops[cfg.diffusion]
-        data = cfg.k * A.data
-        data += self.mass.data  # M + k A, without a second temporary
+        M, A = ops[cfg.diffusion]
+        tables = M.classes is not None and A.classes is not None
+        data = cfg.k * (A.classes if tables else A.data)
+        data += M.classes if tables else M.data  # without a second temporary
         data.setflags(write=False)  # so that DiaMatrix need not copy it
-        self.system = replace(self.mass, data=data)
+        self.mass, self.system = M, DiaMatrix(M.nrows, M.ncols, M.offsets, data, M.nnz)
         self.multigrid = _multigrid(mesh, self.system, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)

@@ -2,22 +2,22 @@
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA); ``grid_matrix`` makes the seven-diagonal P1
-operator of the uniform mesh.  A product (``DiaMatrix.plan``) adds each
-diagonal's coefficient times a shifted slice of x into cache-sized blocks
-of rows through one reused buffer, and recomputes the other rows from
-their stored entries.  On congruent cells with a constant tensor (dyadic
-h), every node of M, A, S and each Galerkin operator of S holds the
-entries of its class (a corner, an edge run or the interior), and
-``DiaMatrix.classes`` holds that table: the plan then multiplies by the
-interior class's scalars, ``galerkin`` probes a model grid of at most
-2 x 2 coarse cells, and ``VCycle`` weights each class, all bit for bit.
-``from_triplets`` sums COO arrays into DIA storage by ``np.bincount``, and
-refuses a matrix whose storage would far exceed its entries.  CG solves
-SPD systems to ``DEFAULT_CG_TOL``, optionally preconditioned, checks its
-true residual at one site and updates its vectors in place; ``VCycle`` is
-the preconditioner for P1 operators on nested uniform grids, whose
-transfers act on the node grid of ``mesh.py`` as a few contiguous 1-D
-passes per family of edge midpoints.
+operator of the uniform mesh.  On congruent cells with a constant tensor
+(dyadic h), every node of M, A, S and each Galerkin operator of S holds
+the entries of its class (a corner, an edge run or the interior), so its
+class table ``DiaMatrix.classes`` (at most 7 x 3 x 3 values) is all it
+stores.  A product (``DiaMatrix.plan``) adds each diagonal's coefficient
+(a stretch of it, or the interior class's scalar) times a shifted slice
+of x into cache-sized blocks of rows through one reused buffer, and
+recomputes the other rows from their entries.  ``galerkin`` probes a
+model grid of at most 2 x 2 coarse cells and ``VCycle`` weights each
+class, all bit for bit.  ``from_triplets`` sums COO arrays into DIA
+storage by ``np.bincount``, and refuses a matrix whose storage would far
+exceed its entries.  CG solves SPD systems to ``DEFAULT_CG_TOL``,
+optionally preconditioned, checks its true residual at one site and
+updates its vectors in place; ``VCycle`` is the preconditioner for P1
+operators on nested uniform grids, whose transfers act on the node grid
+of ``mesh.py`` as a few contiguous 1-D passes per family of edge midpoints.
 """
 from __future__ import annotations
 
@@ -32,9 +32,8 @@ DEFAULT_CG_TOL = 1e-10
 
 # Rows per block of ``spmv``.  A block of y and its products take
 # (1 + q) x 256 kB, q the products per block (2 for M, 3 or 4 for S), so
-# they stay in a 2 MB L2 cache while every diagonal is added into the
-# block; a whole-length pass per diagonal would stream y through memory
-# seven times once n exceeds L2.
+# they stay in a 2 MB L2 cache while every diagonal is added into the block;
+# a whole-length pass per diagonal would stream y seven times past L2.
 SPMV_BLOCK = 1 << 15
 
 # +0.0 as a 0-d array, which numpy adds faster than a Python float.
@@ -52,9 +51,13 @@ STORAGE_SLACK = 1024
 GRID_NEIGHBOURS = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _grid_offsets(m: int) -> list[int]:
-    """The offsets of GRID_NEIGHBOURS on a grid of m nodes per row."""
-    return [dx + dy * m for dx, dy in GRID_NEIGHBOURS]
+def _grid_line(A) -> int:
+    """m if A is square with the offsets dx + dy m of GRID_NEIGHBOURS on
+    whole rows of m nodes (so n / m >= 2 rows of m >= 2 nodes), else 0."""
+    n, offsets = A.nrows, A.offsets.tolist()
+    m = offsets[-2] if len(offsets) == 7 else 0
+    grid = offsets == [dx + dy * m for dx, dy in GRID_NEIGHBOURS]
+    return m if grid and A.ncols == n and n % m == 0 else 0
 
 
 class IndexOutOfRange(IndexError):
@@ -106,17 +109,19 @@ class DiaMatrix:
     Row ``j`` of ``data`` holds diagonal ``offsets[j]`` (column - row),
     indexed by row and zero-padded where it leaves the matrix; entries that
     are not stored are 0.  ``nnz`` counts the distinct stored (row, col)
-    pairs.  Storage is distinct diagonals x nrows floats: 7 n for every
-    matrix monofem assembles, but (nrows + ncols - 1) x nrows for a dense one.
-    ``data`` is copied unless it is read-only already (``frozen``).
-    ``plan``, worked out on the first product, is what ``spmv`` walks.
-    Matrices compare and hash by identity.
+    pairs.  Storage is distinct diagonals x nrows floats, up to
+    (nrows + ncols - 1) x nrows for a dense matrix; but a grid operator
+    made from its class table (``data`` (7, a, b), as ``classes`` returns
+    it) stores that table only, and expands ``data`` from it where first
+    read, bit for bit, and keeps it.  ``data`` is copied unless it is
+    read-only already (``frozen``).  ``plan``, worked out on the first
+    product, is what ``spmv`` walks.  Matrices compare and hash by identity.
     """
 
     nrows: int
     ncols: int
     offsets: np.ndarray  # (n_diagonals,) int64, strictly ascending
-    data: np.ndarray  # (n_diagonals, nrows) float64
+    data: np.ndarray  # (n_diagonals, nrows) float64, or a grid operator's (7, a, b) class table
     nnz: int
 
     def __post_init__(self):
@@ -129,30 +134,37 @@ class DiaMatrix:
         if np.any((offsets <= -self.nrows) | (offsets >= self.ncols)):
             raise DimensionMismatch(f"offsets {offsets.tolist()} leave a "
                                     f"{self.nrows} x {self.ncols} matrix")
-        data = np.asarray(self.data, dtype=float)
-        if data.shape != (len(offsets), self.nrows):
-            raise DimensionMismatch(f"data shape {data.shape} does not fit "
-                                    f"{len(offsets)} diagonals of {self.nrows} rows")
         offsets.setflags(write=False)
-        data = frozen(data, self.data)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "data", data)
+        data, m = np.asarray(self.data, dtype=float), _grid_line(self)
+        table = m and data.ndim == 3
+        if data.shape != ((7, min(self.nrows // m, 3), min(m, 3)) if table
+                          else (len(offsets), self.nrows)):
+            raise DimensionMismatch(f"data shape {data.shape} is neither {len(offsets)} diagonals "
+                                    f"of {self.nrows} rows nor a grid operator's class table")
+        vars(self)["classes" if table else "data"] = frozen(data, vars(self).pop("data"))
+
+    def __getattr__(self, name):
+        """``data`` of an operator made from its class table, expanded and kept."""
+        if name != "data" or "classes" not in vars(self):
+            raise AttributeError(name)
+        m, data = _grid_line(self), vars(self)["classes"]
+        vars(self)["data"] = data = _expand(data, m - 1, self.nrows // m - 1)
+        data.setflags(write=False)
+        return data
 
     @cached_property
     def classes(self) -> np.ndarray | None:
-        """The read-only class table (7, a, b) of a grid operator whose every
-        node holds its class's entries, compared as int64 with the padding
-        (so +0.0 and -0.0 differ); else None.
-
-        A grid operator is square with the offsets dx + dy m of
-        GRID_NEIGHBOURS (so n / m >= 2 rows of m >= 2 nodes).  Row class i
-        and column class j of ``_runs`` (a, b <= 3) are represented by their
-        first node.  Edge runs are compared before the interior, so a grid
-        whose edge runs differ is refused after O(n / m + m) compares.
+        """The read-only class table (7, a, b) of a grid operator (``_grid_line``)
+        whose every node holds its class's entries, compared as int64 with
+        the padding (so +0.0 and -0.0 differ); else None.  An operator made
+        from its table holds it from the start and is never scanned.  Row
+        class i and column class j of ``_runs`` (a, b <= 3) are represented
+        by their first node.  Edge runs are compared before the interior, so
+        a grid whose edge runs differ is refused after O(n / m + m) compares.
         """
-        n, offsets = self.nrows, self.offsets.tolist()
-        m = offsets[-2] if len(offsets) == 7 else 0
-        if not (offsets == _grid_offsets(m) and self.ncols == n and n % m == 0):
+        n, m = self.nrows, _grid_line(self)
+        if not m:
             return None
         bits = self.data.view(np.int64).reshape(7, n // m, m)
         first_last_row, first_last_col = slice(None, None, n // m - 1), slice(None, None, m - 1)
@@ -172,27 +184,27 @@ class DiaMatrix:
 
         ``blocks`` tiles the rows that every diagonal reaches in blocks of
         SPMV_BLOCK rows: one ``(rows, terms)`` each, with one term
-        ``(c, xs, into, ts)`` per diagonal in ascending offset order.  The
-        term adds the slice ``ts`` of a kept buffer, which holds the
-        diagonal's coefficient times x[rows + offset], into the block.  A
-        term whose ``c`` is not None first multiplies ``c`` by the slice
+        ``(c, xs, into, ts)`` per diagonal in ascending offset order, which
+        adds the slice ``ts`` of a kept buffer of ``size`` floats, holding
+        the diagonal's coefficient times x[rows + offset], into the block.
+        A term whose ``c`` is not None first multiplies ``c`` by the slice
         ``xs`` of x into the slice ``into`` of the buffer, which starts on a
-        64-byte boundary; a term whose ``c`` is None reads the product of an
-        earlier term.  The buffer holds ``size`` floats.
-        ``edge`` lists the rows to be recomputed from their stored entries:
-        entry e of ``values`` is the stored coefficient of row
-        ``edge[slot[e]]`` in column ``cols[e]``, for every diagonal that
-        reaches the row, ordered by diagonal and then by edge row.
+        64-byte boundary; one whose ``c`` is None reads an earlier product.
+        ``edge`` lists the rows to be recomputed from their entries: entry e
+        of ``values`` is the coefficient of row ``edge[slot[e]]`` in column
+        ``cols[e]``, for every diagonal that reaches the row, ordered by
+        diagonal and then by edge row.
 
         If ``classes`` has an interior class (a grid of at least 3 x 3
-        nodes), ``c`` is a diagonal's entry of that class, a 0-d array, and
-        ``edge`` is the boundary ring.  Diagonals whose entries have the
-        same bits (so +0.0 and -0.0 differ) share one product per block,
-        which spans the x entries all of them read: M has 2 distinct
-        values, S 3 or 4.  On any other matrix, ``c`` is the block's
-        stretch of its diagonal, a read-only view of ``data``, each
-        diagonal has a product of its own, and ``edge`` is every row
-        outside the blocks (all rows if there is no diagonal).
+        nodes), ``c`` is a diagonal's entry of that class, a 0-d array,
+        ``edge`` is the boundary ring, and ``values`` are the ring rows'
+        entries of their classes, so ``data`` is not read.  Diagonals whose
+        entries have the same bits (so +0.0 and -0.0 differ) share one
+        product per block, which spans the x entries all of them read: M has
+        2 distinct values, S 3 or 4.  On any other matrix, ``c`` is the
+        block's stretch of its diagonal, a read-only view of ``data``, each
+        diagonal has a product of its own, and ``edge`` is every row outside
+        the blocks (all rows if there is no diagonal).
         """
         n, offsets = self.nrows, self.offsets.tolist()
         lo = max([0] + [-o for o in offsets])
@@ -201,10 +213,10 @@ class DiaMatrix:
         share, scalars = range(len(offsets)), None  # term j folds the product of term share[j]
         table = self.classes
         if table is not None and table.shape[1:] == (3, 3):
-            scalars = table[:, 1, 1].copy()
+            scalars, m = table[:, 1, 1].copy(), offsets[-2]
             first_with = {}
             share = [first_with.setdefault(c.tobytes(), j) for j, c in enumerate(scalars)]
-            boundary = np.ones((n // offsets[-2], offsets[-2]), dtype=bool)
+            boundary = np.ones((n // m, m), dtype=bool)
             boundary[1:-1, 1:-1] = False
             edge = np.flatnonzero(boundary)  # a superset of the rows outside [lo, hi)
         low, high = {}, {}  # the lowest and highest offset that reads each product
@@ -233,8 +245,12 @@ class DiaMatrix:
             blocks.append((slice(a, b), tuple(terms)))
         cols = edge + self.offsets[:, None]
         diagonal, slot = np.nonzero((cols >= 0) & (cols < self.ncols))
-        return (tuple(blocks), size, edge, slot, cols[diagonal, slot],
-                self.data[diagonal, edge[slot]])
+        if scalars is None:
+            values = self.data[diagonal, edge[slot]]
+        else:  # the entries of each ring row's row and column class, 0, 1 or 2
+            r, c = np.divmod(edge[slot], m)
+            values = table[diagonal, np.sign(r) + (r == n // m - 1), np.sign(c) + (c == m - 1)]
+        return tuple(blocks), size, edge, slot, cols[diagonal, slot], values
 
 
 def from_triplets(nrows, ncols, rows, cols, vals) -> DiaMatrix:
@@ -278,10 +294,9 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     order from 0.0, whatever the block size, and reads no padding.  A slot
     inside the matrix that holds no entry adds 0 * x = +-0, which leaves
     every sum unchanged for finite x, so the result is bit-identical to
-    summing only the stored entries of each row.  A grid operator's
-    interior coefficients equal its stored values bit for bit, and a
-    shared product is the same multiply of the same operands, so neither
-    changes a bit either.
+    summing only the stored entries of each row.  A class entry is the
+    entry at each node of its class, and a shared product is the same
+    multiply of the same operands, so neither changes a bit either.
 
     ``out`` must be a float64 array of shape (nrows,) that shares no
     memory with ``x``; DimensionMismatch otherwise.
@@ -313,14 +328,13 @@ def spmv(A: DiaMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 # Product buffers that ``spmv`` takes and puts back, each on a 64-byte
 # boundary: malloc aligns to 16 bytes only, numpy's multiply and add run up
 # to 1.5x slower into and out of a misaligned buffer, and finding the
-# alignment costs about 2 us, as much as a tenth of a product at n = 441.
-# One list for the process rather than one buffer per matrix: it holds a
-# buffer per product running at once, where per-matrix buffers raised
-# sweep_dt's peak RSS by 0.35 MB more.  A buffer holds at most q rows of
-# SPMV_BLOCK + 2m + 2 floats, q the products of a block and m the nodes
-# per grid line (S at h = 1/128: 3 rows, 0.8 MB).  No result depends on
-# which buffer a product gets.  list.pop and list.append are atomic, so
-# each thread takes its own.
+# alignment costs about 2 us, a tenth of a product at n = 441.  One list
+# for the process, holding a buffer per product running at once (buffers
+# per matrix raised sweep_dt's peak RSS by 0.35 MB more).  A buffer holds
+# at most q rows of SPMV_BLOCK + 2m + 2 floats, q the products of a block
+# and m the nodes per grid line (S at h = 1/128: 3 rows, 0.8 MB).  No
+# result depends on which buffer a product gets; list.pop and list.append
+# are atomic, so each thread takes its own.
 _BUFFERS: list[np.ndarray] = []
 
 
@@ -367,10 +381,7 @@ def cg_solve(
     scales x and reported norms back: no norm or p.Ap under- or overflows,
     and the iterates are exactly the unscaled ones wherever those are normal.
     These scaled copies are the only vectors updated in place; b and x0
-    are never written, and the returned x is a new array.
-
-    Returns:
-        (x, iterations)
+    are never written.  Returns (x, iterations), x a new array.
 
     Raises:
         ValueError: DEFAULT_CG_TOL is not finite and positive, or max_iter < 1.
@@ -465,9 +476,8 @@ COARSE_SWEEPS = 4
 
 def prolong(u: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """P u: the P1 function with nodal values ``u`` on the grid of nx x ny
-    cells, at the nodes of the grid refined once (2 nx x 2 ny cells).
-
-    Exact for the lower-left to upper-right diagonal split of ``mesh.py``:
+    cells, at the nodes of the grid refined once (2 nx x 2 ny cells), exact
+    for the lower-left to upper-right diagonal split of ``mesh.py``:
     a coarse node keeps its value, and the midpoint of a horizontal,
     vertical or diagonal coarse edge takes the mean of its two ends.  With
     u in rows of nx + 2 that end in +0.0, each family of midpoints is one
@@ -487,10 +497,9 @@ def prolong(u: np.ndarray, nx: int, ny: int) -> np.ndarray:
 
 def restrict(r: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """P^T r for the ``prolong`` of the same coarse grid: each edge
-    midpoint of the fine grid passes half its value to both ends.
-
-    Each family of midpoints is halved into rows of nx + 1 and added to
-    the coarse nodes as two shifted 1-D slices, in ``prolong``'s order.  A
+    midpoint of the fine grid passes half its value to both ends.  Each
+    family of midpoints is halved into rows of nx + 1 and added to the
+    coarse nodes as two shifted 1-D slices, in ``prolong``'s order.  A
     family of nx per row ends each row in -0.0, which lands only on nodes
     that end no such edge: x + -0.0 is x bit for bit, x = -0.0 included.
     """
@@ -509,12 +518,13 @@ def restrict(r: np.ndarray, nx: int, ny: int) -> np.ndarray:
 def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:
     """The P1 operator on the grid of nx x ny cells of ``mesh.py`` (row-major
     nodes, lower-left to upper-right diagonals) whose diagonal d, the
-    coupling of each node to its neighbour GRID_NEIGHBOURS[d], is data[d].
-    ``data`` (7, n) is made read-only, not copied."""
-    n = (nx + 1) * (ny + 1)
+    coupling of each node to its neighbour GRID_NEIGHBOURS[d], is data[d]:
+    (7, n), or the class table (7, a, b) that the operator then holds.
+    ``data`` is made read-only, not copied."""
+    n, offsets = (nx + 1) * (ny + 1), [dx + dy * (nx + 1) for dx, dy in GRID_NEIGHBOURS]
     nnz = sum((nx + 1 - abs(dx)) * (ny + 1 - abs(dy)) for dx, dy in GRID_NEIGHBOURS)
     data.setflags(write=False)
-    return DiaMatrix(n, n, np.array(_grid_offsets(nx + 1)), data, nnz)
+    return DiaMatrix(n, n, np.array(offsets), data, nnz)
 
 def _runs(nodes: int) -> list[slice]:
     """The node classes along a grid line of ``nodes`` >= 2 nodes: the
@@ -532,15 +542,6 @@ def _expand(table: np.ndarray, nx: int, ny: int) -> np.ndarray:
         for j, c in enumerate(_runs(nx + 1)):
             grid[..., r, c] = table[..., i, j, None, None]
     return grid.reshape(*table.shape[:-2], -1)
-
-
-def _from_table(table: np.ndarray, nx: int, ny: int) -> DiaMatrix:
-    """The operator on the grid of nx x ny cells expanded from the class
-    table (7, a, b), made read-only and cached as its ``classes``."""
-    A = grid_matrix(_expand(table, nx, ny), nx, ny)
-    table.setflags(write=False)
-    vars(A)["classes"] = table  # what a scan of A would find, bit for bit
-    return A
 
 
 def _probe(S: DiaMatrix, nx: int, ny: int) -> np.ndarray:
@@ -571,28 +572,24 @@ def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
     is exactly zero, which is also the padding outside the matrix.
 
     A coarse node's probes read only the rows of S within one fine step of
-    it.  So if S has a class table (``DiaMatrix.classes``: every node holds
-    the entries of its corner, edge run or interior), P^T S P has one too,
-    bit for bit: a coarse node d >= 1 cells from an edge reads only fine
-    rows at least 2d - 1 >= 1 steps from that edge, which are of S's
+    it.  So if S has a class table (``DiaMatrix.classes``), P^T S P has one
+    too, bit for bit: a coarse node d >= 1 cells from an edge reads only
+    fine rows at least 2d - 1 >= 1 steps from that edge, which are of S's
     interior class across it, and it sees the same pattern of probe colours
     around itself wherever it sits.  The probes then run on a model of S
     with at most 2 x 2 coarse cells, whose coarse nodes are one of each
-    class, and the result is expanded to the coarse grid, which keeps it
-    as its ``classes`` (``_from_table``).  Any other S is probed on the
-    whole grid.
-
-    DimensionMismatch unless S has the rows and offsets of 2 nx x 2 ny cells.
+    class: their entries are the coarse operator's table.  Any other S is
+    probed on the whole grid.  DimensionMismatch unless S has the rows and
+    offsets of 2 nx x 2 ny cells.
     """
-    n = (2 * nx + 1) * (2 * ny + 1)
-    if S.nrows != n or S.ncols != n or S.offsets.tolist() != _grid_offsets(2 * nx + 1):
+    if _grid_line(S) != 2 * nx + 1 or S.nrows != (2 * nx + 1) * (2 * ny + 1):
         raise DimensionMismatch(f"galerkin needs an operator on the grid of {2 * nx} x "
                                 f"{2 * ny} cells, got {S.nrows} rows, offsets {S.offsets}")
     if S.classes is None:
         return grid_matrix(_probe(S, nx, ny), nx, ny)
     mx, my = min(nx, 2), min(ny, 2)
-    model = _from_table(S.classes, 2 * mx, 2 * my)
-    return _from_table(_probe(model, mx, my).reshape(7, my + 1, mx + 1), nx, ny)
+    model = grid_matrix(S.classes, 2 * mx, 2 * my)
+    return grid_matrix(_probe(model, mx, my).reshape(7, my + 1, mx + 1), nx, ny)
 
 
 class VCycle:
@@ -603,11 +600,10 @@ class VCycle:
     operators are the Galerkin products P^T S P (``galerkin``).  Each level
     smooths once before and once after the coarse correction by damped
     Jacobi (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
-    coarsest level does COARSE_SWEEPS Jacobi sweeps.  Every matrix product
-    goes through ``spmv``, and builds its operator's plan on the first
-    cycle.  A level's weight is a function of each node's entries alone, so
-    where its operator has a class table (``DiaMatrix.classes``) it is
-    computed per class and expanded.  ValueError if ``cells`` is empty.
+    coarsest level does COARSE_SWEEPS Jacobi sweeps.  Products go through
+    ``spmv``.  A level's weight is a function of each node's entries alone,
+    so it is computed per class where its operator has a class table
+    (``DiaMatrix.classes``), and expanded.  ValueError if ``cells`` is empty.
     """
 
     def __init__(self, S: DiaMatrix, cells: list[tuple[int, int]]):

@@ -172,8 +172,11 @@ def discrete_cell_trajectory(
     This is exactly what the full scheme reduces to for spatially uniform
     states (the stiffness term annihilates constants), so it doubles as an
     independent oracle for the PDE solver.  Returns arrays of length
-    n_steps + 1 including the initial values.
+    n_steps + 1 including the initial values; ValueError if no numpy array
+    can hold that many floats.
     """
+    if (n_steps + 1) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"dt={k:g} takes {n_steps:.4g} steps, more than an array can hold")
     v = np.empty(n_steps + 1)
     w = np.empty(n_steps + 1)
     v[0], w[0] = v0, w0

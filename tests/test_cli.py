@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,22 @@ def test_main_out_of_memory_exit_code(capsys, monkeypatch, error):
     assert captured.err.count("\n") == 1
 
 
+def test_main_step_count_no_array_can_hold(capsys):
+    # dt = 1e-300 takes 2.5e299 steps to T = 0.25: the homogeneous check
+    # once ended in numpy's "Maximum allowed dimension exceeded" from the
+    # trajectory's np.empty.  It is a usage error that names dt and the
+    # step count, found before anything large is allocated.
+    tracemalloc.start()
+    try:
+        assert main(["study", "--levels", "1/8", "--dt", "1e-300"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == "usage error: dt=1e-300 takes 2.5e+299 steps, more than an array can hold\n"
+    assert peak < 1e6
+
+
 EXIT_PATHS = {
     "non-divisible-h": (["--levels", "1/3"], 2),
     "t-final-not-multiple-of-dt": (["--t-final", "0.1", "--dt", "0.03", "--levels", "1/8"], 2),
@@ -206,6 +223,7 @@ EXIT_PATHS = {
     "levels-bad-separator": (["--levels", "1/8;1/16"], 2),
     "t-final-huge": (["--t-final", "1e308"], 2),
     "dt-subnormal": (["--dt", "1e-320"], 2),
+    "dt-step-count-unallocatable": (["--levels", "1/8", "--dt", "1e-300"], 2),
     "diffusion-singular": (["--diffusion", "0,1"], 2),
     "param-empty-key": (["--param", "=1"], 2),
     "param-empty": (["--param", ""], 2),

@@ -234,19 +234,45 @@ def test_geometry_not_kept_and_block_independent():
     # The mesh has no geometry API and keeps only whether it is the grid
     # and whether its cells are congruent after assembly, which computes
     # the geometry by slices of triangles in mesh order; each triangle's
-    # values do not depend on the slice.
-    mesh = jittered(1 / 4)
-    assemble_mass(mesh)
-    assemble_stiffness(mesh)
+    # values do not depend on the slice.  A mesh from build_uniform_mesh
+    # stores no triangles at all: it knows its grid when made, and a
+    # slice's triangles are built from the cell rows that hold them, with
+    # the bytes of the stored array.
+    mesh, uniform = jittered(1 / 4), build_uniform_mesh(BOUNDS, 1 / 4)
+    for m in (mesh, uniform):
+        assemble_mass(m)
+        assemble_stiffness(m)
     assert set(vars(mesh)) == {"nodes", "triangles", "h", "bounds", "grid", "congruent"}
+    assert set(vars(uniform)) == {"nodes", "h", "bounds", "grid", "congruent"}
     assert {a for a in dir(TriMesh) if not a.startswith("_")} == {
         "n_nodes", "n_triangles", "grid", "congruent", "operators"}
     n = mesh.n_triangles
+    stored = TriMesh(uniform.nodes, uniform.triangles, uniform.h, uniform.bounds)
     whole = _corners(mesh, slice(0, n))
     for size in (1, 7, n):
         blocks = [_corners(mesh, slice(a, min(n, a + size))) for a in range(0, n, size)]
         for k, part in enumerate(whole):
             assert np.concatenate([b[k] for b in blocks], axis=-1).tobytes() == part.tobytes()
+        for a in range(0, n, size):
+            s = slice(a, min(n, a + size))
+            for got, want in zip(_corners(uniform, s), _corners(stored, s)):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_grid_mesh_made_without_triangles():
+    # TriMesh(nodes, None, h, bounds) is the grid of bounds and h, checked
+    # when made: h must divide the sides and there must be a node per grid
+    # node.  Its triangles are the grid's, read-only, built where read.
+    mesh = build_uniform_mesh(BOUNDS, 1 / 4)
+    assert mesh.grid == (10, 10) and mesh.n_triangles == 200 and "triangles" not in vars(mesh)
+    assert mesh.triangles.tobytes() == meshgrid_construction(BOUNDS, 1 / 4)[1].tobytes()
+    assert not mesh.triangles.flags.writeable and "triangles" not in vars(mesh)
+    with pytest.raises(DimensionMismatch, match="121 nodes, got 120"):
+        TriMesh(mesh.nodes[:-1], None, mesh.h, mesh.bounds)
+    with pytest.raises(NonDivisibleSpacing):
+        TriMesh(mesh.nodes, None, 0.3, mesh.bounds)
+    with pytest.raises(AttributeError):
+        mesh.no_such_attribute
 
 
 def test_grid_is_found_by_the_triangles(monkeypatch):
@@ -291,6 +317,13 @@ def test_caller_arrays_are_copied_and_package_arrays_kept(monkeypatch):
     assert mesh.nodes[0, 0] == 0.0 and mesh.triangles[0, 0] == 0 and A.data[0, 0] == 1.0
     for a in (mesh.nodes, mesh.triangles, A.data, A.offsets):
         assert not a.flags.writeable
+    # So are the arrays built where read: a grid mesh's triangles, and the
+    # data expanded from a class table.
+    grid = build_uniform_mesh(BOUNDS, 1 / 4)
+    M = assemble_mass(grid)
+    assert "data" not in vars(M)
+    for a in (grid.triangles, M.classes, M.data):
+        assert not a.flags.writeable
     # Arrays the package makes are read-only before they are handed over,
     # so none is copied: the mesh, both assembly paths, S and its V-cycle.
     triangle, given = one_triangle(), []
@@ -304,10 +337,12 @@ def test_caller_arrays_are_copied_and_package_arrays_kept(monkeypatch):
     grid = build_uniform_mesh(BOUNDS, 1 / 16)
     cfg = SolverConfig(k=1 / 16, t_final=1 / 16, ionic=make_model("fhn"))
     assert len(MonodomainSolver(grid, cfg).multigrid.operators) == 3
-    kept = TriMesh(grid.nodes, grid.triangles, grid.h, grid.bounds)
-    assert kept.nodes is grid.nodes and kept.triangles is grid.triangles
+    triangles = grid.triangles
+    kept = TriMesh(grid.nodes, triangles, grid.h, grid.bounds)
+    assert kept.nodes is grid.nodes and kept.triangles is triangles
     assemble_mass(triangle)
     from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
-    # 4 mesh arrays, M, A, S, 2 coarse operators, the 2 model grids they
-    # are probed on (one per coarse grid) and 2 triplet matrices
-    assert given == [False] * 13
+    # 3 mesh arrays (the grid stores no triangles), the tables of M, A, S,
+    # 2 coarse operators and the 2 model grids they are probed on (one per
+    # coarse grid), and 2 triplet matrices
+    assert given == [False] * 12

@@ -1,3 +1,4 @@
+import functools
 import gc
 import tracemalloc
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monofem.assembly
 import monofem.mesh
 import monofem.solver
+import monofem.sparse
 from monofem.assembly import (
     DiffusionTensor,
     assemble_mass,
@@ -23,7 +26,7 @@ from monofem.solver import (
     NonFiniteState,
     SolverConfig,
 )
-from monofem.sparse import DEFAULT_CG_TOL, NoConvergence, cg_solve, spmv
+from monofem.sparse import DEFAULT_CG_TOL, DiaMatrix, NoConvergence, cg_solve, spmv
 from monofem.verification import ManufacturedProblem, discrete_cell_trajectory
 
 from test_sparse import dense
@@ -304,20 +307,22 @@ def test_tensor_not_spd_in_the_last_block_stores_nothing(monkeypatch):
 
 
 def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
-    # Besides nodes, triangles and the operators, the mesh keeps only
-    # whether it is the grid, found once by comparing its triangles with
-    # the grid's, block by block, and whether its cells are congruent;
-    # assembly computes the geometry and element values by blocks, or of
-    # one cell, and adds them into DIA storage by slices.  A triplet layout
-    # kept one byte per element-matrix entry (9 per triangle), and triplet
-    # keys with the geometry 14 bytes per entry.
-    calls = []
+    # A build_uniform_mesh set-up builds no whole triangle array and holds
+    # no (7, n) operator array.  The mesh keeps its nodes, its grid (known
+    # when made), whether its cells are congruent and the operators; on
+    # congruent cells assembly builds the first cell's two triangles for
+    # each matrix, and M, A, S and each Galerkin operator of S hold only
+    # their class tables.  A triplet layout kept one byte per
+    # element-matrix entry (9 per triangle), and the mesh's triangle array
+    # 24 bytes per triangle.
+    sizes = []
 
-    def counted(*args, _original=monofem.mesh.grid_triangles):
-        calls.append(args)
-        return _original(*args)
+    def counted(nx, ids, _original=monofem.mesh.grid_triangles):
+        sizes.append(len(ids))
+        return _original(nx, ids)
 
-    monkeypatch.setattr(monofem.mesh, "grid_triangles", counted)
+    for module in (monofem.mesh, monofem.assembly):
+        monkeypatch.setattr(module, "grid_triangles", counted)
     # The product buffers that spmv keeps belong to the process, not the
     # mesh: start with none, so that a test run alone counts the same.
     monkeypatch.setattr(monofem.sparse, "_BUFFERS", [])
@@ -331,15 +336,17 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # Built, then compared once, by blocks of 25 cell rows (8,000 triangles).
-    assert calls == [(160, 160), (160, 25)]
+    assert sizes == [2, 2]
+    assert set(vars(mesh)) == {"nodes", "h", "bounds", "grid", "congruent", "operators"}
     M, A = mesh.operators[D]
-    arrays = (mesh.nodes, mesh.triangles, M.data, A.data)
     buffers = [t.base for t in monofem.sparse._BUFFERS]
-    own = held - sum(a.nbytes for a in (*arrays, *buffers))
-    assert own <= 16_000  # 4-7 kB of Python objects; M and A build no plan until multiplied
+    own = held - sum(a.nbytes for a in (mesh.nodes, *buffers))
+    assert own <= 16_000  # 6 kB of Python objects and class tables
+    solver = MonodomainSolver(mesh, paper_config(h=h, k=1 / 16, diffusion=D))
+    for op in (M, A, solver.system, *solver.multigrid.operators):
+        assert "data" not in vars(op) and op.classes.shape == (7, 3, 3)
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
-    assert calls[2:] == [(20, 20)] * 2
+    assert sizes == [2] * 4
 
 
 def test_operators_cached_per_mesh_and_per_tensor(monkeypatch):
@@ -381,22 +388,65 @@ def set_up_peak(h, **kw):
 
 def test_set_up_memory_peak():
     # tracemalloc counts numpy's buffers, so the peak repeats to a few kB:
-    # 6.45 MB at h = 1/64, bounded here with an 8 % margin.  The cells are
-    # congruent, so M and A are built from one cell's element matrices and
-    # assembly holds no block buffers; with blocks of 25 cell rows (8,000
-    # triangles) the peak was 6.86 MB.  With the triplet keys, the geometry
-    # and three (3, 3, triangles) arrays made whole, it was 18.5 MB.
-    assert set_up_peak(1 / 64) <= 7.0e6
-    # At k = 1/40 the solver also builds a V-cycle over four grids: 7.21 MB.
-    # Its Galerkin operators are probed on a model grid of 2 x 2 coarse
-    # cells; probed on the whole grid of each level, the peak was 9.01 MB.
-    assert set_up_peak(1 / 64, k=1 / 40) <= 7.8e6
+    # 0.86 MB at h = 1/64, bounded here with a 10 % margin.  The mesh stores
+    # its nodes and no triangles, and M, A and S their class tables; with
+    # (7, n) operator arrays and a triangle array the peak was 6.45 MB, and
+    # with the triplet keys, the geometry and three (3, 3, triangles)
+    # arrays made whole, 18.5 MB.
+    assert set_up_peak(1 / 64) <= 0.95e6
+    # At k = 1/40 the solver also builds a V-cycle over four grids: 1.15 MB
+    # (7.21 MB with (7, n) arrays).  Its Galerkin operators are probed on a
+    # model grid of 2 x 2 coarse cells, and hold their class tables.
+    assert set_up_peak(1 / 64, k=1 / 40) <= 1.26e6
 
 
 def test_set_up_memory_peak_fine_mesh():
-    # 25.7 MB at h = 1/128; 27.5 MB with a one-byte triplet layout on the
-    # mesh, and 73.8 MB with whole-mesh arrays.
-    assert set_up_peak(1 / 128) <= 29.7e6
+    # 3.41 MB at h = 1/128, half of it the nodes and half the initial v and
+    # w; 25.6 MB with (7, n) operator arrays and a triangle array, and
+    # 73.8 MB with whole-mesh arrays.
+    assert set_up_peak(1 / 128) <= 3.75e6
+
+
+def test_run_memory_peak_fine_mesh(monkeypatch):
+    # One 16-step run() at h = 1/128, k = h^2, with the mesh held as the
+    # fine_mesh workload holds it: 12.2 MB, the nodes, v, w, CG's vectors
+    # and the step's temporaries at n = 103,041.  With (7, n) operator
+    # arrays and a triangle array it was 34.4 MB.
+    monkeypatch.setattr(monofem.sparse, "_BUFFERS", [])
+    h = 1 / 128
+    cfg = paper_config(make_model("ap"), h=h, t_final=16 * h * h, v0=0.21, w0=0.12)
+    tracemalloc.start()
+    try:
+        mesh = build_uniform_mesh(BOUNDS, h)
+        state = MonodomainSolver(mesh, cfg).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.n == 16 and peak <= 13.0e6
+
+
+@pytest.mark.parametrize("h,k,steps", [(1 / 128, 1 / 128**2, 1), (1 / 64, 1 / 40, 1)],
+                         ids=["fine_mesh", "sweep_dt"])
+def test_no_operator_made_from_a_table_is_scanned(monkeypatch, h, k, steps):
+    # M and A come from one cell's element matrices, S from their class
+    # tables and each Galerkin operator from a model grid's, so none of
+    # them needs DiaMatrix.classes to scan its data: not in set-up, nor in
+    # the products of a step (at k = 1/40 and h = 1/64, with a V-cycle over
+    # four grids).  Scanning S and M once took 0.71 ms at h = 1/128.
+    scans = []
+
+    def counted(A, _scan=DiaMatrix.classes.func):
+        scans.append(A.nrows)
+        return _scan(A)
+
+    classes = functools.cached_property(counted)
+    classes.__set_name__(DiaMatrix, "classes")
+    monkeypatch.setattr(DiaMatrix, "classes", classes)
+    cfg = paper_config(make_model("ap"), h=h, k=k, t_final=steps * k, v0=lambda x, y: 0.2 + 0.1 * x)
+    solver = MonodomainSolver(build_uniform_mesh(BOUNDS, h), cfg)
+    assert solver.run().n == steps
+    assert (solver.multigrid is None) == (k < 4 * h * h)
+    assert scans == []
 
 
 def test_non_integer_step_count_rejected():

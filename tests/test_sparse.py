@@ -1231,6 +1231,64 @@ def test_hierarchy_on_a_model_grid_equals_full_probing(monkeypatch, case, k):
 
 
 @st.composite
+def table_grid(draw):
+    """A dyadic grid of nx x ny cells of side h (1 x 1, 1 x 2, 2 x 2 and
+    80 x 40 among them), the identity or a diagonal tensor, and a k."""
+    nx, ny = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (80, 40)])
+                  | st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    h = 2.0 ** -draw(st.integers(0, 6))
+    D = draw(st.sampled_from([DiffusionTensor.diagonal(1.0, 1.0)])
+             | st.builds(DiffusionTensor.diagonal, st.floats(0.1, 5.0), st.floats(0.1, 5.0)))
+    k = draw(st.sampled_from([h * h, 1 / 40, 1.0]) | st.floats(1e-4, 10.0))
+    return build_uniform_mesh((0.0, 0.0, nx * h, ny * h), h), D, k
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(table_grid(), st.integers(0, 2**32 - 1))
+@example((build_uniform_mesh((0.0, 0.0, 2.5, 1.25), 1 / 32), ASSEMBLY_TENSORS[0], 1 / 40), 0)
+@settings(deadline=None)
+def test_table_operators_expand_to_block_assembly_and_full_probing(case, seed):
+    # M, A, S and each Galerkin level of S on congruent cells are made from
+    # class tables and hold no (7, n) array.  Expanded, each must equal, as
+    # int64, what block assembly of the same nodes, S = k A + M of those
+    # data, and probing every level on the whole grid give; and spmv on it
+    # must equal spmv on its expanded twin, with the twin's plan built from
+    # a scanned table and from diagonal stretches.
+    mesh, D, k = case
+    (nx, ny), n = mesh.grid, mesh.n_nodes
+    cells = halvings(mesh)
+    M, A = assemble_mass(mesh), assemble_stiffness(mesh, D)
+    S = MonodomainSolver(mesh, SolverConfig(k=k, t_final=k, ionic=make_model("fhn"),
+                                            diffusion=D)).system
+    tabled = [M, A, *(VCycle(S, cells).operators if cells else [S])]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TriMesh, "congruent", property(lambda self: False))
+        blocks = [assemble_mass(mesh), assemble_stiffness(mesh, D)]
+        mp.setattr(DiaMatrix, "classes", property(lambda self: None))
+        data = k * blocks[1].data
+        data += blocks[0].data
+        probed = [DiaMatrix(n, n, M.offsets, data, M.nnz)]
+        if cells:
+            probed = VCycle(probed[0], cells).operators
+    rng = np.random.default_rng(seed)
+    for op, expect, (cx, cy) in zip(tabled, blocks + probed, [(nx, ny)] * 3 + cells):
+        assert "data" not in vars(op) and op.classes.shape == (7, min(cy + 1, 3), min(cx + 1, 3))
+        assert bits_equal(op.data, expect.data)
+        assert op.nnz == expect.nnz and np.array_equal(op.offsets, expect.offsets)
+        x = with_signed_zeros(rng, rng.standard_normal(op.ncols))
+        twin = grid_matrix(op.data.copy(), cx, cy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DiaMatrix, "classes", property(lambda self: None))
+            stretched = grid_matrix(op.data.copy(), cx, cy)
+            stretched.plan
+        y = spmv(op, x)
+        assert bits_equal(y, spmv(twin, x)) and bits_equal(y, spmv(stretched, x))
+
+
+@st.composite
 def hierarchy(draw):
     cx, cy = draw(coarse_cells)
     halvings = 1

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import monofem.assembly
 import monofem.mesh
 import monofem.solver
 import monofem.verification
@@ -372,11 +373,11 @@ def test_manufactured_timestep_sweep_has_no_sroc():
     assert {r.reference_error for r in records} == {None}  # the exact solution is analytic
 
 
-# Assembly computes the triangle geometry by blocks, once per matrix, so
-# it is not counted here.  Calls per mesh: grid_triangles makes the mesh's
-# triangles, and makes one block of them when assembly first asks whether
-# the mesh is the grid.
-SET_UP = [(monofem.verification, "build_uniform_mesh", 1), (monofem.mesh, "grid_triangles", 2),
+# Calls per mesh.  The mesh stores no triangles and knows it is the grid
+# when made, so the mesh module builds none; assembly builds the first
+# cell's two triangles once for M and once for A (congruent cells).
+SET_UP = [(monofem.verification, "build_uniform_mesh", 1), (monofem.mesh, "grid_triangles", 0),
+          (monofem.assembly, "grid_triangles", 2),
           (monofem.solver, "assemble_mass", 1), (monofem.solver, "assemble_stiffness", 1)]
 
 
@@ -387,14 +388,15 @@ SET_UP = [(monofem.verification, "build_uniform_mesh", 1), (monofem.mesh, "grid_
 def test_study_builds_and_assembles_each_mesh_once(monkeypatch, sweep, levels, per_name):
     calls = Counter()
     for module, name, _ in SET_UP:
-        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-            calls[_name] += 1
+        def counted(*args, _key=(module.__name__, name), _original=getattr(module, name), **kwargs):
+            calls[_key] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     convergence_study(StudyConfig(model=make_model("fhn"), mode="manufactured", sweep=sweep,
                                   levels=levels, fixed_h=1 / 16, dt_rule=1 / 80, t_final=1 / 20))
-    assert calls == {name: per_mesh * per_name for _, name, per_mesh in SET_UP}
+    expect = {(module.__name__, name): per_mesh * per_name for module, name, per_mesh in SET_UP}
+    assert calls == Counter(expect)  # a name never called counts 0
 
 
 def test_spatial_ladder_frees_each_mesh_before_the_next_solver(monkeypatch):
