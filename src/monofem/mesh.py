@@ -141,10 +141,10 @@ class TriMesh:
     def operators(self) -> weakref.WeakKeyDictionary:
         """Mass and stiffness matrices on this mesh: ``DiffusionTensor`` -> (M, A).
         ``MonodomainSolver`` assembles a pair on first use and reuses it, so
-        solvers for several k on one mesh share it and each builds only
-        S = M + k A and its V-cycle.  Tensors are keyed by identity (a tensor
-        cannot change) and held weakly: (M, A) goes with its tensor or the
-        mesh.  Two tensors on one mesh each assemble their own M."""
+        solvers for several k on one mesh share it and each builds only S =
+        M + k A and its preconditioner.  Tensors are keyed by identity (a
+        tensor cannot change) and held weakly: (M, A) goes with its tensor or
+        the mesh.  Two tensors on one mesh each assemble their own M."""
         return weakref.WeakKeyDictionary()
 
 

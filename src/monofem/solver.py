@@ -21,7 +21,7 @@ from .assembly import (
     interpolate_nodal,
 )
 from .mesh import TriMesh, whole_count
-from .sparse import DiaMatrix, VCycle, cg_solve, spmv
+from .sparse import DiaMatrix, FastDiag, cg_solve, grid_diffusion, spmv
 
 
 class InvalidConfig(ValueError):
@@ -78,15 +78,13 @@ class MonodomainSolver:
     """Holds the assembled system and the discrete trajectory for one run.
 
     M and A come from ``mesh.operators`` (see there for when they are
-    assembled and dropped); only S = M + k A and its V-cycle are per solver.
-    S is summed entry by entry, of M's and A's class tables where both have
-    one (``DiaMatrix.classes``): S then stores its table, with the bits of
-    the sum of their data.  ``multigrid`` is the V-cycle that preconditions
-    CG on S, or None.  S is its finest level; ``_multigrid`` hands it the
-    coarse grids, which halve the cells of the uniform mesh while both cell
-    counts are even and k / H^2 >= 1 on the coarse spacing H.  A coarser S
-    is dominated by the mass matrix and plain CG needs few iterations on it,
-    so the hierarchy has more than one level only for k >= 4 h^2.
+    assembled and dropped); only S = M + k A and its preconditioner are per
+    solver.  S is summed entry by entry, of M's and A's class tables where
+    both have one (``DiaMatrix.classes``): S then stores its table, with the
+    bits of the sum of their data.  ``precondition`` is the ``FastDiag``
+    that preconditions CG on S where the mesh is a grid and k >= 4 h^2, or
+    None: for k < 4 h^2, S is dominated by the mass matrix and plain CG
+    needs few iterations on it.
     """
 
     def __init__(self, mesh: TriMesh, cfg: SolverConfig):
@@ -101,7 +99,7 @@ class MonodomainSolver:
         data += M.classes if tables else M.data  # without a second temporary
         data.setflags(write=False)  # so that DiaMatrix need not copy it
         self.mass, self.system = M, DiaMatrix(M.nrows, M.ncols, M.offsets, data, M.nnz)
-        self.multigrid = _multigrid(mesh, self.system, cfg.k)
+        self.precondition = _preconditioner(mesh, A, cfg.k)
         v = interpolate_nodal(mesh, cfg.v0)
         w = interpolate_nodal(mesh, cfg.w0)
         self.state = SolverState(v=v, w=w, t=0.0, n=0)
@@ -117,7 +115,7 @@ class MonodomainSolver:
             i_app, w_source = cfg.source(s.t)
             f, g = f + i_app, g + w_source
         rhs = spmv(self.mass, s.v + k * f)
-        v_new, _ = cg_solve(self.system, rhs, x0=s.v, precondition=self.multigrid)
+        v_new, _ = cg_solve(self.system, rhs, x0=s.v, precondition=self.precondition)
         w_new = s.w + k * g
         if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
             raise NonFiniteState(f"non-finite nodal values after step {s.n + 1} (t={s.t + k})")
@@ -131,14 +129,9 @@ class MonodomainSolver:
         return self.state
 
 
-def _multigrid(mesh: TriMesh, S: DiaMatrix, k: float) -> VCycle | None:
-    """V-cycle for S on the grids nested below ``mesh``, or None when the
-    hierarchy has one level (or the mesh is not the uniform grid)."""
-    if mesh.grid is None:
+def _preconditioner(mesh: TriMesh, A: DiaMatrix, k: float) -> FastDiag | None:
+    """``FastDiag`` for S = M + k A if the mesh is a grid and k >= 4 h^2,
+    its coefficients read off A (``grid_diffusion``), else None."""
+    if mesh.grid is None or k < 4 * mesh.h * mesh.h:
         return None
-    (nx, ny), H = mesh.grid, 2 * mesh.h
-    cells = []
-    while nx % 2 == 0 and ny % 2 == 0 and k >= H * H:
-        nx, ny, H = nx // 2, ny // 2, 2 * H
-        cells.append((nx, ny))
-    return VCycle(S, cells) if cells else None
+    return FastDiag(*mesh.grid, mesh.h, k, *grid_diffusion(A))

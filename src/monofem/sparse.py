@@ -1,23 +1,21 @@
-"""Minimal sparse matrices, conjugate gradients and a multigrid cycle.
+"""Minimal sparse matrices, conjugate gradients and a DCT preconditioner.
 
 Just enough linear algebra for the implicit diffusion step.  Matrices are
 stored by diagonals (DIA); ``grid_matrix`` makes the seven-diagonal P1
 operator of the uniform mesh.  On congruent cells with a constant tensor
-(dyadic h), every node of M, A, S and each Galerkin operator of S holds
-the entries of its class (a corner, an edge run or the interior), so its
-class table ``DiaMatrix.classes`` (at most 7 x 3 x 3 values) is all it
-stores.  A product (``DiaMatrix.plan``) adds each diagonal's coefficient
-(a stretch of it, or the interior class's scalar) times a shifted slice
-of x into cache-sized blocks of rows through one reused buffer, and
-recomputes the other rows from their entries.  ``galerkin`` probes a
-model grid of at most 2 x 2 coarse cells and ``VCycle`` weights each
-class, all bit for bit.  ``from_triplets`` sums COO arrays into DIA
-storage by ``np.bincount``, and refuses a matrix whose storage would far
-exceed its entries.  CG solves SPD systems to ``DEFAULT_CG_TOL``,
+(dyadic h), every node of M, A and S holds the entries of its class (a
+corner, an edge run or the interior), so its class table
+``DiaMatrix.classes`` (at most 7 x 3 x 3 values) is all it stores.  A
+product (``DiaMatrix.plan``) adds each diagonal's coefficient (a stretch
+of it, or the interior class's scalar) times a shifted slice of x into
+cache-sized blocks of rows through one reused buffer, and recomputes the
+other rows from their entries.  ``from_triplets`` sums COO arrays into
+DIA storage by ``np.bincount``, and refuses a matrix whose storage would
+far exceed its entries.  CG solves SPD systems to ``DEFAULT_CG_TOL``,
 optionally preconditioned, checks its true residual at one site and
-updates its vectors in place; ``VCycle`` is the preconditioner for P1
-operators on nested uniform grids, whose transfers act on the node grid
-of ``mesh.py`` as a few contiguous 1-D passes per family of edge midpoints.
+updates its vectors in place; ``FastDiag`` is the preconditioner for
+S = M + k A on the grid, diagonalised by the DCT-I, with the diffusion
+coefficients that ``grid_diffusion`` reads off A.
 """
 from __future__ import annotations
 
@@ -373,7 +371,7 @@ def cg_solve(
     CG restarts from r (or, after a stall, raises).  ``max_iter`` (default
     10 n) caps the iterations.
     ``precondition`` maps a residual r to z = B r for a symmetric positive
-    definite B ~ A^-1, such as a ``VCycle``; without it, CG is plain and
+    definite B ~ A^-1, such as a ``FastDiag``; without it, CG is plain and
     z is r itself.  Either way the stopping test and the residual reported
     on failure are ||r||, not the recurrence scalar r.z.
 
@@ -463,58 +461,6 @@ def _not_converged(it, rr, tol, e, cause):
     )
 
 
-# Damped-Jacobi weight of the multigrid smoother, and the Jacobi sweeps that
-# stand in for a solve on the coarsest grid.  The cycle is SPD only while
-# weight * lambda_max(diag^-1 S) < 2.  For M + kA with a diagonal tensor D,
-# lambda_max is at most 2; off-diagonal entries of D can raise it towards 3
-# (the P1 element bound).  So a level whose Gershgorin bound g of
-# diag^-1 S exceeds 2.25 is smoothed with the weight MAX_DAMPED_RADIUS / g.
-JACOBI_WEIGHT = 0.8
-MAX_DAMPED_RADIUS = 1.8
-COARSE_SWEEPS = 4
-
-
-def prolong(u: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """P u: the P1 function with nodal values ``u`` on the grid of nx x ny
-    cells, at the nodes of the grid refined once (2 nx x 2 ny cells), exact
-    for the lower-left to upper-right diagonal split of ``mesh.py``:
-    a coarse node keeps its value, and the midpoint of a horizontal,
-    vertical or diagonal coarse edge takes the mean of its two ends.  With
-    u in rows of nx + 2 that end in +0.0, each family of midpoints is one
-    contiguous sum of u and u shifted by 1, nx + 2 or nx + 3 (a sum across
-    a row end adds +0.0, which cannot overflow); the three are halved in
-    one pass and copied into their slots of the fine grid.
-    """
-    m, n = nx + 2, (ny + 1) * (nx + 2)
-    f, p, s = np.empty((2 * ny + 1, 2 * nx + 1)), np.zeros(n + m + 1), np.empty((3, ny + 1, m))
-    p[:n].reshape(ny + 1, m)[:, :-1] = f[::2, ::2] = u.reshape(ny + 1, nx + 1)
-    for t, k in zip(s.reshape(3, n), (1, m, m + 1)):
-        np.add(p[:n], p[k : n + k], t)
-    s *= 0.5
-    f[::2, 1::2], f[1::2, ::2], f[1::2, 1::2] = s[0, :, :nx], s[1, :-1, :-1], s[2, :-1, :nx]
-    return f.ravel()
-
-
-def restrict(r: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """P^T r for the ``prolong`` of the same coarse grid: each edge
-    midpoint of the fine grid passes half its value to both ends.  Each
-    family of midpoints is halved into rows of nx + 1 and added to the
-    coarse nodes as two shifted 1-D slices, in ``prolong``'s order.  A
-    family of nx per row ends each row in -0.0, which lands only on nodes
-    that end no such edge: x + -0.0 is x bit for bit, x = -0.0 included.
-    """
-    r = r.reshape(2 * ny + 1, 2 * nx + 1)
-    c, t = r[::2, ::2].flatten(), np.empty((3 * ny + 1, nx + 1))
-    t[:, nx] = -0.0
-    h, v, d = t[: ny + 1], t[ny + 1 : 2 * ny + 1], t[2 * ny + 1 :]
-    for half, mid in ((h[:, :nx], r[::2, 1::2]), (v, r[1::2, ::2]), (d[:, :nx], r[1::2, 1::2])):
-        np.multiply(mid, 0.5, half)
-    for a, k in ((h.ravel(), 1), (v.ravel(), nx + 1), (d.ravel(), nx + 2)):
-        c[: len(a)] += a
-        c[k:] += a[: len(c) - k]
-    return c
-
-
 def grid_matrix(data: np.ndarray, nx: int, ny: int) -> DiaMatrix:
     """The P1 operator on the grid of nx x ny cells of ``mesh.py`` (row-major
     nodes, lower-left to upper-right diagonals) whose diagonal d, the
@@ -544,100 +490,58 @@ def _expand(table: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return grid.reshape(*table.shape[:-2], -1)
 
 
-def _probe(S: DiaMatrix, nx: int, ny: int) -> np.ndarray:
-    """The data (7, n) of P^T S P, S on the grid of 2 nx x 2 ny cells, by
-    nine probes (see ``galerkin``)."""
-    n = (nx + 1) * (ny + 1)
-    # Colours of the coarse nodes and of one ring of nodes around the grid.
-    colours = np.arange(-1, nx + 2) % 3 + 3 * (np.arange(-1, ny + 2) % 3)[:, None]
-    colour = colours[1:-1, 1:-1].ravel()
-    probes = np.empty((9, n))
-    for c in range(9):
-        probes[c] = restrict(spmv(S, prolong((colour == c).astype(float), nx, ny)), nx, ny)
-    rows = np.arange(n)
-    data = np.empty((len(GRID_NEIGHBOURS), n))
-    for d, (dx, dy) in zip(data, GRID_NEIGHBOURS):
-        d[:] = probes[colours[1 + dy : ny + 2 + dy, 1 + dx : nx + 2 + dx].ravel(), rows]
-    return data
+def grid_diffusion(A: DiaMatrix) -> tuple[float, float]:
+    """(dxx, dyy) = (-(A[1,0] + A[1,1]), -(A[0,1] + A[1,1])) of a grid
+    operator A, its couplings to the neighbours (dx, dy) of GRID_NEIGHBOURS:
+    D00 and D11 of a constant tensor D, bit for bit.  Read off the interior
+    class of ``A.classes``, else the mean over the interior rows (over all
+    rows along an axis of one cell)."""
+    m = _grid_line(A)
+    grid = A.classes if A.classes is not None else A.data.reshape(7, A.nrows // m, m)
+    inner = [slice(1, -1) if size > 2 else slice(None) for size in grid.shape[1:]]
+    c = grid[:, inner[0], inner[1]].mean(axis=(1, 2))
+    return -(c[4] + c[6]), -(c[5] + c[6])
 
 
-def galerkin(S: DiaMatrix, nx: int, ny: int) -> DiaMatrix:
-    """Coarse operator P^T S P of an operator S on the grid of 2 nx x 2 ny
-    cells, for the coarse grid of nx x ny cells.
-
-    P^T S P couples only coarse neighbours, so probing it with the nine
-    vectors that are 1 on one class of a 3 x 3 colouring of the coarse
-    nodes finds every entry: two nodes within one step of each other never
-    share a colour.  A row's probe for a colour none of its neighbours has
-    is exactly zero, which is also the padding outside the matrix.
-
-    A coarse node's probes read only the rows of S within one fine step of
-    it.  So if S has a class table (``DiaMatrix.classes``), P^T S P has one
-    too, bit for bit: a coarse node d >= 1 cells from an edge reads only
-    fine rows at least 2d - 1 >= 1 steps from that edge, which are of S's
-    interior class across it, and it sees the same pattern of probe colours
-    around itself wherever it sits.  The probes then run on a model of S
-    with at most 2 x 2 coarse cells, whose coarse nodes are one of each
-    class: their entries are the coarse operator's table.  Any other S is
-    probed on the whole grid.  DimensionMismatch unless S has the rows and
-    offsets of 2 nx x 2 ny cells.
-    """
-    if _grid_line(S) != 2 * nx + 1 or S.nrows != (2 * nx + 1) * (2 * ny + 1):
-        raise DimensionMismatch(f"galerkin needs an operator on the grid of {2 * nx} x "
-                                f"{2 * ny} cells, got {S.nrows} rows, offsets {S.offsets}")
-    if S.classes is None:
-        return grid_matrix(_probe(S, nx, ny), nx, ny)
-    mx, my = min(nx, 2), min(ny, 2)
-    model = grid_matrix(S.classes, 2 * mx, 2 * my)
-    return grid_matrix(_probe(model, mx, my).reshape(7, my + 1, mx + 1), nx, ny)
-
-
-class VCycle:
-    """Symmetric V(1,1) multigrid cycle, z = B r with B ~ S^-1 SPD.
-
-    S is the finest level.  ``cells`` lists the (nx, ny) cells of the
-    coarse grids, finest first, each halving the grid above it; their
-    operators are the Galerkin products P^T S P (``galerkin``).  Each level
-    smooths once before and once after the coarse correction by damped
-    Jacobi (weight JACOBI_WEIGHT, lowered where needed to keep B SPD); the
-    coarsest level does COARSE_SWEEPS Jacobi sweeps.  Products go through
-    ``spmv``.  A level's weight is a function of each node's entries alone,
-    so it is computed per class where its operator has a class table
-    (``DiaMatrix.classes``), and expanded.  ValueError if ``cells`` is empty.
+class FastDiag:
+    """z = P^-1 r, the fast-diagonalisation preconditioner (Lynch, Rice and
+    Thomas, Numer. Math. 6, 1964) for S = M + k A on the grid of nx x ny
+    cells of side h.  P = (W (x) W) C L C^-1: C is the 2-D DCT-I, W =
+    diag(1/2, 1, ..., 1, 1/2) on each axis, and L = h^2 f + k (dxx (2 - 2 cx)
+    + dyy (2 - 2 cy)) are the eigenvalues, cx and cy the cosines of the
+    frequencies and f = (3 + cx + cy + cx cy) / 6 the symbol of the P1 mass
+    stencil with its (1, 1) coupling averaged with (1, -1).  dxx and dyy
+    are clamped at 0, so P is SPD.  With E the real part of ``np.fft.rfft``
+    of the even extension along an axis, E u = 2 C W u on it, so
+    P^-1 r = E L^-1 E W^-1 r / (4 nx ny): four 1-D passes.
     """
 
-    def __init__(self, S: DiaMatrix, cells: list[tuple[int, int]]):
-        if not cells:
-            raise ValueError("a V-cycle needs at least one coarse grid")
-        self.cells = list(cells)  # coarse cells below each level but the last
-        self.operators = [S]
-        for nx, ny in self.cells:
-            self.operators.append(galerkin(self.operators[-1], nx, ny))
-        (nx, ny), self._weights = self.cells[0], []
-        for op, grid in zip(self.operators, [(2 * nx, 2 * ny)] + self.cells):
-            table = op.classes
-            data = op.data if table is None else table
-            diagonal = data[np.searchsorted(op.offsets, 0)]
-            g = (np.abs(data).sum(axis=0) / diagonal).max()
-            w = min(JACOBI_WEIGHT, MAX_DAMPED_RADIUS / g) / diagonal
-            self._weights.append(w if table is None else _expand(w, *grid))
+    def __init__(self, nx: int, ny: int, h: float, k: float, dxx: float, dyy: float):
+        cx = np.cos(np.pi * np.arange(nx + 1) / nx)
+        cy = np.cos(np.pi * np.arange(ny + 1) / ny)[:, None]
+        eig = h * h * (3 + cx + cy + cy * cx) / 6 + k * (max(dxx, 0.0) * (2 - 2 * cx)
+                                                          + max(dyy, 0.0) * (2 - 2 * cy))
+        self.cells = nx, ny
+        # 1 / (4 nx ny L) by x frequency, then y: the layout of the middle passes.
+        self._scale = (1 / (4 * nx * ny * eig)).T.copy()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._cycle(0, r)
-
-    def _cycle(self, level, r):
-        S, w = self.operators[level], self._weights[level]
-        coarsest = level == len(self.cells)
-        # x = w r; each pass forms y = r - S x and adds w y to x, or on a
-        # finer level's first pass, the prolonged coarse correction.
-        x = w * r
-        for sweep in range(COARSE_SWEEPS - 1 if coarsest else 2):
-            y = spmv(S, x)
-            np.subtract(r, y, y)
-            if coarsest or sweep:
-                y *= w
-                x += y
-            else:
-                y = restrict(y, *self.cells[level])  # frees the fine y for the coarser levels
-                x += prolong(self._cycle(level + 1, y), *self.cells[level])
-        return x
+        (nx, ny), fft = self.cells, np.fft  # numpy.fft is loaded on first use
+        buffer, z = np.empty(2 * max((ny + 1) * nx, (nx + 1) * ny)), r.reshape(ny + 1, nx + 1)
+        # Passes along x, y, y and x, each over the lines of z (lines, n + 1):
+        # W^-1 on the first two, P's eigenvalues between the middle two.  The
+        # even extension is made in ``buffer`` and z dropped before its rfft,
+        # so at most 4 n floats live.
+        for i, n in enumerate((nx, ny, ny, nx)):
+            even = buffer[: 2 * n * len(z)].reshape(-1, 2 * n)
+            even[:, : n + 1], even[:, n + 1 :] = z, z[:, n - 1 : 0 : -1]
+            if i < 2:
+                even[:, ::n] *= 2
+            del z
+            z = fft.rfft(even).real
+            if i == 1:
+                z *= self._scale
+            elif i != 3:
+                z = z.T
+        del buffer, even
+        return z.ravel()

@@ -373,7 +373,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         final = solver.run()
         steps.append(scfg.n_steps)
         errors.append(l2_norm(solver.mass, final.v - interpolate_nodal(mesh, v_final)))
-        del solver, final  # free this level's S and V-cycle before the next ones are built
+        del solver, final  # free this level's S and FastDiag before the next ones are built
 
     measurable = len(errors) >= 2 and min(errors) > 0
     sroc, troc = compute_rates(errors, hs, dts) if measurable else ([None] * len(errors),) * 2

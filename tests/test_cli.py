@@ -328,8 +328,10 @@ def test_csv_deterministic_across_runs(tmp_path):
 
 
 # Byte-exact tables: any change to the arithmetic of assembly, the system
-# matrix or CG, or to the formatting, shows up here.  They were recorded on
-# OpenBLAS's SkylakeX kernel (numpy 2.4.6 with scipy-openblas 0.3.31).
+# matrix, CG or its preconditioner, or to the formatting, shows up here.
+# They were recorded on OpenBLAS's SkylakeX kernel (numpy 2.4.6 with
+# scipy-openblas 0.3.31).  manufactured-dt's steps are stiff (k >= 4 h^2),
+# so its CG is preconditioned by FastDiag through np.fft.
 # Under other kernels (OPENBLAS_CORETYPE=Haswell, for one) ap-ladder and
 # fhn-non-dyadic change in the 12th digit of their finest l2_error: both
 # are homogeneous studies, and where CG stops follows how BLAS ddot rounds.
@@ -348,8 +350,8 @@ GOLDEN = [
     (
         ["--mode", "manufactured", "--sweep", "timestep", "--fixed-h", "1/16",
          "--levels", "1/20,1/40", "--t-final", "0.25", "--model", "rm"],
-        "0,0.0625,0.05,5,0.0205808896014,,\n"
-        "1,0.0625,0.025,10,0.010101439464,,1.02674\n",
+        "0,0.0625,0.05,5,0.0205808896021,,\n"
+        "1,0.0625,0.025,10,0.0101014394644,,1.02674\n",
     ),
     # h = 1/10 and 1/20 are not dyadic: linspace nodes give each diagonal
     # several values over the interior, so every product multiplies by

@@ -325,7 +325,7 @@ def test_caller_arrays_are_copied_and_package_arrays_kept(monkeypatch):
     for a in (grid.triangles, M.classes, M.data):
         assert not a.flags.writeable
     # Arrays the package makes are read-only before they are handed over,
-    # so none is copied: the mesh, both assembly paths, S and its V-cycle.
+    # so none is copied: the mesh, both assembly paths and S.
     triangle, given = one_triangle(), []
 
     def recorded(a, caller, _original=monofem.sparse.frozen):
@@ -336,13 +336,12 @@ def test_caller_arrays_are_copied_and_package_arrays_kept(monkeypatch):
         monkeypatch.setattr(module, "frozen", recorded)
     grid = build_uniform_mesh(BOUNDS, 1 / 16)
     cfg = SolverConfig(k=1 / 16, t_final=1 / 16, ionic=make_model("fhn"))
-    assert len(MonodomainSolver(grid, cfg).multigrid.operators) == 3
+    assert MonodomainSolver(grid, cfg).precondition is not None  # k >= 4 h^2: FastDiag
     triangles = grid.triangles
     kept = TriMesh(grid.nodes, triangles, grid.h, grid.bounds)
     assert kept.nodes is grid.nodes and kept.triangles is triangles
     assemble_mass(triangle)
     from_triplets(2, 2, [0, 1], [0, 1], [1.0, 2.0])
-    # 3 mesh arrays (the grid stores no triangles), the tables of M, A, S,
-    # 2 coarse operators and the 2 model grids they are probed on (one per
-    # coarse grid), and 2 triplet matrices
-    assert given == [False] * 12
+    # 3 mesh arrays (the grid stores no triangles), the tables of M, A and
+    # S, and 2 triplet matrices
+    assert given == [False] * 8

@@ -1,6 +1,10 @@
 import functools
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from monofem.solver import (
 from monofem.sparse import DEFAULT_CG_TOL, DiaMatrix, NoConvergence, cg_solve, spmv
 from monofem.verification import ManufacturedProblem, discrete_cell_trajectory
 
-from test_sparse import dense
+from test_sparse import ASSEMBLY_TENSORS, dense
 
 BOUNDS = (-1.25, -1.25, 1.25, 1.25)
 
@@ -108,8 +112,74 @@ def test_cg_iteration_counts_pinned(monkeypatch):
         k=1 / 40, t_final=1 / 40, ionic=p.model, v0=v_at(0.0), w0=0.5 * v_at(0.0),
         source=lambda t: p.sources(v_at(t)),
     )
-    # Stiff (k / h^2 = 102): multigrid-preconditioned, 4 levels; plain CG took 230.
-    assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [12]
+    # Stiff (k / h^2 = 102): preconditioned by FastDiag, 3 iterations (12
+    # with a four-level V-cycle); plain CG took 230.
+    assert first_step_cg_iterations(monkeypatch, mesh, manufactured) == [3]
+
+
+IDENTITY, ROTATED, VARIABLE = ASSEMBLY_TENSORS
+
+
+def jittered(mesh):
+    jitter = np.random.default_rng(0).uniform(-0.2, 0.2, mesh.nodes.shape) * mesh.h
+    return TriMesh(mesh.nodes + jitter, mesh.triangles, mesh.h, mesh.bounds)
+
+
+# name: (mesh, k, tensor, CG iterations of the first step with FastDiag,
+# with the four-or-fewer-level V-cycle it replaced).
+STIFF_STEPS = {
+    "identity": (lambda: build_uniform_mesh(BOUNDS, 1 / 64), 1 / 40, IDENTITY, 4, 14),
+    "diag-3.7-0.2": (lambda: build_uniform_mesh(BOUNDS, 1 / 64), 1 / 40,
+                     DiffusionTensor.diagonal(3.7, 0.2), 4, 36),
+    "rotated": (lambda: build_uniform_mesh(BOUNDS, 1 / 64), 1 / 40, ROTATED, 14, 15),
+    "variable": (lambda: build_uniform_mesh(BOUNDS, 1 / 64), 1 / 40, VARIABLE, 17, 19),
+    "k-10": (lambda: build_uniform_mesh(BOUNDS, 1 / 64), 10.0, IDENTITY, 3, 19),
+    "80x40-variable": (lambda: build_uniform_mesh((-1.25, -0.625, 1.25, 0.625), 1 / 32), 1.0,
+                       VARIABLE, 19, 22),
+    "h-1/20": (lambda: build_uniform_mesh(BOUNDS, 1 / 20), 1 / 40, IDENTITY, 5, 17),
+    "jittered": (lambda: jittered(build_uniform_mesh(BOUNDS, 1 / 16)), 1.0, IDENTITY, 19, 18),
+    "h-1/128": (lambda: build_uniform_mesh(BOUNDS, 1 / 128), 1 / 40, IDENTITY, 3, 15),
+}
+
+
+@pytest.mark.parametrize("case", STIFF_STEPS, ids=STIFF_STEPS)
+def test_first_stiff_step_needs_no_more_iterations_than_the_v_cycle(monkeypatch, case):
+    # The first fhn step from v = 0.2 + 0.1 cos(pi x) cos(2 pi y), x0 = v.
+    # Each count is pinned and at most the V-cycle's, except on jittered
+    # nodes (19 against 18): P is built for the uniform grid and its cells
+    # there differ by up to 40 % in area.  Plain CG took 291 on the first.
+    make_mesh, k, D, iterations, v_cycle = STIFF_STEPS[case]
+    mesh = make_mesh()
+    x, y = mesh.nodes.T
+    cfg = SolverConfig(k=k, t_final=k, ionic=make_model("fhn"), diffusion=D, w0=0.0,
+                       v0=0.2 + 0.1 * np.cos(np.pi * x) * np.cos(2 * np.pi * y))
+    assert first_step_cg_iterations(monkeypatch, mesh, cfg) == [iterations]
+    assert iterations <= v_cycle + (case == "jittered")
+
+
+def test_numpy_fft_loaded_only_to_precondition():
+    # Importing numpy.fft takes 0.26 MB of RSS.  A process whose solves are
+    # all plain leaves it as numpy left it (numpy 1.x imports it itself),
+    # and the first preconditioned step loads it.
+    code = """if True:
+        import sys
+        import numpy
+        before = "numpy.fft" in sys.modules
+        from monofem.ionic import make_model
+        from monofem.mesh import build_uniform_mesh
+        from monofem.solver import MonodomainSolver, SolverConfig
+        mesh = build_uniform_mesh((0.0, 0.0, 1.0, 1.0), 1 / 8)
+        for k in (1 / 64, 1 / 16):
+            MonodomainSolver(mesh, SolverConfig(k=k, t_final=k, ionic=make_model("fhn"),
+                                                v0=lambda x, y: x)).run()
+            print(before, "numpy.fft" in sys.modules)
+    """
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    plain, preconditioned = (line.split() for line in proc.stdout.splitlines())
+    assert plain[1] == plain[0] and preconditioned[1] == "True"
 
 
 def test_cg_tolerance_is_read_from_sparse(monkeypatch):
@@ -130,9 +200,9 @@ def test_cg_tolerance_is_read_from_sparse(monkeypatch):
     assert iterations == sorted(iterations) and len(set(iterations)) == 4
 
 
-def stiff_first_step(multigrid):
+def stiff_first_step(preconditioned):
     """The solver of the first manufactured fhn step at h = 1/64, k = 1/40,
-    with its V-cycle or with plain CG."""
+    with its FastDiag or with plain CG."""
     mesh = build_uniform_mesh(BOUNDS, 1 / 64)
     p = ManufacturedProblem(make_model("fhn"))
     v_at = p.v_on(*mesh.nodes.T)
@@ -140,20 +210,20 @@ def stiff_first_step(multigrid):
         k=1 / 40, t_final=1 / 40, ionic=p.model, v0=v_at(0.0), w0=0.5 * v_at(0.0),
         source=lambda t: p.sources(v_at(t)),
     ))
-    assert solver.multigrid is not None
-    if not multigrid:
-        solver.multigrid = None
+    assert solver.precondition is not None
+    if not preconditioned:
+        solver.precondition = None
     return solver
 
 
-@pytest.mark.parametrize("multigrid", [True, False], ids=["v-cycle", "plain"])
-def test_cg_stops_when_it_stalls(monkeypatch, multigrid):
+@pytest.mark.parametrize("preconditioned", [True, False], ids=["preconditioned", "plain"])
+def test_cg_stops_when_it_stalls(monkeypatch, preconditioned):
     # 1e-15 is below the attainable accuracy of this stiff first step (the
     # true residual stalls near 1e-15 of ||b||), so each true-residual check
     # fails and CG once restarted until 10 n = 259,210 iterations.  It now
     # raises at the first check that does not halve the true residual:
-    # after 21 iterations with the V-cycle, 455 without.
-    solver = stiff_first_step(multigrid)
+    # after 6 iterations with FastDiag (21 with a V-cycle), 455 without.
+    solver = stiff_first_step(preconditioned)
     monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", 1e-15)
     with pytest.raises(NoConvergence, match=r"CG did not converge in \d+ iterations \(stalled") as info:
         solver.step()
@@ -167,7 +237,7 @@ def test_cg_restart_converges(monkeypatch, tol):
     # at least halves the true residual of the check before, and CG
     # restarts from it and converges (once at 1e-13, after 311 iterations;
     # twice at 5e-14).  A product that is not an iteration's is a check.
-    solver = stiff_first_step(multigrid=False)
+    solver = stiff_first_step(preconditioned=False)
     monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", tol)
     products, solves = [], []
 
@@ -206,7 +276,7 @@ def _tensor(kind, a, b, rho):
 )
 def test_step_matches_dense_solve(nx, ny, h, factor, kind, a, b, rho, model, seed):
     # One full step on non-uniform (v, w) against a dense solve of
-    # S v' = M (v + k f): k = h^2 runs plain CG, k = 10 h^2 the V-cycle.
+    # S v' = M (v + k f): k = h^2 runs plain CG, k = 10 h^2 FastDiag.
     # v in [0, 1] keeps ap's v + mu2 clear of 0.
     mesh = build_uniform_mesh((0.0, 0.0, nx * h, ny * h), h)
     rng = np.random.default_rng(seed)
@@ -214,7 +284,7 @@ def test_step_matches_dense_solve(nx, ny, h, factor, kind, a, b, rho, model, see
     ionic, k = make_model(model), factor * h * h
     cfg = SolverConfig(k=k, t_final=k, ionic=ionic, diffusion=_tensor(kind, a, b, rho), v0=v, w0=w)
     solver = MonodomainSolver(mesh, cfg)
-    assert (solver.multigrid is None) == (factor == 1)
+    assert (solver.precondition is None) == (factor == 1)
     f, g = ionic(v, w)
     S = dense(solver.system)
     expect = np.linalg.solve(S, dense(solver.mass) @ (v + k * f))
@@ -234,24 +304,28 @@ def test_records_holding_arrays_compare_by_identity():
     assert len({mesh, other, mesh}) == 2
 
 
-@pytest.mark.parametrize("factor,levels", [(1, 1), (3.9, 1), (4, 2), (100, 3)])
-def test_multigrid_levels(factor, levels):
-    # The 20 x 20 grid is halved while both cell counts are even and
-    # k / H^2 >= 1; at k = 100 h^2 it stops at 5 x 5 cells, an odd count.
+@pytest.mark.parametrize("cells", [(20, 20), (25, 25), (20, 5)], ids=["20x20", "25x25", "20x5"])
+@pytest.mark.parametrize("factor", [1, 3.9, 4, 100])
+def test_preconditioned_only_when_stiff(cells, factor):
+    # FastDiag preconditions CG on the grid iff k >= 4 h^2, whatever the
+    # parity of the cell counts (a V-cycle once needed both even).
     h = 1 / 8
     k = factor * h * h
-    multigrid = MonodomainSolver(build_uniform_mesh(BOUNDS, h), paper_config(k=k, t_final=k)).multigrid
-    assert (1 if multigrid is None else len(multigrid.operators)) == levels
+    mesh = build_uniform_mesh((0.0, 0.0, cells[0] * h, cells[1] * h), h)
+    precondition = MonodomainSolver(mesh, paper_config(k=k, t_final=k)).precondition
+    assert (precondition is not None) == (factor >= 4)
+    if precondition is not None:
+        assert precondition.cells == cells
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3])
-def test_multigrid_only_on_the_uniform_grid(h):
+def test_preconditioned_only_on_the_grid(h):
     # A hand-made mesh that is not the node grid of its bounds and h (or
     # whose h does not divide them) gets plain CG, however stiff the step.
     tri = TriMesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                   triangles=np.array([[0, 1, 2]]), h=h, bounds=(0, 0, 1, 1))
     solver = MonodomainSolver(tri, SolverConfig(k=10.0, t_final=10.0, ionic=ZeroReaction(), v0=1.0))
-    assert solver.multigrid is None
+    assert solver.precondition is None
     np.testing.assert_allclose(solver.step().v, 1.0, atol=1e-9)
 
 
@@ -311,8 +385,7 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
     # no (7, n) operator array.  The mesh keeps its nodes, its grid (known
     # when made), whether its cells are congruent and the operators; on
     # congruent cells assembly builds the first cell's two triangles for
-    # each matrix, and M, A, S and each Galerkin operator of S hold only
-    # their class tables.  A triplet layout kept one byte per
+    # each matrix, and M, A and S hold only their class tables.  A triplet layout kept one byte per
     # element-matrix entry (9 per triangle), and the mesh's triangle array
     # 24 bytes per triangle.
     sizes = []
@@ -343,7 +416,8 @@ def test_set_up_keeps_nothing_per_triangle_on_the_mesh(monkeypatch):
     own = held - sum(a.nbytes for a in (mesh.nodes, *buffers))
     assert own <= 16_000  # 6 kB of Python objects and class tables
     solver = MonodomainSolver(mesh, paper_config(h=h, k=1 / 16, diffusion=D))
-    for op in (M, A, solver.system, *solver.multigrid.operators):
+    assert solver.precondition is not None
+    for op in (M, A, solver.system):
         assert "data" not in vars(op) and op.classes.shape == (7, 3, 3)
     MonodomainSolver(build_uniform_mesh(BOUNDS, 1 / 8), paper_config())
     assert sizes == [2] * 4
@@ -394,9 +468,9 @@ def test_set_up_memory_peak():
     # with the triplet keys, the geometry and three (3, 3, triangles)
     # arrays made whole, 18.5 MB.
     assert set_up_peak(1 / 64) <= 0.95e6
-    # At k = 1/40 the solver also builds a V-cycle over four grids: 1.15 MB
-    # (7.21 MB with (7, n) arrays).  Its Galerkin operators are probed on a
-    # model grid of 2 x 2 coarse cells, and hold their class tables.
+    # At k = 1/40 the solver also builds FastDiag, whose eigenvalues are
+    # n floats: 1.07 MB (1.15 MB with a V-cycle over four grids, 7.21 MB
+    # with (7, n) arrays).
     assert set_up_peak(1 / 64, k=1 / 40) <= 1.26e6
 
 
@@ -428,11 +502,11 @@ def test_run_memory_peak_fine_mesh(monkeypatch):
 @pytest.mark.parametrize("h,k,steps", [(1 / 128, 1 / 128**2, 1), (1 / 64, 1 / 40, 1)],
                          ids=["fine_mesh", "sweep_dt"])
 def test_no_operator_made_from_a_table_is_scanned(monkeypatch, h, k, steps):
-    # M and A come from one cell's element matrices, S from their class
-    # tables and each Galerkin operator from a model grid's, so none of
-    # them needs DiaMatrix.classes to scan its data: not in set-up, nor in
-    # the products of a step (at k = 1/40 and h = 1/64, with a V-cycle over
-    # four grids).  Scanning S and M once took 0.71 ms at h = 1/128.
+    # M and A come from one cell's element matrices and S from their class
+    # tables, so none of them needs DiaMatrix.classes to scan its data: not
+    # in set-up, nor in the products of a step, nor where FastDiag (at
+    # k = 1/40 and h = 1/64) reads A's interior class.  Scanning S and M
+    # once took 0.71 ms at h = 1/128.
     scans = []
 
     def counted(A, _scan=DiaMatrix.classes.func):
@@ -445,7 +519,7 @@ def test_no_operator_made_from_a_table_is_scanned(monkeypatch, h, k, steps):
     cfg = paper_config(make_model("ap"), h=h, k=k, t_final=steps * k, v0=lambda x, y: 0.2 + 0.1 * x)
     solver = MonodomainSolver(build_uniform_mesh(BOUNDS, h), cfg)
     assert solver.run().n == steps
-    assert (solver.multigrid is None) == (k < 4 * h * h)
+    assert (solver.precondition is None) == (k < 4 * h * h)
     assert scans == []
 
 
@@ -480,12 +554,12 @@ def test_configs_holding_arrays_compare_by_identity():
     assert len({a, b, a}) == 2
 
 
-@pytest.mark.parametrize("k", [1 / 128**2, 1 / 40], ids=["plain", "v-cycle"])
+@pytest.mark.parametrize("k", [1 / 128**2, 1 / 40], ids=["plain", "preconditioned"])
 def test_first_step_meets_1e_12_at_the_finest_mesh(monkeypatch, k):
-    # First manufactured fhn step at h = 1/128.  With the V-cycle (k = 1/40)
+    # First manufactured fhn step at h = 1/128.  With FastDiag (k = 1/40)
     # the true relative residual stalls near 1.5e-13 (a 1e-13 stop raises,
-    # at 1.59e-15 against 1.03e-15), so a 1e-12 stop has about 6x margin;
-    # plain CG (k = h^2) still reaches 1e-14.
+    # at 1.53e-15 against 1.03e-15), so a 1e-12 stop has about 6x margin
+    # (it ends at 1.99e-13); plain CG (k = h^2) still reaches 1e-14.
     mesh = build_uniform_mesh(BOUNDS, 1 / 128)
     p = ManufacturedProblem(make_model("fhn"))
     v_at = p.v_on(*mesh.nodes.T)
@@ -493,7 +567,7 @@ def test_first_step_meets_1e_12_at_the_finest_mesh(monkeypatch, k):
     solver = MonodomainSolver(mesh, SolverConfig(
         k=k, t_final=k, ionic=p.model, v0=v0, w0=0.5 * v0, source=lambda t: p.sources(v_at(t)),
     ))
-    assert (solver.multigrid is not None) == (k == 1 / 40)
+    assert (solver.precondition is not None) == (k == 1 / 40)
     monkeypatch.setattr(monofem.sparse, "DEFAULT_CG_TOL", 1e-12)
     rhs = spmv(solver.mass, v0 + k * (p.model(v0, 0.5 * v0)[0] + p.sources(v0)[0]))
     residual = np.linalg.norm(rhs - spmv(solver.system, solver.step().v))

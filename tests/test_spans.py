@@ -35,8 +35,8 @@ def test_hooked_site_resolves(site):
 
 
 def test_every_hook_fires():
-    # One homogeneous study, a manufactured timestep sweep whose steps use
-    # the V-cycle, and a manufactured mesh sweep: between them they reach
+    # One homogeneous study, a manufactured timestep sweep whose steps are
+    # preconditioned, and a manufactured mesh sweep: between them they reach
     # every hooked layer but sparse.csr_build, whose from_triplets set-up
     # no longer calls.
     studies = [

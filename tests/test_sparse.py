@@ -20,13 +20,11 @@ from monofem.sparse import (
     IndexOutOfRange,
     NoConvergence,
     NotBanded,
-    VCycle,
+    FastDiag,
     cg_solve,
     from_triplets,
-    galerkin,
+    grid_diffusion,
     grid_matrix,
-    prolong,
-    restrict,
     spmv,
 )
 from monofem.assembly import _LOCAL_MASS, DiffusionTensor, assemble_mass, assemble_stiffness
@@ -136,7 +134,7 @@ def test_empty():
                               "non-integer"])
 def test_dia_matrix_rejects_bad_offsets(offsets):
     # Duplicate offsets once made spmv and dense storage disagree, and unsorted
-    # ones made VCycle's searchsorted pick the wrong main diagonal.
+    # ones made a searchsorted lookup pick the wrong main diagonal.
     with pytest.raises(DimensionMismatch):
         DiaMatrix(2, 2, offsets, np.ones((len(offsets), 2)), 2)
 
@@ -579,62 +577,36 @@ def test_classes_of_expanded_data(nx, ny, data):
         assert other.classes is None
 
 
-def test_galerkin_needs_the_fine_grid():
-    # On both paths.  S on 10 x 10 cells has a class table, and once gave a
-    # 9-row operator for galerkin(S, 2, 2) from its model grid; S with a
-    # node off its class is probed.  S on 8 x 4 cells has the 45 rows of
-    # the grid of 4 x 8 cells, but not its offsets.
-    for cx, cy, wrong in ((5, 5, [(2, 2), (5, 4), (6, 6)]), (4, 2, [(2, 4)])):
-        S = system(fine_mesh(cx, cy), 1.0, DiffusionTensor.diagonal(1.0, 1.0))
-        moved = edge_run_moved(S, 2 * cx, 2 * cy)
-        assert S.classes is not None and moved.classes is None
-        for op in (S, moved):
-            assert galerkin(op, cx, cy).nrows == (cx + 1) * (cy + 1)
-            for nx, ny in wrong:
-                with pytest.raises(DimensionMismatch):
-                    galerkin(op, nx, ny)
-
-
-def test_vcycle_needs_a_coarse_grid():
-    # A V-cycle of one level once raised IndexError in its first cycle.
-    S = system(fine_mesh(2, 2), 1.0, DiffusionTensor.diagonal(1.0, 1.0))
-    with pytest.raises(ValueError, match="coarse grid"):
-        VCycle(S, [])
-
-
 def test_spmv_path_of_assembled_operators():
-    # With dyadic h, every diagonal of M, of S for the identity and the
-    # rotated tensor, and of each Galerkin operator of S's V-cycle holds one
-    # value over the interior nodes, so they get scalar coefficients, and
-    # each block makes one product per distinct value: M 2, S 3 (identity)
-    # or 4 (rotated), the Galerkin operators 3 to 5.  A variable tensor,
+    # With dyadic h, every diagonal of M and of S for the identity and the
+    # rotated tensor holds one value over the interior nodes, so they get
+    # scalar coefficients, and each block makes one product per distinct
+    # value: M 2, S 3 (identity) or 4 (rotated).  A variable tensor,
     # jittered nodes and h = 1/10 (linspace nodes, so the element areas
     # differ in their last bits) get stretches of their diagonals, one
-    # product each.  The plan is worked out on the first product: set-up
-    # multiplies S (the Galerkin probes) but neither M nor A.
+    # product each.  The plan is worked out on the first product: set-up,
+    # preconditioned or not, multiplies none of M, A and S.
     def products(mesh, D):
-        """(scalar coefficients?, products per block) of M, S and each
-        Galerkin operator."""
+        """(scalar coefficients?, products per block) of M and S."""
         solver = MonodomainSolver(mesh, SolverConfig(k=1 / 16, t_final=1 / 16,
                                                      ionic=make_model("fhn"), diffusion=D))
         M, A = mesh.operators[D]
-        assert "plan" not in vars(M) and "plan" not in vars(A)
-        coarse = solver.multigrid.operators[1:] if solver.multigrid else []
+        assert not {"plan"} & ({*vars(M)} | {*vars(A)} | {*vars(solver.system)})
+        assert solver.precondition is not None
         return [(coefficient_kinds(op) == {True}, *products_per_block(op))
-                for op in (M, solver.system, *coarse)]
+                for op in (M, solver.system)]
 
     bounds = (-1.25, -1.25, 1.25, 1.25)
     identity, rotated, variable = ASSEMBLY_TENSORS
-    for h, identity_counts, rotated_counts in ((1 / 16, [2, 3, 3, 3], [2, 4, 5, 4]),
-                                               (1 / 32, [2, 3, 3, 3, 4], [2, 4, 5, 4, 4])):
+    for h in (1 / 16, 1 / 32):
         mesh = build_uniform_mesh(bounds, h)
-        assert products(mesh, identity) == [(True, count) for count in identity_counts]
-        assert products(mesh, rotated) == [(True, count) for count in rotated_counts]
-        assert products(mesh, variable) == [(True, 2)] + [(False, 7)] * (len(identity_counts) - 1)
+        assert products(mesh, identity) == [(True, 2), (True, 3)]
+        assert products(mesh, rotated) == [(True, 2), (True, 4)]
+        assert products(mesh, variable) == [(True, 2), (False, 7)]
     base = build_uniform_mesh(bounds, 1 / 16)
     jitter = np.random.default_rng(0).uniform(-0.2, 0.2, base.nodes.shape) * base.h
     jittered = TriMesh(base.nodes + jitter, base.triangles, base.h, base.bounds)
-    assert products(jittered, identity) == [(False, 7)] * 4
+    assert products(jittered, identity) == [(False, 7)] * 2
     assert products(build_uniform_mesh(bounds, 1 / 10), identity) == [(False, 7)] * 2
 
 
@@ -692,7 +664,7 @@ def test_from_triplets_refuses_unbanded_storage():
 def test_meshes_off_the_grid_take_from_triplets(monkeypatch, change):
     # A mesh whose triangles are not the grid's, here with one cell split
     # along its other diagonal or with its node numbering reversed, is
-    # summed by from_triplets, gets no V-cycle, and gives the same bytes
+    # summed by from_triplets, gets no preconditioner, and gives the same bytes
     # as a plain loop over its triplets.
     base = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 4)
     n = base.n_nodes
@@ -719,8 +691,8 @@ def test_meshes_off_the_grid_take_from_triplets(monkeypatch, change):
         assert mat.offsets.tolist() == offsets and mat.nnz == nnz
         assert mat.data.tobytes() == data.tobytes()
     cfg = SolverConfig(k=1 / 4, t_final=1 / 4, ionic=make_model("fhn"))
-    assert MonodomainSolver(base, cfg).multigrid is not None
-    assert MonodomainSolver(mesh, cfg).multigrid is None
+    assert MonodomainSolver(base, cfg).precondition is not None
+    assert MonodomainSolver(mesh, cfg).precondition is None
 
 
 def reference_dia(nrows, rows, cols, vals):
@@ -955,8 +927,8 @@ def test_cg_non_finite_rhs_norm(entry):
 def test_cg_leaves_its_inputs_alone(preconditioned):
     # CG updates its iterates in place; MonodomainSolver.step passes its
     # state as x0, so neither b nor x0 may change, nor alias the result.
-    A = system(fine_mesh(8, 8), 10.0, DiffusionTensor.diagonal(1.0, 1.0))
-    B = VCycle(A, [(8, 8), (4, 4)]) if preconditioned else None
+    A, B = stiff_system(fine_mesh(8, 8), 10.0, DiffusionTensor.diagonal(1.0, 1.0))
+    B = B if preconditioned else None
     rng = np.random.default_rng(9)
     b, x0 = rng.uniform(-1, 1, A.nrows), rng.uniform(-1, 1, A.nrows)
     b_copy, x0_copy = b.copy(), x0.copy()
@@ -965,7 +937,7 @@ def test_cg_leaves_its_inputs_alone(preconditioned):
         assert iterations > 1
         assert b.tobytes() == b_copy.tobytes() and x0.tobytes() == x0_copy.tobytes()
         assert not np.shares_memory(x, b) and not np.shares_memory(x, x0)
-    if B is not None:  # the V-cycle smooths in place too, but not into r
+    if B is not None:  # FastDiag reshapes r, but never writes it
         B(b)
         assert b.tobytes() == b_copy.tobytes()
 
@@ -1011,7 +983,7 @@ def test_cg_failure_reports_preconditioned_residual_norm():
     assert info.value.iterations == 1
 
 
-# Multigrid kernels on a fine grid of 2 cx x 2 cy cells of side H_FINE.
+# Preconditioned solves on a grid of 2 cx x 2 cy cells of side H_FINE.
 H_FINE = 1 / 8
 
 
@@ -1025,12 +997,38 @@ def system(mesh, k, D):
     return DiaMatrix(M.nrows, M.ncols, M.offsets, M.data + k * A.data, M.nnz)
 
 
-def dense_prolongation(cx, cy):
-    n = (cx + 1) * (cy + 1)
-    return np.column_stack([prolong(e, cx, cy) for e in np.eye(n)])
+def stiff_system(mesh, k, D):
+    """S = M + k A on a grid mesh and its FastDiag, as the solver builds it."""
+    B = FastDiag(*mesh.grid, mesh.h, k, *grid_diffusion(assemble_stiffness(mesh, D)))
+    return system(mesh, k, D), B
 
 
-coarse_cells = st.tuples(st.integers(1, 8), st.integers(1, 8))  # fine nx, ny even, <= 16
+def fast_diag_operator(nx, ny, h, k, dxx, dyy):
+    """FastDiag's P, x -> P x, from its Kronecker factors: on each axis W,
+    the identity and the even reflection C of the neighbour mean, whose
+    DCT-I symbol is the cosine (so 2 - 2 C is the Laplacian)."""
+    def factors(cells):
+        C = np.zeros((cells + 1, cells + 1))
+        for i in range(cells + 1):
+            for j in (i - 1, i + 1):
+                C[i, cells - abs(cells - abs(j))] += 0.5  # j reflected into [0, cells]
+        w = np.ones(cells + 1)
+        w[[0, -1]] = 0.5
+        return w, np.eye(cells + 1), C
+
+    (wx, Ix, Cx), (wy, Iy, Cy) = factors(nx), factors(ny)
+    # P = (Wy (x) Wx) (Iy (x) X + Cy (x) Xc + Y (x) Ix), h^2 f + k (...) grouped.
+    X = h * h * (3 * Ix + Cx) / 6 + k * max(dxx, 0.0) * (2 * Ix - 2 * Cx)
+    Xc, Y = h * h * (Ix + Cx) / 6, k * max(dyy, 0.0) * (2 * Iy - 2 * Cy)
+
+    def P(x):
+        u = x.reshape(ny + 1, nx + 1)
+        return (wy[:, None] * wx * (u @ X.T + Cy @ u @ Xc.T + Y @ u)).ravel()
+
+    return P
+
+
+coarse_cells = st.tuples(st.integers(1, 8), st.integers(1, 8))  # half of fine_mesh's even nx, ny
 stiff_k = st.floats(H_FINE**2, 10.0)
 
 
@@ -1044,190 +1042,78 @@ def diffusion(draw):
     return DiffusionTensor(lambda x, y: np.array([[a + x * x, b], [b, c + y]]))
 
 
-@given(coarse_cells, st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
-def test_prolong_interpolates_linear_functions(cells, a, bx, by):
-    cx, cy = cells
-    fine = fine_mesh(cx, cy)
-    coarse = build_uniform_mesh(fine.bounds, 2 * H_FINE)
-    linear = lambda x, y: a + bx * x + by * y  # noqa: E731
-    coarse_values = linear(coarse.nodes[:, 0], coarse.nodes[:, 1])
-    expect = linear(fine.nodes[:, 0], fine.nodes[:, 1])
-    np.testing.assert_allclose(prolong(coarse_values, cx, cy), expect, rtol=0, atol=1e-14)
+fast_diag_cells = (st.sampled_from([(1, 1), (1, 2), (2, 1), (25, 25)])
+                   | st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
 
-@given(coarse_cells, st.integers(0, 2**32 - 1))
-def test_restrict_is_transpose_of_prolong(cells, seed):
-    cx, cy = cells
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2 * cx + 1) * (2 * cy + 1))
-    y = rng.standard_normal((cx + 1) * (cy + 1))
-    Py, Rx = prolong(y, cx, cy), restrict(x, cx, cy)
-    assert abs(x @ Py - Rx @ y) <= 1e-14 * (np.abs(x) @ np.abs(Py) + np.abs(Rx) @ np.abs(y))
-
-
-def strided_prolong(u, nx, ny):
-    """``prolong`` on 2-D strided views, its oracle: each midpoint family
-    is summed into its slot of the fine grid and halved there."""
-    u = u.reshape(ny + 1, nx + 1)
-    f = np.empty((2 * ny + 1, 2 * nx + 1))
-    f[::2, ::2] = u
-    for mid, a, b in ((f[::2, 1::2], u[:, :-1], u[:, 1:]),
-                      (f[1::2, ::2], u[:-1], u[1:]),
-                      (f[1::2, 1::2], u[:-1, :-1], u[1:, 1:])):
-        np.add(a, b, out=mid)
-        mid *= 0.5
-    return f.ravel()
-
-
-def strided_restrict(r, nx, ny):
-    """``restrict`` on 2-D strided views, its oracle: each midpoint family
-    is halved and added to the coarse nodes at its lower or left ends,
-    then at its upper or right ends."""
-    r = r.reshape(2 * ny + 1, 2 * nx + 1)
-    c = r[::2, ::2].copy()
-    for mid, a, b in ((r[::2, 1::2], c[:, :-1], c[:, 1:]),
-                      (r[1::2, ::2], c[:-1], c[1:]),
-                      (r[1::2, 1::2], c[:-1, :-1], c[1:, 1:])):
-        half = 0.5 * mid
-        a += half
-        b += half
-    return c.ravel()
-
-
-# Signed zeros, subnormals and magnitudes up to 1e300, whose sums do not
-# overflow.  A grid of one value, such as all -0.0, sends that value
-# through every sum, pads included.
-transfer_values = st.one_of(
-    st.floats(-1e300, 1e300),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225e-308, -1e300, 1e300]),
-)
-
-
-def nodal_values(n):
-    return st.one_of(st.lists(transfer_values, min_size=n, max_size=n).map(np.array),
-                     transfer_values.map(lambda value: np.full(n, value)))
-
-
-@given(st.integers(1, 12), st.integers(1, 12), st.data())
-def test_transfers_match_strided_oracles_bit_for_bit(nx, ny, data):
-    u = data.draw(nodal_values((nx + 1) * (ny + 1)))
-    r = data.draw(nodal_values((2 * nx + 1) * (2 * ny + 1)))
-    u_bits, r_bits = u.view(np.int64).copy(), r.view(np.int64).copy()
-    for got, expect in ((prolong(u, nx, ny), strided_prolong(u, nx, ny)),
-                        (restrict(r, nx, ny), strided_restrict(r, nx, ny))):
-        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
-    assert np.array_equal(u.view(np.int64), u_bits)
-    assert np.array_equal(r.view(np.int64), r_bits)
-
-
-@given(coarse_cells, stiff_k, diffusion())
-def test_galerkin_probing_equals_dense_triple_product(cells, k, D):
-    cx, cy = cells
-    fine = fine_mesh(cx, cy)
-    S = system(fine, k, D)
-    G = galerkin(S, cx, cy)
-    check_dia_invariants(G)
-    P = dense_prolongation(cx, cy)
-    expect = P.T @ dense(S) @ P
+@given(fast_diag_cells, st.floats(2.0**-6, 1.0), st.floats(1e-3, 10.0),
+       st.floats(-1.0, 5.0), st.floats(-1.0, 5.0), st.integers(0, 2**32 - 1))
+@example((80, 40), 1 / 32, 1.0, 1.3, 0.7, 0)
+@settings(deadline=None)
+def test_fast_diag_is_the_inverse_of_its_kronecker_form(cells, h, k, dxx, dyy, seed):
+    # FastDiag applied to the identity equals the dense inverse of P, built
+    # from its Kronecker factors with each coefficient clamped at 0, to
+    # round-off times P's condition (at most 1 + 24 k (dxx + dyy) / h^2 in
+    # the max norm), and is symmetric and positive definite.  On 80 x 40
+    # cells (3,321 nodes), where dense arrays take 88 MB each, P (B r) = r
+    # and the symmetry and positivity are checked on random vectors.
+    nx, ny = cells
+    B, P = FastDiag(nx, ny, h, k, dxx, dyy), fast_diag_operator(nx, ny, h, k, dxx, dyy)
+    n = (nx + 1) * (ny + 1)
+    condition = 1 + 24 * k * (max(dxx, 0.0) + max(dyy, 0.0)) / (h * h)
+    if n > 1000:
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        Bx, By = B(x), B(y)
+        assert np.abs(P(Bx) - x).max() <= 1e-14 * condition * np.abs(x).max()
+        assert abs(x @ By - y @ Bx) <= 1e-13 * (np.abs(x) @ np.abs(By) + np.abs(y) @ np.abs(Bx))
+        assert x @ Bx > 0 and y @ By > 0
+        return
+    identity = np.eye(n)
+    Z = np.column_stack([B(e) for e in identity])
+    expect = np.linalg.inv(np.column_stack([P(e) for e in identity]))
     scale = np.abs(expect).max()
-    assert np.abs(dense(G) - expect).max() <= 1e-14 * scale
-    if D.constant is not None:
-        # Nested P1 spaces: the Galerkin operator is the coarse discretisation.
-        rediscretised = system(build_uniform_mesh(fine.bounds, 2 * H_FINE), k, D)
-        assert G.offsets.tolist() == rediscretised.offsets.tolist()
-        assert G.nnz == rediscretised.nnz
-        assert np.abs(dense(G) - dense(rediscretised)).max() <= 1e-15 * scale
+    assert np.abs(Z - expect).max() <= 1e-14 * condition * scale
+    assert np.abs(Z - Z.T).max() <= 1e-14 * scale
+    np.linalg.cholesky(Z + Z.T)  # LinAlgError unless positive definite
 
 
-def halvings(mesh):
-    """The coarse cells that halve the grid of ``mesh`` while both counts are even."""
-    (nx, ny), cells = mesh.grid, []
-    while nx % 2 == 0 and ny % 2 == 0:
-        nx, ny = nx // 2, ny // 2
-        cells.append((nx, ny))
-    return cells
+@pytest.mark.parametrize("h", [1 / 8, 1 / 64, 1 / 10, 1 / 20], ids=["1/8", "1/64", "1/10", "1/20"])
+def test_grid_diffusion_reads_constant_tensors(monkeypatch, h):
+    # -(A[1,0] + A[1,1]) and -(A[0,1] + A[1,1]) are D00 and D11 of a
+    # constant tensor, diagonal or not.  At dyadic h, A has a class table
+    # and they are read off its interior class bit for bit.  The mean of
+    # A's interior rows (at non-dyadic h, or with the table hidden) is
+    # within 4 ulps: at non-dyadic h the interior entries differ in their
+    # last bits (linspace nodes), and a sum of equal values rounds.
+    for bounds in ((-1.25, -1.25, 1.25, 1.25), (0.0, 0.0, 2.5, 1.5)):
+        mesh = build_uniform_mesh(bounds, h)
+        for D in (np.eye(2), np.diag([3.7, 0.2]), ROTATED_CONSTANT):
+            A = assemble_stiffness(mesh, DiffusionTensor(D))
+            assert (A.classes is not None) == (h in (1 / 8, 1 / 64))
+            if A.classes is not None:
+                assert grid_diffusion(A) == (D[0, 0], D[1, 1])
+            with monkeypatch.context() as mp:
+                mp.setattr(DiaMatrix, "classes", property(lambda self: None))
+                dxx, dyy = grid_diffusion(A)
+            assert abs(dxx - D[0, 0]) <= 4 * np.spacing(D[0, 0])
+            assert abs(dyy - D[1, 1]) <= 4 * np.spacing(D[1, 1])
 
 
-def jittered(mesh):
-    jitter = np.random.default_rng(0).uniform(-0.2, 0.2, mesh.nodes.shape) * mesh.h
-    return TriMesh(mesh.nodes + jitter, mesh.triangles, mesh.h, mesh.bounds)
-
-
-def edge_run_moved(S, nx, ny):
-    """S on the grid of nx x ny cells with the diagonal entry of one node of
-    its bottom edge run, and of no other, scaled by 1.5."""
-    data = S.data.copy()
-    data[3, 5] *= 1.5
-    return grid_matrix(data, nx, ny)
-
-
-# name: (mesh, a change made to S or None, whether the coarse operators
-# come from a model grid).  The first five have congruent cells; with a
-# constant tensor they take the model.  24 x 8 and 4 x 12 fine cells reach
-# coarse grids of 1, 2 and 3 cells on each axis.
-HIERARCHY_CASES = {
-    "h-1/16": (build_uniform_mesh(SQUARE, 1 / 16), None, True),
-    "h-1/32": (build_uniform_mesh(SQUARE, 1 / 32), None, True),
-    "80x40": (build_uniform_mesh((-1.25, -0.625, 1.25, 0.625), 1 / 32), None, True),
-    "24x8": (build_uniform_mesh((0.0, 0.0, 1.5, 0.5), 1 / 16), None, True),
-    "4x12": (build_uniform_mesh((0.0, 0.0, 0.25, 0.75), 1 / 16), None, True),
-    "jittered": (jittered(build_uniform_mesh(SQUARE, 1 / 16)), None, False),
-    "h-1/20": (build_uniform_mesh(SQUARE, 1 / 20), None, False),
-    "edge-run-moved": (build_uniform_mesh(SQUARE, 1 / 16), edge_run_moved, False),
-}
-
-
-@pytest.mark.parametrize("k", [1e-3, 1 / 40, 1.0])
-@pytest.mark.parametrize("case", HIERARCHY_CASES, ids=HIERARCHY_CASES)
-def test_hierarchy_on_a_model_grid_equals_full_probing(monkeypatch, case, k):
-    # Where every node of S holds its class's entries (corners, edge runs,
-    # interior), each Galerkin operator is probed on a model grid of at
-    # most 2 x 2 coarse cells and expanded; elsewhere, on the whole grid.
-    # Each coarse operator and each level's smoother weight must equal,
-    # as int64, those of probing every level on the whole grid, the oracle
-    # that DiaMatrix.classes returning None forces.  The variable tensor,
-    # and S with one edge-run node off its class, probe the whole grid.
-    mesh, change, model = HIERARCHY_CASES[case]
-    cells = halvings(mesh)
-    classes, probed = DiaMatrix.classes, []
-
-    def recorded(u, nx, ny, _original=monofem.sparse.prolong):
-        probed.append((nx, ny))
-        return _original(u, nx, ny)
-
-    monkeypatch.setattr(monofem.sparse, "prolong", recorded)
-    for D in ASSEMBLY_TENSORS:
-        S = system(mesh, k, D)
-        if change is not None:
-            S = change(S, *mesh.grid)
-        monkeypatch.setattr(DiaMatrix, "classes", property(lambda self: None))
-        oracle = VCycle(S, cells)
-        monkeypatch.setattr(DiaMatrix, "classes", classes)
-        probed.clear()
-        B = VCycle(S, cells)
-        # Nine probes per coarse grid: of the model's cells or the grid's.
-        sizes = probed[::9]
-        assert len(probed) == 9 * len(cells)
-        if model and D.constant is not None:
-            assert sizes == [(min(nx, 2), min(ny, 2)) for nx, ny in cells]
-        else:
-            assert sizes == cells
-        assert len(B.operators) == len(oracle.operators) == len(cells) + 1
-        for level, (got, expect) in enumerate(zip(B.operators, oracle.operators)):
-            assert np.array_equal(got.data.view(np.int64), expect.data.view(np.int64))
-            assert np.array_equal(got.offsets, expect.offsets) and got.nnz == expect.nnz
-            weight, expect_weight = B._weights[level], oracle._weights[level]
-            assert np.array_equal(weight.view(np.int64), expect_weight.view(np.int64))
-            # A coarse operator caches the table it was expanded from; a scan
-            # of its data must find the same one.
-            scanned, cached = DiaMatrix.classes.func(got), got.classes
-            assert (scanned is None) == (cached is None)
-            assert (cached is not None) == (model and D.constant is not None)
-            if cached is not None:
-                assert np.array_equal(scanned.view(np.int64), cached.view(np.int64))
-        for (nx, ny), fine, coarse in zip(cells, oracle.operators, oracle.operators[1:]):
-            assert np.array_equal(galerkin(fine, nx, ny).data.view(np.int64),
-                                  coarse.data.view(np.int64))
+def test_fast_diag_memory_peak():
+    # One application at h = 1/64 (n = 25,921) holds the even extensions
+    # (2 n floats) and one rfft output (2 n) at a time: 4.0 n floats.
+    mesh = build_uniform_mesh((-1.25, -1.25, 1.25, 1.25), 1 / 64)
+    _, B = stiff_system(mesh, 1 / 40, ASSEMBLY_TENSORS[0])
+    r = np.random.default_rng(0).standard_normal(mesh.n_nodes)
+    B(r)
+    tracemalloc.start()
+    try:
+        B(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * mesh.n_nodes
 
 
 @st.composite
@@ -1250,81 +1136,42 @@ def bits_equal(a, b):
 @given(table_grid(), st.integers(0, 2**32 - 1))
 @example((build_uniform_mesh((0.0, 0.0, 2.5, 1.25), 1 / 32), ASSEMBLY_TENSORS[0], 1 / 40), 0)
 @settings(deadline=None)
-def test_table_operators_expand_to_block_assembly_and_full_probing(case, seed):
-    # M, A, S and each Galerkin level of S on congruent cells are made from
-    # class tables and hold no (7, n) array.  Expanded, each must equal, as
-    # int64, what block assembly of the same nodes, S = k A + M of those
-    # data, and probing every level on the whole grid give; and spmv on it
-    # must equal spmv on its expanded twin, with the twin's plan built from
-    # a scanned table and from diagonal stretches.
+def test_table_operators_expand_to_block_assembly(case, seed):
+    # M, A and S on congruent cells are made from class tables and hold no
+    # (7, n) array.  Expanded, each must equal, as int64, what block
+    # assembly of the same nodes and S = k A + M of those data give; and
+    # spmv on it must equal spmv on its expanded twin, with the twin's plan
+    # built from a scanned table and from diagonal stretches.
     mesh, D, k = case
     (nx, ny), n = mesh.grid, mesh.n_nodes
-    cells = halvings(mesh)
     M, A = assemble_mass(mesh), assemble_stiffness(mesh, D)
     S = MonodomainSolver(mesh, SolverConfig(k=k, t_final=k, ionic=make_model("fhn"),
                                             diffusion=D)).system
-    tabled = [M, A, *(VCycle(S, cells).operators if cells else [S])]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TriMesh, "congruent", property(lambda self: False))
         blocks = [assemble_mass(mesh), assemble_stiffness(mesh, D)]
         mp.setattr(DiaMatrix, "classes", property(lambda self: None))
         data = k * blocks[1].data
         data += blocks[0].data
-        probed = [DiaMatrix(n, n, M.offsets, data, M.nnz)]
-        if cells:
-            probed = VCycle(probed[0], cells).operators
+        blocks.append(DiaMatrix(n, n, M.offsets, data, M.nnz))
     rng = np.random.default_rng(seed)
-    for op, expect, (cx, cy) in zip(tabled, blocks + probed, [(nx, ny)] * 3 + cells):
-        assert "data" not in vars(op) and op.classes.shape == (7, min(cy + 1, 3), min(cx + 1, 3))
+    for op, expect in zip((M, A, S), blocks):
+        assert "data" not in vars(op) and op.classes.shape == (7, min(ny + 1, 3), min(nx + 1, 3))
         assert bits_equal(op.data, expect.data)
         assert op.nnz == expect.nnz and np.array_equal(op.offsets, expect.offsets)
         x = with_signed_zeros(rng, rng.standard_normal(op.ncols))
-        twin = grid_matrix(op.data.copy(), cx, cy)
+        twin = grid_matrix(op.data.copy(), nx, ny)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(DiaMatrix, "classes", property(lambda self: None))
-            stretched = grid_matrix(op.data.copy(), cx, cy)
+            stretched = grid_matrix(op.data.copy(), nx, ny)
             stretched.plan
         y = spmv(op, x)
         assert bits_equal(y, spmv(twin, x)) and bits_equal(y, spmv(stretched, x))
 
 
-@st.composite
-def hierarchy(draw):
-    cx, cy = draw(coarse_cells)
-    halvings = 1
-    while cx % 2**halvings == 0 and cy % 2**halvings == 0:
-        halvings += 1
-    levels = draw(st.integers(2, halvings + 1))
-    return VCycle(system(fine_mesh(cx, cy), draw(stiff_k), draw(diffusion())),
-                  [(cx // 2**i, cy // 2**i) for i in range(levels - 1)])
-
-
-# D with off-diagonal entries against the mesh diagonal: lambda_max of
-# diag^-1 S is 2.7, so Jacobi weighted 0.8 diverges on some modes and
-# would give B eigenvalues < 0.
-ROTATED = np.array([[1.0, -0.99], [-0.99, 1.0]])
-ROTATED_CYCLE = VCycle(system(fine_mesh(8, 8), 10.0, DiffusionTensor(ROTATED)),
-                       [(8, 8), (4, 4), (2, 2), (1, 1)])
-
-
-@given(hierarchy(), st.integers(0, 2**32 - 1))
-@example(ROTATED_CYCLE, 0)
-@settings(max_examples=25)  # each example applies B to every unit vector
-def test_vcycle_symmetric_positive_definite(B, seed):
-    rng = np.random.default_rng(seed)
-    n = B.operators[0].nrows
-    x, y = rng.standard_normal(n), rng.standard_normal(n)
-    Bx, By = B(x), B(y)
-    assert abs(x @ By - y @ Bx) <= 1e-13 * (np.abs(x) @ np.abs(By) + np.abs(y) @ np.abs(Bx))
-    assert x @ Bx > 0 and y @ By > 0
-    dense = np.column_stack([B(e) for e in np.eye(n)])
-    assert np.linalg.eigvalsh(dense + dense.T)[0] > 0
-
-
-@given(hierarchy(), st.integers(0, 2**32 - 1))
-@example(ROTATED_CYCLE, 0)
-def test_multigrid_pcg_property(B, seed):
-    S = B.operators[0]
+@given(coarse_cells, stiff_k, diffusion(), st.integers(0, 2**32 - 1))
+def test_preconditioned_cg_property(cells, k, D, seed):
+    S, B = stiff_system(fine_mesh(*cells), k, D)
     b = np.random.default_rng(seed).uniform(-1e3, 1e3, S.nrows)
     rel_tol = 1e-10
     x, _ = cg_at(rel_tol, S, b, precondition=B)
@@ -1344,8 +1191,8 @@ def test_multigrid_pcg_property(B, seed):
 def test_cg_scale_free(e, preconditioned):
     # At 2^-1000 the norms underflowed (x = 0 after 0 iterations) and at
     # 2^900 they overflowed; power-of-two scaling keeps every bit.
-    A = system(fine_mesh(8, 8), 10.0, DiffusionTensor.diagonal(1.0, 1.0))
-    B = VCycle(A, [(8, 8), (4, 4)]) if preconditioned else None
+    A, B = stiff_system(fine_mesh(8, 8), 10.0, DiffusionTensor.diagonal(1.0, 1.0))
+    B = B if preconditioned else None
     rng = np.random.default_rng(5)
     b, x0 = rng.uniform(-1, 1, A.nrows), rng.uniform(-1, 1, A.nrows)
     x, iterations = cg_solve(A, b, x0=x0, precondition=B)

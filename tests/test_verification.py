@@ -414,7 +414,7 @@ def test_spatial_ladder_frees_each_mesh_before_the_next_solver(monkeypatch):
 
 
 def test_timestep_sweep_on_one_mesh_matches_fresh_meshes():
-    # Multigrid at dt = 1/20 and 1/40 (>= 4 h^2), plain CG at 1/80.
+    # FastDiag at dt = 1/20 and 1/40 (>= 4 h^2), plain CG at 1/80.
     model, h, t_final, dts = make_model("fhn"), 1 / 16, 0.25, [1 / 20, 1 / 40, 1 / 80]
     records = convergence_study(StudyConfig(model=model, mode="manufactured", sweep="timestep",
                                             levels=dts, fixed_h=h, t_final=t_final))
@@ -427,6 +427,6 @@ def test_timestep_sweep_on_one_mesh_matches_fresh_meshes():
         solver = MonodomainSolver(mesh, SolverConfig(
             k=dt, t_final=t_final, ionic=model, v0=v0, w0=0.5 * v0,
             source=lambda t, v_at=v_at: p.sources(v_at(t))))
-        assert (solver.multigrid is not None) == (dt >= 4 * h * h)
+        assert (solver.precondition is not None) == (dt >= 4 * h * h)
         fresh.append(l2_norm(solver.mass, solver.run().v - v_at(t_final)))
     assert [r.l2_error for r in records] == fresh
