@@ -319,9 +319,10 @@ def test_preconditioned_only_when_stiff(cells, factor):
 
 
 @pytest.mark.parametrize("h", [0.5, 0.3])
-def test_preconditioned_only_on_the_grid(h):
+def test_multigrid_only_on_the_uniform_grid(h):
     # A hand-made mesh that is not the node grid of its bounds and h (or
-    # whose h does not divide them) gets plain CG, however stiff the step.
+    # whose h does not divide them) gets plain CG, however stiff the step:
+    # neither FastDiag nor, before it, a multigrid V-cycle.
     tri = TriMesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                   triangles=np.array([[0, 1, 2]]), h=h, bounds=(0, 0, 1, 1))
     solver = MonodomainSolver(tri, SolverConfig(k=10.0, t_final=10.0, ionic=ZeroReaction(), v0=1.0))

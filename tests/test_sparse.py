@@ -1042,6 +1042,46 @@ def diffusion(draw):
     return DiffusionTensor(lambda x, y: np.array([[a + x * x, b], [b, c + y]]))
 
 
+def dense_prolongation(cx, cy):
+    """P1 interpolation from the grid of cx x cy cells of side 2 H_FINE to
+    fine_mesh(cx, cy), as a dense array: a fine node on a coarse one takes
+    its value, and a midpoint the mean of the two ends of its coarse edge
+    (across, up, or the cell's diagonal from lower left to upper right)."""
+    columns = []
+    for e in np.eye((cx + 1) * (cy + 1)):
+        u = e.reshape(cy + 1, cx + 1)
+        f = np.zeros((2 * cy + 1, 2 * cx + 1))
+        f[::2, ::2] = u
+        f[::2, 1::2] = (u[:, :-1] + u[:, 1:]) / 2
+        f[1::2, ::2] = (u[:-1] + u[1:]) / 2
+        f[1::2, 1::2] = (u[:-1, :-1] + u[1:, 1:]) / 2
+        columns.append(f.ravel())
+    return np.column_stack(columns)
+
+
+@given(coarse_cells, stiff_k, diffusion(), st.floats(-2, 2), st.floats(-2, 2))
+def test_galerkin_probing_equals_dense_triple_product(cells, k, D, bx, by):
+    # P^T S P, for S = M + k A on fine_mesh(cx, cy) and P the P1
+    # interpolation from the grid of twice its side, probed through spmv
+    # one coarse basis function at a time, equals the dense triple product.
+    # For a constant tensor the P1 spaces are nested, so it is the coarse
+    # grid's own M + k A: a check of assembly across h.
+    cx, cy = cells
+    fine = fine_mesh(cx, cy)
+    coarse = build_uniform_mesh(fine.bounds, 2 * H_FINE)
+    P = dense_prolongation(cx, cy)
+    linear = lambda xy: 1.0 + bx * xy[:, 0] + by * xy[:, 1]  # noqa: E731
+    np.testing.assert_allclose(P @ linear(coarse.nodes), linear(fine.nodes), rtol=0, atol=1e-14)
+    S = system(fine, k, D)
+    G = np.column_stack([P.T @ spmv(S, column) for column in P.T])
+    expect = P.T @ dense(S) @ P
+    scale = np.abs(expect).max()
+    assert np.abs(G - expect).max() <= 1e-14 * scale
+    if D.constant is not None:
+        rediscretised = dense(system(coarse, k, D))
+        assert np.abs(G - rediscretised).max() <= 1e-15 * scale
+
+
 fast_diag_cells = (st.sampled_from([(1, 1), (1, 2), (2, 1), (25, 25)])
                    | st.tuples(st.integers(1, 12), st.integers(1, 12)))
 
@@ -1133,15 +1173,34 @@ def bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def probed(op):
+    """``op``'s diagonals read back through spmv on the whole grid: each
+    probe holds 1 in every column of one residue mod 2 w + 1 (w the widest
+    offset), so each row meets at most one stored entry, which the product
+    returns exactly."""
+    period = 2 * int(np.abs(op.offsets).max()) + 1
+    rows = np.arange(op.nrows)
+    data = np.zeros((len(op.offsets), op.nrows))
+    for residue in range(min(period, op.ncols)):
+        x = np.zeros(op.ncols)
+        x[residue::period] = 1.0
+        y = spmv(op, x)
+        for d, offset in enumerate(op.offsets.tolist()):
+            hit = ((rows + offset) % period == residue) & (rows + offset >= 0) & (rows + offset < op.ncols)
+            data[d, hit] = y[hit]
+    return data
+
+
 @given(table_grid(), st.integers(0, 2**32 - 1))
 @example((build_uniform_mesh((0.0, 0.0, 2.5, 1.25), 1 / 32), ASSEMBLY_TENSORS[0], 1 / 40), 0)
 @settings(deadline=None)
-def test_table_operators_expand_to_block_assembly(case, seed):
+def test_table_operators_expand_to_block_assembly_and_full_probing(case, seed):
     # M, A and S on congruent cells are made from class tables and hold no
     # (7, n) array.  Expanded, each must equal, as int64, what block
-    # assembly of the same nodes and S = k A + M of those data give; and
-    # spmv on it must equal spmv on its expanded twin, with the twin's plan
-    # built from a scanned table and from diagonal stretches.
+    # assembly of the same nodes and S = k A + M of those data give, and
+    # in value what probing it through spmv on the whole grid reads back;
+    # and spmv on it must equal spmv on its expanded twin, with the twin's
+    # plan built from a scanned table and from diagonal stretches.
     mesh, D, k = case
     (nx, ny), n = mesh.grid, mesh.n_nodes
     M, A = assemble_mass(mesh), assemble_stiffness(mesh, D)
@@ -1159,6 +1218,7 @@ def test_table_operators_expand_to_block_assembly(case, seed):
         assert "data" not in vars(op) and op.classes.shape == (7, min(ny + 1, 3), min(nx + 1, 3))
         assert bits_equal(op.data, expect.data)
         assert op.nnz == expect.nnz and np.array_equal(op.offsets, expect.offsets)
+        assert np.array_equal(probed(op), expect.data)
         x = with_signed_zeros(rng, rng.standard_normal(op.ncols))
         twin = grid_matrix(op.data.copy(), nx, ny)
         with pytest.MonkeyPatch.context() as mp:
@@ -1170,7 +1230,9 @@ def test_table_operators_expand_to_block_assembly(case, seed):
 
 
 @given(coarse_cells, stiff_k, diffusion(), st.integers(0, 2**32 - 1))
-def test_preconditioned_cg_property(cells, k, D, seed):
+def test_multigrid_pcg_property(cells, k, D, seed):
+    # Once drawn for a multigrid V-cycle, now for FastDiag: PCG meets its
+    # tolerance and lands within the residual bound of the dense solve.
     S, B = stiff_system(fine_mesh(*cells), k, D)
     b = np.random.default_rng(seed).uniform(-1e3, 1e3, S.nrows)
     rel_tol = 1e-10
